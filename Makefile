@@ -70,12 +70,14 @@ coverage:
 bench:
 	scripts/bench.sh
 
-# One iteration of every serving benchmark: catches bit-rot in the bench
-# harness itself without paying for real measurement (the pipeline benches
-# train full models and stay out of the per-merge gate).
+# One iteration of every serving and planner benchmark (the per-predictor
+# miss path and BenchmarkPlanResolve1000 in internal/serve included):
+# catches bit-rot in the bench harness itself without paying for real
+# measurement (the pipeline benches train full models and stay out of the
+# per-merge gate).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^Benchmark(Score|Batch)' -benchtime=1x -count=1 ./internal/serve/ ./internal/cluster/
-	$(GO) test -run='^$$' -bench='^BenchmarkPlan' -benchtime=1x -count=1 ./internal/plan/
+	$(GO) test -run='^$$' -bench='^BenchmarkPlan' -benchtime=1x -count=1 ./internal/plan/ ./internal/serve/
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

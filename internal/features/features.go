@@ -65,7 +65,14 @@ func OperatorFeatureNames() []string {
 // OperatorRow featurizes a single operator into a vector of OperatorDim.
 func OperatorRow(op *scopesim.Operator) []float64 {
 	row := make([]float64, OperatorDim)
-	e := op.Est
+	fillOperatorRow(row, op)
+	return row
+}
+
+// fillOperatorRow writes the operator's features into row, which must be
+// OperatorDim long and zeroed (only the two hot one-hot slots are set).
+func fillOperatorRow(row []float64, op *scopesim.Operator) {
+	e := &op.Est
 	row[0] = math.Log1p(nonNeg(e.OutputCardinality))
 	row[1] = math.Log1p(nonNeg(e.LeafInputCardinality))
 	row[2] = math.Log1p(nonNeg(e.ChildrenInputCardinality))
@@ -83,17 +90,27 @@ func OperatorRow(op *scopesim.Operator) []float64 {
 	if op.Partitioning.Valid() {
 		row[base+scopesim.NumOpKinds+int(op.Partitioning)] = 1
 	}
-	return row
 }
 
 // OperatorMatrix featurizes every operator of the job into an N x
 // OperatorDim matrix, row i for operator i — the GNN's node features.
 func OperatorMatrix(job *scopesim.Job) *linalg.Matrix {
 	m := linalg.New(len(job.Operators), OperatorDim)
-	for i := range job.Operators {
-		copy(m.Row(i), OperatorRow(&job.Operators[i]))
-	}
+	FillOperatorMatrix(m, job)
 	return m
+}
+
+// FillOperatorMatrix is OperatorMatrix into caller-owned storage: m must
+// be len(job.Operators) x OperatorDim; its previous contents are
+// overwritten.
+func FillOperatorMatrix(m *linalg.Matrix, job *scopesim.Job) {
+	if m.Rows != len(job.Operators) || m.Cols != OperatorDim {
+		panic("features: operator matrix dimension mismatch")
+	}
+	clear(m.Data)
+	for i := range job.Operators {
+		fillOperatorRow(m.Row(i), &job.Operators[i])
+	}
 }
 
 // JobVector aggregates operator features to the job level (Table 2):
@@ -101,18 +118,29 @@ func OperatorMatrix(job *scopesim.Job) *linalg.Matrix {
 // frequency count, plus the operator and stage counts.
 func JobVector(job *scopesim.Job) []float64 {
 	out := make([]float64, JobDim)
+	FillJobVector(out, job)
+	return out
+}
+
+// FillJobVector is JobVector into caller-owned storage: out must be
+// JobDim long; its previous contents are overwritten.
+func FillJobVector(out []float64, job *scopesim.Job) {
+	if len(out) != JobDim {
+		panic("features: job vector dimension mismatch")
+	}
+	clear(out)
 	n := len(job.Operators)
 	if n == 0 {
-		return out
+		return
 	}
+	var row [OperatorDim]float64
 	for i := range job.Operators {
-		row := OperatorRow(&job.Operators[i])
-		for c := 0; c < numContinuous+numDiscrete; c++ {
-			out[c] += row[c]
-		}
-		// Categorical: frequency counts, not means.
-		for c := numContinuous + numDiscrete; c < OperatorDim; c++ {
-			out[c] += row[c]
+		row = [OperatorDim]float64{}
+		fillOperatorRow(row[:], &job.Operators[i])
+		// Continuous and count columns are summed here and averaged
+		// below; categorical columns stay frequency counts.
+		for c, v := range row[:] {
+			out[c] += v
 		}
 	}
 	for c := 0; c < numContinuous+numDiscrete; c++ {
@@ -120,7 +148,6 @@ func JobVector(job *scopesim.Job) []float64 {
 	}
 	out[JobDim-2] = float64(job.NumOperators())
 	out[JobDim-1] = float64(job.NumStages())
-	return out
 }
 
 // JobMatrix featurizes a batch of jobs into an n x JobDim design matrix.
@@ -139,30 +166,52 @@ func JobMatrix(jobs []*scopesim.Job) *linalg.Matrix {
 func NormalizedAdjacency(job *scopesim.Job) *linalg.Matrix {
 	n := len(job.Operators)
 	a := linalg.New(n, n)
-	for i := range job.Operators {
-		a.Set(i, i, 1)
-		for _, c := range job.Operators[i].Children {
-			if c >= 0 && c < n {
-				a.Set(i, c, 1)
-				a.Set(c, i, 1)
-			}
-		}
-	}
-	deg := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			deg[i] += a.At(i, j)
-		}
-	}
-	for i := 0; i < n; i++ {
-		di := 1 / math.Sqrt(deg[i]) // deg ≥ 1 thanks to self-loops
-		for j := 0; j < n; j++ {
-			if v := a.At(i, j); v != 0 {
-				a.Set(i, j, v*di/math.Sqrt(deg[j]))
-			}
-		}
-	}
+	FillNormalizedAdjacency(a, job)
 	return a
+}
+
+// FillNormalizedAdjacency is NormalizedAdjacency into caller-owned
+// storage: a must be N x N for the job's N operators; its previous
+// contents are overwritten. The work is proportional to the edge list, not
+// to N²: while edges are marked, the diagonal counts each node's distinct
+// neighbours (itself included), and every marked entry (i, j) then becomes
+// (1/√dᵢ)/√dⱼ — the diagonal last, because it holds the degrees until then.
+// Assigning a value computed from the degrees alone (never rescaling what
+// is there) is what keeps duplicate edges harmless.
+func FillNormalizedAdjacency(a *linalg.Matrix, job *scopesim.Job) {
+	n := len(job.Operators)
+	if a.Rows != n || a.Cols != n {
+		panic("features: adjacency dimension mismatch")
+	}
+	d := a.Data
+	clear(d)
+	for i := 0; i < n; i++ {
+		d[i*n+i] = 1
+	}
+	for i := range job.Operators {
+		for _, c := range job.Operators[i].Children {
+			if c < 0 || c >= n || c == i || d[i*n+c] != 0 {
+				continue
+			}
+			d[i*n+c], d[c*n+i] = 1, 1
+			d[i*n+i]++
+			d[c*n+c]++
+		}
+	}
+	for i := range job.Operators {
+		for _, c := range job.Operators[i].Children {
+			if c < 0 || c >= n || c == i {
+				continue
+			}
+			di, dc := d[i*n+i], d[c*n+c]
+			d[i*n+c] = 1 / math.Sqrt(di) / math.Sqrt(dc)
+			d[c*n+i] = 1 / math.Sqrt(dc) / math.Sqrt(di)
+		}
+	}
+	for i := 0; i < n; i++ {
+		deg := d[i*n+i] // ≥ 1 thanks to the self-loop
+		d[i*n+i] = 1 / math.Sqrt(deg) / math.Sqrt(deg)
+	}
 }
 
 // Scaler standardizes feature columns using statistics fitted on training
@@ -184,29 +233,36 @@ func FitScaler(m *linalg.Matrix) *Scaler {
 // Transform returns a standardized copy of m, which must have the fitted
 // column count.
 func (s *Scaler) Transform(m *linalg.Matrix) *linalg.Matrix {
-	if m.Cols != len(s.Cols) {
-		panic("features: scaler dimension mismatch")
-	}
 	out := m.Clone()
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		for c := range row {
-			row[c] = s.Cols[c].Transform(row[c])
-		}
-	}
+	s.ApplyMatrix(out)
 	return out
 }
 
-// TransformRow standardizes a single feature vector in place-free fashion.
+// ApplyMatrix standardizes every row of m in place.
+func (s *Scaler) ApplyMatrix(m *linalg.Matrix) {
+	if m.Cols != len(s.Cols) {
+		panic("features: scaler dimension mismatch")
+	}
+	for i := 0; i < m.Rows; i++ {
+		s.Apply(m.Row(i))
+	}
+}
+
+// TransformRow returns a standardized copy of a single feature vector.
 func (s *Scaler) TransformRow(row []float64) []float64 {
+	out := append([]float64(nil), row...)
+	s.Apply(out)
+	return out
+}
+
+// Apply standardizes a single feature vector in place.
+func (s *Scaler) Apply(row []float64) {
 	if len(row) != len(s.Cols) {
 		panic("features: scaler dimension mismatch")
 	}
-	out := make([]float64, len(row))
 	for c, v := range row {
-		out[c] = s.Cols[c].Transform(v)
+		row[c] = s.Cols[c].Transform(v)
 	}
-	return out
 }
 
 func nonNeg(v float64) float64 {

@@ -248,3 +248,121 @@ func TestScalerDimensionMismatchPanics(t *testing.T) {
 	}()
 	s.Transform(linalg.New(1, 3))
 }
+
+// The Fill* functions write features in place; these are the allocating
+// definitions they replaced (one fresh row per operator, degrees summed
+// over the dense matrix), kept as the reference the in-place forms must
+// match bit for bit — the serving path's curves are compared by bits.
+
+func refJobVector(job *scopesim.Job) []float64 {
+	out := make([]float64, JobDim)
+	n := len(job.Operators)
+	if n == 0 {
+		return out
+	}
+	for i := range job.Operators {
+		row := OperatorRow(&job.Operators[i])
+		for c := 0; c < numContinuous+numDiscrete; c++ {
+			out[c] += row[c]
+		}
+		for c := numContinuous + numDiscrete; c < OperatorDim; c++ {
+			out[c] += row[c]
+		}
+	}
+	for c := 0; c < numContinuous+numDiscrete; c++ {
+		out[c] /= float64(n)
+	}
+	out[JobDim-2] = float64(job.NumOperators())
+	out[JobDim-1] = float64(job.NumStages())
+	return out
+}
+
+func refNormalizedAdjacency(job *scopesim.Job) *linalg.Matrix {
+	n := len(job.Operators)
+	a := linalg.New(n, n)
+	for i := range job.Operators {
+		a.Set(i, i, 1)
+		for _, c := range job.Operators[i].Children {
+			if c >= 0 && c < n {
+				a.Set(i, c, 1)
+				a.Set(c, i, 1)
+			}
+		}
+	}
+	deg := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			deg[i] += a.At(i, j)
+		}
+	}
+	for i := 0; i < n; i++ {
+		di := 1 / math.Sqrt(deg[i])
+		for j := 0; j < n; j++ {
+			if v := a.At(i, j); v != 0 {
+				a.Set(i, j, v*di/math.Sqrt(deg[j]))
+			}
+		}
+	}
+	return a
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d is %v, reference %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func TestFillMatchesAllocatingReference(t *testing.T) {
+	jobs := workload.New(workload.TestConfig(9)).Workload(200)
+	// Edges the generator never emits: duplicates, both directions of one
+	// pair, a self-loop and out-of-range children.
+	odd := *jobs[0]
+	odd.Operators = append([]scopesim.Operator(nil), odd.Operators...)
+	odd.Operators[0].Children = []int{1, 1, 0, -3, len(odd.Operators)}
+	odd.Operators[1].Children = []int{0, 2}
+	jobs = append(jobs, &odd, &scopesim.Job{ID: "empty"})
+
+	for _, job := range jobs {
+		n := len(job.Operators)
+		// Dirty destinations: Fill must overwrite, not accumulate.
+		vec := make([]float64, JobDim)
+		ops, adj := linalg.New(n, OperatorDim), linalg.New(n, n)
+		for _, dst := range [][]float64{vec, ops.Data, adj.Data} {
+			for i := range dst {
+				dst[i] = math.NaN()
+			}
+		}
+		FillJobVector(vec, job)
+		sameBits(t, job.ID+" job vector", vec, refJobVector(job))
+
+		FillOperatorMatrix(ops, job)
+		for i := range job.Operators {
+			sameBits(t, job.ID+" operator row", ops.Row(i), OperatorRow(&job.Operators[i]))
+		}
+
+		FillNormalizedAdjacency(adj, job)
+		sameBits(t, job.ID+" adjacency", adj.Data, refNormalizedAdjacency(job).Data)
+	}
+}
+
+func TestScalerInPlaceMatchesColumnTransform(t *testing.T) {
+	m := OperatorMatrix(sampleJob(t))
+	s := FitScaler(m)
+	want := linalg.New(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for c := 0; c < m.Cols; c++ {
+			want.Set(i, c, s.Cols[c].Transform(m.At(i, c)))
+		}
+	}
+	got := m.Clone()
+	s.ApplyMatrix(got)
+	sameBits(t, "matrix scaled in place", got.Data, want.Data)
+	sameBits(t, "copying Transform", s.Transform(m).Data, want.Data)
+	sameBits(t, "copying TransformRow", s.TransformRow(m.Row(0)), want.Row(0))
+}

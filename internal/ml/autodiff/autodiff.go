@@ -271,12 +271,12 @@ func Tanh(a *Node) *Node {
 
 // Sigmoid returns 1/(1+e^−x) elementwise.
 func Sigmoid(a *Node) *Node {
-	return unary(a, sigmoid, func(_, y float64) float64 { return y * (1 - y) })
+	return unary(a, SigmoidOf, func(_, y float64) float64 { return y * (1 - y) })
 }
 
 // Softplus returns log(1+eˣ) elementwise, computed stably.
 func Softplus(a *Node) *Node {
-	return unary(a, softplus, func(x, _ float64) float64 { return sigmoid(x) })
+	return unary(a, SoftplusOf, func(x, _ float64) float64 { return SigmoidOf(x) })
 }
 
 // Exp returns eˣ elementwise.
@@ -363,7 +363,9 @@ func AddScalar(a *Node, s float64) *Node {
 	return unary(a, func(x float64) float64 { return x + s }, func(_, _ float64) float64 { return 1 })
 }
 
-func sigmoid(x float64) float64 {
+// SigmoidOf is the scalar map behind Sigmoid, exported so gradient-free
+// inference applies the very function the tape does.
+func SigmoidOf(x float64) float64 {
 	if x >= 0 {
 		return 1 / (1 + math.Exp(-x))
 	}
@@ -371,7 +373,8 @@ func sigmoid(x float64) float64 {
 	return e / (1 + e)
 }
 
-func softplus(x float64) float64 {
+// SoftplusOf is the scalar map behind Softplus (see SigmoidOf).
+func SoftplusOf(x float64) float64 {
 	// log(1+e^x) = max(x,0) + log1p(e^{−|x|})
 	if x > 0 {
 		return x + math.Log1p(math.Exp(-x))

@@ -279,10 +279,10 @@ func TestSoftplusStability(t *testing.T) {
 }
 
 func TestSigmoidStability(t *testing.T) {
-	if v := sigmoid(-800); v != 0 {
+	if v := SigmoidOf(-800); v != 0 {
 		t.Fatalf("sigmoid(-800) = %v", v)
 	}
-	if v := sigmoid(800); v != 1 {
+	if v := SigmoidOf(800); v != 1 {
 		t.Fatalf("sigmoid(800) = %v", v)
 	}
 }

@@ -139,33 +139,70 @@ func (m *Model) Forward(tape *autodiff.Tape, features, adj *autodiff.Node) (*aut
 	return out, paramNodes
 }
 
+// attend is the tape-free front half of Forward: the stacked convolutions
+// and the attention scoring, through the kernels and in the operation order
+// the tape uses. It returns the N x d node embeddings and the N x 1
+// attention scores, both carved from sc.
+func (m *Model) attend(sc *linalg.Scratch, features, adj *linalg.Matrix) (h, scores *linalg.Matrix) {
+	n := features.Rows
+	if adj.Rows != n || adj.Cols != n {
+		panic(fmt.Sprintf("gnn: adjacency %dx%d for %d nodes", adj.Rows, adj.Cols, n))
+	}
+	h = features
+	for _, c := range m.Convs {
+		ah := sc.Matrix(n, h.Cols)
+		linalg.MatMulInto(ah, adj, h)
+		h = c.Infer(sc, ah)
+	}
+	ones := sc.Matrix(1, n)
+	for i := range ones.Data {
+		ones.Data[i] = 1 / float64(n)
+	}
+	mean := sc.Matrix(1, h.Cols)
+	linalg.MatMulInto(mean, ones, h)
+	ctx := sc.Matrix(1, m.AttnW.Cols)
+	linalg.MatMulInto(ctx, mean, m.AttnW)
+	nn.ActTanh.InPlace(ctx.Data)
+	// A row vector's transpose is the same data read as a column.
+	ctxT := linalg.Matrix{Rows: ctx.Cols, Cols: 1, Data: ctx.Data}
+	scores = sc.Matrix(n, 1)
+	linalg.MatMulInto(scores, h, &ctxT)
+	for i, v := range scores.Data {
+		scores.Data[i] = autodiff.SigmoidOf(v)
+	}
+	return h, scores
+}
+
+// Infer runs one graph through the network without a tape and returns the
+// 1 x OutputDim output, carved from sc (valid until sc is released). It is
+// the one inference path: Forward exists to train, and the tests hold the
+// two equal bit for bit.
+func (m *Model) Infer(sc *linalg.Scratch, features, adj *linalg.Matrix) *linalg.Matrix {
+	h, scores := m.attend(sc, features, adj)
+	n := features.Rows
+	scoresT := linalg.Matrix{Rows: 1, Cols: n, Data: scores.Data}
+	graph := sc.Matrix(1, h.Cols)
+	linalg.MatMulInto(graph, &scoresT, h)
+	inv := 1 / float64(n)
+	for i, v := range graph.Data {
+		graph.Data[i] = v * inv
+	}
+	return m.Head.Infer(sc, graph)
+}
+
 // Predict runs a gradient-free forward pass for one graph.
 func (m *Model) Predict(features, adj *linalg.Matrix) *linalg.Matrix {
-	tape := autodiff.NewTape()
-	out, _ := m.Forward(tape, tape.Const(features), tape.Const(adj))
-	return out.Value
+	sc := linalg.GetScratch()
+	defer sc.Release()
+	return m.Infer(sc, features, adj).Clone()
 }
 
 // AttentionScores returns the per-node attention weights for a graph — the
 // interpretability hook the paper motivates the attention mechanism with
 // (focusing on the most relevant operators).
 func (m *Model) AttentionScores(features, adj *linalg.Matrix) []float64 {
-	tape := autodiff.NewTape()
-	f := tape.Const(features)
-	a := tape.Const(adj)
-	n := features.Rows
-	h := f
-	for _, c := range m.Convs {
-		w := tape.Const(c.W)
-		b := tape.Const(c.B)
-		h = c.Forward(autodiff.MatMul(a, h), w, b)
-	}
-	ones := linalg.New(1, n)
-	for i := range ones.Data {
-		ones.Data[i] = 1 / float64(n)
-	}
-	mean := autodiff.MatMul(tape.Const(ones), h)
-	ctx := autodiff.Tanh(autodiff.MatMul(mean, tape.Const(m.AttnW)))
-	scores := autodiff.Sigmoid(autodiff.MatMul(h, autodiff.Transpose(ctx)))
-	return append([]float64(nil), scores.Value.Data...)
+	sc := linalg.GetScratch()
+	defer sc.Release()
+	_, scores := m.attend(sc, features, adj)
+	return append([]float64(nil), scores.Data...)
 }

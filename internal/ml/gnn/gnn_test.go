@@ -197,3 +197,24 @@ func TestForwardOnGeneratedJob(t *testing.T) {
 		}
 	}
 }
+
+// Infer is the inference path and Forward the training path; they must
+// agree to the last bit on graphs of every size, the single node included.
+func TestInferMatchesTapeForwardBitForBit(t *testing.T) {
+	m := smallModel(5)
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{1, 2, 9, 40} {
+		f, adj := ringGraph(n, 6, rng)
+		tape := autodiff.NewTape()
+		want, _ := m.Forward(tape, tape.Const(f), tape.Const(adj))
+		got := m.Predict(f, adj)
+		for i, w := range want.Value.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+				t.Fatalf("%d nodes, output %d: Infer %v, tape %v", n, i, got.Data[i], w)
+			}
+		}
+		if scores := m.AttentionScores(f, adj); len(scores) != n {
+			t.Fatalf("%d attention scores for %d nodes", len(scores), n)
+		}
+	}
+}

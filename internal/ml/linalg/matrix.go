@@ -143,10 +143,27 @@ func (m *Matrix) String() string {
 
 // MatMul returns a×b. Panics if inner dimensions disagree.
 func MatMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	matMulAcc(out, a, b)
+	return out
+}
+
+// MatMulInto overwrites out with a×b; out must be a.Rows x b.Cols and
+// alias neither operand. It runs the loop MatMul runs, so the two agree
+// bit for bit.
+func MatMulInto(out, a, b *Matrix) {
+	if out.Rows != a.Rows || out.Cols != b.Cols {
+		panic(fmt.Sprintf("linalg: matmul into %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
+	}
+	clear(out.Data)
+	matMulAcc(out, a, b)
+}
+
+// matMulAcc accumulates a×b into out, which the caller has zeroed.
+func matMulAcc(out, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: matmul shape mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
@@ -160,7 +177,6 @@ func MatMul(a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
 }
 
 // Transpose returns mᵀ.

@@ -1,7 +1,9 @@
 // Package nn provides the feed-forward building blocks of TASQ's neural
 // models (§4.4): dense layers with standard initializations, a multi-layer
-// perceptron that runs on the autodiff tape, and the Adam optimizer. The
-// GNN package composes these same pieces with graph convolutions.
+// perceptron that trains on the autodiff tape (Forward) and answers
+// through a tape-free pass over scratch storage (Infer), and the Adam
+// optimizer. The GNN package composes these same pieces with graph
+// convolutions.
 package nn
 
 import (
@@ -32,6 +34,23 @@ func (a Activation) Apply(x *autodiff.Node) *autodiff.Node {
 		return autodiff.Tanh(x)
 	default:
 		return x
+	}
+}
+
+// InPlace runs the activation over v — the forward maps of Apply without
+// a tape.
+func (a Activation) InPlace(v []float64) {
+	switch a {
+	case ActReLU:
+		for i, x := range v {
+			if !(x > 0) {
+				v[i] = 0
+			}
+		}
+	case ActTanh:
+		for i, x := range v {
+			v[i] = math.Tanh(x)
+		}
 	}
 }
 
@@ -76,6 +95,26 @@ func NewDense(rng *rand.Rand, in, out int, act Activation) *Dense {
 // layer's parameters on the same tape as x.
 func (d *Dense) Forward(x, wNode, bNode *autodiff.Node) *autodiff.Node {
 	return d.Act.Apply(autodiff.AddRowVector(autodiff.MatMul(x, wNode), bNode))
+}
+
+// Infer applies the layer without a tape: x·W through the kernel MatMul
+// shares, then bias and activation in place, each element seeing the
+// operations Forward applies to it in the same order. The result is carved
+// from sc.
+func (d *Dense) Infer(sc *linalg.Scratch, x *linalg.Matrix) *linalg.Matrix {
+	if d.B.Rows != 1 || d.B.Cols != d.W.Cols {
+		panic(fmt.Sprintf("nn: bias %dx%d for %d outputs", d.B.Rows, d.B.Cols, d.W.Cols))
+	}
+	out := sc.Matrix(x.Rows, d.W.Cols)
+	linalg.MatMulInto(out, x, d.W)
+	for i := 0; i < out.Rows; i++ {
+		row := out.Row(i)
+		for j, b := range d.B.Data {
+			row[j] += b
+		}
+	}
+	d.Act.InPlace(out.Data)
+	return out
 }
 
 // MLP is a stack of dense layers.
@@ -134,11 +173,23 @@ func (m *MLP) Forward(tape *autodiff.Tape, x *autodiff.Node) (*autodiff.Node, []
 	return h, paramNodes
 }
 
+// Infer runs the network without a tape, every intermediate carved from
+// sc, and returns the output (valid until sc is released). It is the one
+// inference path: Forward exists to train, and the tests hold the two equal
+// bit for bit.
+func (m *MLP) Infer(sc *linalg.Scratch, x *linalg.Matrix) *linalg.Matrix {
+	h := x
+	for _, l := range m.Layers {
+		h = l.Infer(sc, h)
+	}
+	return h
+}
+
 // Predict runs a gradient-free forward pass on a design matrix.
 func (m *MLP) Predict(x *linalg.Matrix) *linalg.Matrix {
-	tape := autodiff.NewTape()
-	out, _ := m.Forward(tape, tape.Const(x))
-	return out.Value
+	sc := linalg.GetScratch()
+	defer sc.Release()
+	return m.Infer(sc, x).Clone()
 }
 
 // Adam is the Adam optimizer (Kingma & Ba) with per-parameter moment

@@ -170,3 +170,31 @@ func TestGradsOfAlignment(t *testing.T) {
 		t.Fatal("unused param must have nil grad")
 	}
 }
+
+// Infer is the inference path and Forward the training path; a prediction
+// must not depend on which one produced it, to the last bit, for every
+// activation and for batches as well as single rows.
+func TestInferMatchesTapeForwardBitForBit(t *testing.T) {
+	for _, act := range []Activation{ActIdentity, ActReLU, ActTanh} {
+		rng := rand.New(rand.NewSource(11))
+		m := NewMLP(rng, []int{5, 16, 16, 2}, act)
+		for _, rows := range []int{1, 7} {
+			x := linalg.New(rows, 5)
+			for i := range x.Data {
+				x.Data[i] = rng.NormFloat64()
+			}
+			x.Data[0] = 0 // MatMul skips zero multiplicands
+			tape := autodiff.NewTape()
+			want, _ := m.Forward(tape, tape.Const(x))
+			sc := linalg.GetScratch()
+			got := m.Infer(sc, x)
+			pred := m.Predict(x)
+			for i, w := range want.Value.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(w) || math.Float64bits(pred.Data[i]) != math.Float64bits(w) {
+					t.Fatalf("%s, %d rows, output %d: Infer %v, Predict %v, tape %v", act, rows, i, got.Data[i], pred.Data[i], w)
+				}
+			}
+			sc.Release()
+		}
+	}
+}

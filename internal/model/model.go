@@ -114,15 +114,16 @@ func CurveAt(p Predictor, job *scopesim.Job, reference int) (pcc.Curve, error) {
 // XGBoost curves are constructed, the Pattern metric is judged and the
 // simulator baselines are fitted.
 func CurveRegion(reference int) []int {
-	var out []int
-	seen := map[int]bool{}
+	// Nine steps of 0.1; tok never decreases along them (every point of a
+	// negative reference floors to 1), so comparing with the previous
+	// point dedupes exactly.
+	out := make([]int, 0, 9)
 	for f := 0.6; f <= 1.401; f += 0.1 {
 		tok := int(math.Round(f * float64(reference)))
 		if tok < 1 {
 			tok = 1
 		}
-		if !seen[tok] {
-			seen[tok] = true
+		if len(out) == 0 || tok != out[len(out)-1] {
 			out = append(out, tok)
 		}
 	}

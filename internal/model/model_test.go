@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"tasq/internal/autotoken"
@@ -285,5 +286,33 @@ func TestAutoTokenAdapter(t *testing.T) {
 	}
 	if uncovered == 0 {
 		t.Fatal("no uncovered jobs — the §6.2 coverage gap should show")
+	}
+}
+
+// CurveRegion dedupes against the previous point only; the grid must equal
+// the set-deduped one for every reference, the degenerate ones included.
+func TestCurveRegionMatchesSetDedupe(t *testing.T) {
+	for ref := -5; ref <= 3000; ref++ {
+		var want []int
+		seen := map[int]bool{}
+		for f := 0.6; f <= 1.401; f += 0.1 {
+			tok := int(math.Round(f * float64(ref)))
+			if tok < 1 {
+				tok = 1
+			}
+			if !seen[tok] {
+				seen[tok] = true
+				want = append(want, tok)
+			}
+		}
+		got := CurveRegion(ref)
+		if len(got) != len(want) {
+			t.Fatalf("reference %d: grid %v, want %v", ref, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("reference %d: grid %v, want %v", ref, got, want)
+			}
+		}
 	}
 }

@@ -45,10 +45,12 @@ type capturedPanic struct {
 //
 // Error semantics are deterministic: if any items fail, Map returns the
 // error of the lowest failing index (first-error propagation in input
-// order), regardless of completion order. Remaining items stop being
-// dispatched once an error or context cancellation is observed, so f must
-// tolerate not being called for every index on failure — and, conversely,
-// may have been called for indices after the failing one.
+// order), regardless of completion order: every index below a failing one
+// still runs, so a lower failure is never masked by a higher one that
+// happened to finish first. Items above the lowest failure (or a context
+// cancellation) stop being dispatched, so f must tolerate not being called
+// for every index on failure — and, conversely, may have been called for
+// indices after the failing one.
 //
 // A panic inside f is captured, the pool is drained, and the panic is
 // re-raised on the calling goroutine (lowest panicking index first) with
@@ -78,21 +80,34 @@ func Map[T any](ctx context.Context, n, workers int, f func(i int) (T, error)) (
 	}
 
 	var (
-		next    atomic.Int64 // next index to dispatch
-		stopped atomic.Bool  // set on first error/panic/cancellation
+		next atomic.Int64 // next index to dispatch
+		// limit is the lowest index that failed, panicked or saw the
+		// context cancelled (n while none has). Indices are claimed in
+		// increasing order, so a worker that claims one at or past limit
+		// can stop, while every index below it still runs: that is what
+		// makes "the lowest failing index" independent of scheduling.
+		limit   atomic.Int64
 		mu      sync.Mutex
-		errIdx  = n // lowest failing index so far
 		firstEr error
 		panics  []capturedPanic
 		wg      sync.WaitGroup
 	)
+	limit.Store(int64(n))
+	// lower moves limit down to i and reports whether i is the new lowest.
+	// Callers hold mu.
+	lower := func(i int) bool {
+		if int64(i) >= limit.Load() {
+			return false
+		}
+		limit.Store(int64(i))
+		return true
+	}
 	fail := func(i int, err error) {
 		mu.Lock()
-		if i < errIdx {
-			errIdx, firstEr = i, err
+		if lower(i) {
+			firstEr = err
 		}
 		mu.Unlock()
-		stopped.Store(true)
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -100,7 +115,7 @@ func Map[T any](ctx context.Context, n, workers int, f func(i int) (T, error)) (
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || stopped.Load() {
+				if int64(i) >= limit.Load() {
 					return
 				}
 				if err := ctx.Err(); err != nil {
@@ -112,8 +127,8 @@ func Map[T any](ctx context.Context, n, workers int, f func(i int) (T, error)) (
 						if r := recover(); r != nil {
 							mu.Lock()
 							panics = append(panics, capturedPanic{index: i, value: r, stack: workerStack()})
+							lower(i)
 							mu.Unlock()
-							stopped.Store(true)
 						}
 					}()
 					v, err := f(i)

@@ -94,6 +94,31 @@ func TestMapFirstErrorRace(t *testing.T) {
 	}
 }
 
+// A failure must stop dispatch above it without abandoning an index below
+// it that a worker has claimed but not begun: every index under the lowest
+// failing one runs, so that one's error is the answer at any interleaving.
+func TestMapRunsEveryIndexBelowTheFailure(t *testing.T) {
+	const n, firstBad = 64, 40
+	for round := 0; round < 500; round++ {
+		var ran [n]atomic.Bool
+		_, err := Map(context.Background(), n, 8, func(i int) (int, error) {
+			ran[i].Store(true)
+			if i >= firstBad {
+				return 0, fmt.Errorf("bad-%d", i)
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != fmt.Sprintf("bad-%d", firstBad) {
+			t.Fatalf("round %d: err=%v, want bad-%d", round, err, firstBad)
+		}
+		for i := 0; i < firstBad; i++ {
+			if !ran[i].Load() {
+				t.Fatalf("round %d: index %d below the failure never ran", round, i)
+			}
+		}
+	}
+}
+
 func TestMapContextCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())

@@ -94,6 +94,16 @@ type Allocation struct {
 // retries reports whether the allocation carries a second leg.
 func (a Allocation) retries() bool { return a.RetryTokens > 0 }
 
+// TokenSeconds is the allocation's provisioned cost: tokens × duration,
+// both attempts of a retried job.
+func (a Allocation) TokenSeconds() int {
+	cost := a.Tokens * a.DurationSeconds
+	if a.retries() {
+		cost += a.RetryTokens * a.RetryDurationSeconds
+	}
+	return cost
+}
+
 // Outcome reports when an allocation ran.
 type Outcome struct {
 	ID          string
@@ -377,11 +387,10 @@ func Summarize(allocs []Allocation, outs []Outcome) Stats {
 		}
 		if i < len(allocs) {
 			a := allocs[i]
-			st.TotalTokenSeconds += a.Tokens * a.DurationSeconds
+			st.TotalTokenSeconds += a.TokenSeconds()
 			if a.retries() {
 				st.Retries++
 				st.RetryWasteTokenSeconds += a.Tokens * a.DurationSeconds
-				st.TotalTokenSeconds += a.RetryTokens * a.RetryDurationSeconds
 			}
 			if a.DeadlineSecond > 0 && o.EndSecond > a.DeadlineSecond {
 				st.DeadlineViolations++

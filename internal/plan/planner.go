@@ -84,13 +84,14 @@ type Plan struct {
 	FellBack bool
 }
 
-// Build allocates every job under cfg.Policy and simulates the batch
-// through the pool with cfg.Strategy. Allocations are clamped into
-// [1, min(capacity, tenant quota)] so a well-formed request always
-// yields a feasible plan: a job can never hold more tokens than the pool
-// (or its tenant's quota) has. Deterministic: same specs + config →
-// identical plan, event for event.
-func Build(specs []JobSpec, cfg Config) (*Plan, error) {
+// Allocate validates the batch and sizes every job under cfg.Policy — the
+// half of Build that decides what a plan provisions, before any schedule
+// exists. Allocations are clamped into [1, min(capacity, tenant quota)] so
+// a well-formed request always yields a feasible plan: a job can never
+// hold more tokens than the pool (or its tenant's quota) has. Provisioned
+// cost (Allocation.TokenSeconds) depends on these alone, never on the
+// schedule, so a caller that only prices a policy stops here.
+func Allocate(specs []JobSpec, cfg Config) ([]Allocation, error) {
 	if cfg.Capacity < 1 {
 		return nil, fmt.Errorf("%w: %d", ErrBadCapacity, cfg.Capacity)
 	}
@@ -149,7 +150,17 @@ func Build(specs []JobSpec, cfg Config) (*Plan, error) {
 			}
 		}
 	}
+	return allocs, nil
+}
 
+// Build allocates every job under cfg.Policy (Allocate) and simulates the
+// batch through the pool with cfg.Strategy. Deterministic: same specs +
+// config → identical plan, event for event.
+func Build(specs []JobSpec, cfg Config) (*Plan, error) {
+	allocs, err := Allocate(specs, cfg)
+	if err != nil {
+		return nil, err
+	}
 	p := &Plan{
 		Policy:      cfg.Policy,
 		Strategy:    cfg.Strategy,
@@ -157,7 +168,6 @@ func Build(specs []JobSpec, cfg Config) (*Plan, error) {
 		Allocations: allocs,
 	}
 	var outs []Outcome
-	var err error
 	switch cfg.Strategy {
 	case StrategyBackfill:
 		outs, err = buildBackfill(cfg, allocs, p)

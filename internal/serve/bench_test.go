@@ -14,10 +14,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"tasq/internal/jobrepo"
+	"tasq/internal/model"
+	"tasq/internal/scopesim"
+	"tasq/internal/trainer"
+	"tasq/internal/workload"
 )
 
 type benchFixture struct {
@@ -31,6 +36,33 @@ type benchFixture struct {
 func newBenchFixture(b *testing.B, opts ...Option) *benchFixture {
 	b.Helper()
 	p, recs := trainedCachePipeline(b)
+	return benchFixtureOver(b, p, recs, opts...)
+}
+
+// fullPipeline trains all four predictors once per test binary, small
+// enough for the one-iteration smoke: the miss-path and plan-resolution
+// benchmarks need the NN (the default policy's pick) and the GNN, which
+// trainedCachePipeline skips.
+var fullPipeline = sync.OnceValues(func() (*trainer.Pipeline, []*jobrepo.Record) {
+	g := workload.New(workload.TestConfig(41))
+	repo := jobrepo.New()
+	var ex scopesim.Executor
+	if err := repo.Ingest(g.Workload(30), &ex); err != nil {
+		panic(err)
+	}
+	cfg := trainer.DefaultConfig(42)
+	cfg.XGB.NumTrees = 60
+	cfg.NN.Epochs = 5
+	cfg.GNN.Epochs = 1
+	p, err := trainer.Train(repo.All(), cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p, repo.All()
+})
+
+func benchFixtureOver(b *testing.B, p *trainer.Pipeline, recs []*jobrepo.Record, opts ...Option) *benchFixture {
+	b.Helper()
 	srv, err := NewServer(p, opts...)
 	if err != nil {
 		b.Fatal(err)
@@ -91,18 +123,73 @@ func BenchmarkScoreSingle(b *testing.B) {
 			putScoreResponse(resp)
 		}
 	})
+	// The miss path per predictor: validate, featurize, infer (and for the
+	// boosted trees fit the curve over the ±40% grid). "nn" is what the
+	// default policy serves.
 	b.Run("uncached", func(b *testing.B) {
-		f := newBenchFixture(b, WithCurveCache(0))
+		for _, m := range []struct{ slug, name string }{
+			{"nn", model.NameNN}, {"gnn", model.NameGNN}, {"xgbpl", model.NameXGBPL}, {"xgbss", model.NameXGBSS},
+		} {
+			b.Run(m.slug, func(b *testing.B) {
+				p, recs := fullPipeline()
+				f := benchFixtureOver(b, p, recs, WithCurveCache(0))
+				for _, req := range f.reqs {
+					req.Model = m.name
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					resp, err := f.srv.score(f.reqs[i%len(f.reqs)])
+					if err != nil {
+						b.Fatal(err)
+					}
+					putScoreResponse(resp)
+				}
+			})
+		}
+	})
+}
+
+// BenchmarkPlanResolve1000 is a 1,000-job FCFS PlanLocal — curve
+// resolution plus plan.Build, no JSON — against a fresh server, where every
+// curve is a miss (what each hot reload or promotion makes of the
+// recurring working set), and against a primed cache. It lands in
+// BENCH_planner.json beside BenchmarkPlanBuild1000, whose share of the
+// warm number is the Build.
+func BenchmarkPlanResolve1000(b *testing.B) {
+	const jobsPerPlan = 1000
+	p, _ := fullPipeline()
+	req := &PlanRequest{
+		Jobs:           workload.New(workload.TestConfig(43)).Workload(jobsPerPlan),
+		CapacityTokens: 20000,
+	}
+	run := func(b *testing.B, fresh bool) {
+		srv, err := NewServer(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := srv.PlanLocal(req); err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			resp, err := f.srv.score(f.reqs[i%len(f.reqs)])
-			if err != nil {
+			if fresh {
+				b.StopTimer()
+				if srv, err = NewServer(p); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			if _, err := srv.PlanLocal(req); err != nil {
 				b.Fatal(err)
 			}
-			putScoreResponse(resp)
 		}
-	})
+		b.StopTimer()
+		b.ReportMetric(jobsPerPlan, "jobs/op")
+	}
+	b.Run("cold", func(b *testing.B) { run(b, true) })
+	b.Run("warm", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkScoreSerial is one client scoring over HTTP through the

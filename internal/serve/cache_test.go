@@ -340,6 +340,12 @@ func postBody(t *testing.T, url string, payload []byte) []byte {
 // occasional GC-cleared refill.
 const scoreAllocsCeiling = 2
 
+// missAllocsCeiling pins the uncached score the same way. What is left
+// after inference left the autodiff tape is Job.Validate's stage-order
+// scratch, the predictor lookup and the stored entry; the tape alone used
+// to cost 96.
+const missAllocsCeiling = 30
+
 func TestScoreAllocsGate(t *testing.T) {
 	srv, _ := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
 	req := &ScoreRequest{Job: cacheJob(0)}
@@ -355,6 +361,32 @@ func TestScoreAllocsGate(t *testing.T) {
 	})
 	if allocs > scoreAllocsCeiling {
 		t.Fatalf("cached single-score path allocates %.1f/op, ceiling %d", allocs, scoreAllocsCeiling)
+	}
+
+	// The miss path under the default policy, on a real pipeline: key,
+	// lookup, Job.Validate, features, the NN's tape-free forward pass and
+	// the cache insert, a never-seen key every run.
+	p, recs := fullPipeline()
+	psrv, err := NewServer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := *recs[0].Job
+	miss := &ScoreRequest{Job: &job}
+	_, m0, _, _ := cacheCounters(psrv)
+	allocs = testing.AllocsPerRun(200, func() {
+		job.RequestedTokens++
+		resp, err := psrv.score(miss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putScoreResponse(resp)
+	})
+	if _, m1, _, _ := cacheCounters(psrv); m1-m0 != 201 { // AllocsPerRun warms up once
+		t.Fatalf("%d of 201 scores missed the cache: the gate must time the miss path", m1-m0)
+	}
+	if allocs > missAllocsCeiling {
+		t.Fatalf("uncached default-policy score allocates %.1f/op, ceiling %d", allocs, missAllocsCeiling)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"tasq/internal/obs"
+	"tasq/internal/parallel"
 	"tasq/internal/plan"
 	"tasq/internal/scopesim"
 )
@@ -21,6 +22,12 @@ func WithMaxPlanJobs(n int) Option {
 		}
 	}
 }
+
+// planFanOutMinJobs is the plan size from which curve resolution fans out
+// over the worker pool. A warm lookup costs about a microsecond, so below
+// a few dozen jobs starting and joining goroutines costs more than the
+// lookups they would share; smaller plans resolve inline.
+const planFanOutMinJobs = 64
 
 // PlanRequest asks the cluster planner to allocate a batch of jobs
 // against a shared token pool: N compile-time job descriptions in,
@@ -257,21 +264,20 @@ func (s *Server) plan(req *PlanRequest) (*PlanResponse, error) {
 		return nil, errNoModel
 	}
 
+	// Every job's curve is independent of its siblings', and the cache is
+	// sharded for exactly this, so resolution fans out over the worker
+	// bound batch scoring uses; item i writes only slot i. The lowest
+	// failing index decides the error at any worker count.
 	specs := make([]plan.JobSpec, len(req.Jobs))
 	served := make([]string, len(req.Jobs))
-	for i, job := range req.Jobs {
+	resolve := func(i int) error {
+		job := req.Jobs[i]
 		if job == nil {
-			met.rejected.Inc()
-			return nil, reqErrf("serve: plan job %d is null", i)
+			return reqErrf("serve: plan job %d is null", i)
 		}
 		curve, model, _, err := s.curveFor(active, req.Model, job)
 		if err != nil {
-			if code := httpStatus(err); code == http.StatusBadRequest || code == http.StatusConflict {
-				met.rejected.Inc()
-			} else {
-				met.failed.Inc()
-			}
-			return nil, err
+			return err
 		}
 		specs[i] = plan.JobSpec{
 			ID:              job.ID,
@@ -289,6 +295,19 @@ func (s *Server) plan(req *PlanRequest) (*PlanResponse, error) {
 			specs[i].Tenant = req.Tenants[i]
 		}
 		served[i] = model
+		return nil
+	}
+	workers := s.workers
+	if len(req.Jobs) < planFanOutMinJobs {
+		workers = 1
+	}
+	if err := parallel.ForEach(context.TODO(), len(req.Jobs), workers, resolve); err != nil {
+		if code := httpStatus(err); code == http.StatusBadRequest || code == http.StatusConflict {
+			met.rejected.Inc()
+		} else {
+			met.failed.Inc()
+		}
+		return nil, err
 	}
 
 	cfg := plan.Config{
@@ -307,19 +326,20 @@ func (s *Server) plan(req *PlanRequest) (*PlanResponse, error) {
 		}
 		return nil, err
 	}
-	// The Peak-allocation baseline over the same specs (same quotas,
-	// FCFS schedule) prices the savings; no extra scoring happens — the
-	// curves are already in hand. Provisioned cost is
-	// schedule-independent, so FCFS is representative.
+	// The Peak-allocation baseline over the same specs and quotas prices
+	// the savings; no extra scoring happens — the curves are already in
+	// hand — and no schedule is simulated either: provisioned cost depends
+	// on the allocations alone.
 	baselineCost := built.Stats.TotalTokenSeconds
-	if policy == plan.PolicyPeak && strategy == plan.StrategyFCFS {
-		// The plan is its own baseline.
-	} else if base, err := plan.Build(specs, plan.Config{
+	if base, err := plan.Allocate(specs, plan.Config{
 		Capacity: req.CapacityTokens,
 		Policy:   plan.PolicyPeak,
 		Quota:    plan.Quota(req.Quotas),
 	}); err == nil {
-		baselineCost = base.Stats.TotalTokenSeconds
+		baselineCost = 0
+		for i := range base {
+			baselineCost += base[i].TokenSeconds()
+		}
 	}
 
 	resp := &PlanResponse{

@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -241,6 +242,26 @@ type activeModel struct {
 	scorer  scorer
 	version int
 	cache   *curveCache
+
+	// scores holds the tasq_score_total{model} handle of every predictor
+	// that has served a curve in this generation, so a miss pays the
+	// registry's label lookup once per predictor rather than once per job.
+	mu     sync.Mutex
+	scores map[string]*obs.Counter
+}
+
+// servedCounter returns the generation's tasq_score_total handle for the
+// predictor that served a curve, registering the series on first use —
+// which is when it first appeared on /metrics before, too.
+func (a *activeModel) servedCounter(reg *obs.Registry, served string) *obs.Counter {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	c, ok := a.scores[served]
+	if !ok {
+		c = reg.Counter("tasq_score_total", "model", served)
+		a.scores[served] = c
+	}
+	return c
 }
 
 // shadowModel is a candidate generation scored alongside the active one.
@@ -506,6 +527,7 @@ func (s *Server) setActive(sc scorer, version int) {
 		scorer:  sc,
 		version: version,
 		cache:   newCurveCache(s.cacheCap, s.cacheMet),
+		scores:  make(map[string]*obs.Counter),
 	}
 	first := s.active.Swap(gen) == nil
 	// The swapped-out generation's curves are unreachable the moment the
@@ -818,7 +840,7 @@ func (s *Server) curveFor(active *activeModel, modelName string, job *scopesim.J
 	if !curve.Valid() {
 		return pcc.Curve{}, "", nil, fmt.Errorf("serve: scoring: model %s produced invalid curve %v", served, curve)
 	}
-	servedScores := s.reg.Counter("tasq_score_total", "model", served)
+	servedScores := active.servedCounter(s.reg, served)
 	if active.cache != nil {
 		active.cache.put(kb.b, cachedScore{curve: curve, model: served, counter: servedScores})
 	}

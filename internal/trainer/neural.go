@@ -91,6 +91,18 @@ func signSafeParams(raw *autodiff.Node, scaling ParamScaling) (a, logb *autodiff
 	return a, logb
 }
 
+// signSafeTarget is signSafeParams on one raw 1 x 2 output, without a
+// tape. The conversion keeps u₂·σ_b a rounded product, as the tape's Scale
+// node does, on targets where the compiler would otherwise fuse it with the
+// addition.
+func signSafeTarget(raw *linalg.Matrix, scaling ParamScaling) Target {
+	u1, u2 := raw.Data[0], raw.Data[1]
+	return Target{
+		A:    autodiff.SoftplusOf(u1) * -1,
+		LogB: float64(u2*scaling.LogB.Std) + scaling.LogB.Mean,
+	}
+}
+
 // neuralLoss assembles the configured loss from predicted parameter nodes
 // and per-sample constants. a and logb are n x 1 nodes; the constants are
 // n x 1 matrices: scaled targets (za, zb), log of observed tokens, inverse
@@ -184,11 +196,12 @@ func trainNN(recs []*jobrepo.Record, targets []Target, scaler *features.Scaler,
 // PredictTarget returns the predicted PCC parameters for a job from its
 // compile-time features only.
 func (m *NNModel) PredictTarget(job *scopesim.Job) Target {
-	x := linalg.RowVector(m.Scaler.TransformRow(features.JobVector(job)))
-	tape := autodiff.NewTape()
-	raw, _ := m.MLP.Forward(tape, tape.Const(x))
-	a, logb := signSafeParams(raw, m.Scaling)
-	return Target{A: a.Value.Data[0], LogB: logb.Value.Data[0]}
+	sc := linalg.GetScratch()
+	defer sc.Release()
+	x := sc.Matrix(1, features.JobDim)
+	features.FillJobVector(x.Data, job)
+	m.Scaler.Apply(x.Data)
+	return signSafeTarget(m.MLP.Infer(sc, x), m.Scaling)
 }
 
 // GNNModel is the graph predictor of §4.4: operator-level features and the
@@ -248,19 +261,30 @@ func trainGNN(recs []*jobrepo.Record, targets []Target, opScaler *features.Scale
 // PredictTarget returns the predicted PCC parameters for a job from its
 // compile-time plan only.
 func (m *GNNModel) PredictTarget(job *scopesim.Job) Target {
-	f := m.OpScaler.Transform(features.OperatorMatrix(job))
-	adj := features.NormalizedAdjacency(job)
-	tape := autodiff.NewTape()
-	raw, _ := m.Net.Forward(tape, tape.Const(f), tape.Const(adj))
-	a, logb := signSafeParams(raw, m.Scaling)
-	return Target{A: a.Value.Data[0], LogB: logb.Value.Data[0]}
+	sc := linalg.GetScratch()
+	defer sc.Release()
+	f, adj := m.graphInputs(sc, job)
+	return signSafeTarget(m.Net.Infer(sc, f, adj), m.Scaling)
+}
+
+// graphInputs featurizes the job's plan into sc: the scaled operator
+// matrix and the normalized adjacency.
+func (m *GNNModel) graphInputs(sc *linalg.Scratch, job *scopesim.Job) (f, adj *linalg.Matrix) {
+	n := len(job.Operators)
+	f = sc.Matrix(n, features.OperatorDim)
+	features.FillOperatorMatrix(f, job)
+	m.OpScaler.ApplyMatrix(f)
+	adj = sc.Matrix(n, n)
+	features.FillNormalizedAdjacency(adj, job)
+	return f, adj
 }
 
 // AttentionScores exposes the GNN's per-operator attention for
 // interpretability.
 func (m *GNNModel) AttentionScores(job *scopesim.Job) []float64 {
-	f := m.OpScaler.Transform(features.OperatorMatrix(job))
-	return m.Net.AttentionScores(f, features.NormalizedAdjacency(job))
+	sc := linalg.GetScratch()
+	defer sc.Release()
+	return m.Net.AttentionScores(m.graphInputs(sc, job))
 }
 
 // buildLossInputs assembles the constant matrices for the loss.

@@ -85,11 +85,31 @@ func trainXGB(recs []*jobrepo.Record, scaler *features.Scaler, cfg gbt.Config, w
 	return &XGBModel{Model: m, Scaler: scaler}, nil
 }
 
+// xgbRowBuf holds one prediction row: the scaled job features and the
+// token column. It is an array so the curve constructors keep it on their
+// stack.
+type xgbRowBuf [features.JobDim + 1]float64
+
+// fillJob writes the job's scaled feature vector into the row; only the
+// token column then changes from one grid point to the next.
+func (m *XGBModel) fillJob(row *xgbRowBuf, job *scopesim.Job) {
+	features.FillJobVector(row[:features.JobDim], job)
+	m.Scaler.Apply(row[:features.JobDim])
+}
+
+// predictAt sets the row's token column (log-scaled, as xgbRow does) and
+// walks the trees.
+func (m *XGBModel) predictAt(row *xgbRowBuf, tokens int) float64 {
+	row[features.JobDim] = math.Log1p(float64(tokens))
+	return m.Model.Predict(row[:])
+}
+
 // PredictRuntime returns the predicted run time (seconds) for the job at
 // the given token count. Only compile-time job information is used.
 func (m *XGBModel) PredictRuntime(job *scopesim.Job, tokens int) float64 {
-	feat := m.Scaler.TransformRow(features.JobVector(job))
-	return m.Model.Predict(xgbRow(feat, tokens))
+	var row xgbRowBuf
+	m.fillJob(&row, job)
+	return m.predictAt(&row, tokens)
 }
 
 // CurveRegion returns the paper's ±40%-of-reference token grid on which
@@ -107,9 +127,11 @@ func (m *XGBModel) PredictCurveSS(job *scopesim.Job, reference int, lambda float
 	grid = CurveRegion(reference)
 	xs := make([]float64, len(grid))
 	ys := make([]float64, len(grid))
+	var row xgbRowBuf
+	m.fillJob(&row, job)
 	for i, tok := range grid {
 		xs[i] = float64(tok)
-		ys[i] = m.PredictRuntime(job, tok)
+		ys[i] = m.predictAt(&row, tok)
 	}
 	if len(grid) < 3 {
 		return grid, ys, nil // too few points to smooth
@@ -132,8 +154,10 @@ func (m *XGBModel) PredictCurveSS(job *scopesim.Job, reference int, lambda float
 func (m *XGBModel) PredictCurvePL(job *scopesim.Job, reference int) (pcc.Curve, error) {
 	grid := CurveRegion(reference)
 	samples := make([]pcc.Sample, 0, len(grid))
+	var row xgbRowBuf
+	m.fillJob(&row, job)
 	for _, tok := range grid {
-		rt := m.PredictRuntime(job, tok)
+		rt := m.predictAt(&row, tok)
 		if rt <= 0 {
 			continue
 		}
@@ -142,7 +166,7 @@ func (m *XGBModel) PredictCurvePL(job *scopesim.Job, reference int) (pcc.Curve, 
 	if len(samples) < 2 {
 		// Jobs observed at one or two tokens have a degenerate region;
 		// fall back to a flat curve anchored at the point prediction.
-		rt := m.PredictRuntime(job, reference)
+		rt := m.predictAt(&row, reference)
 		if rt < 1 {
 			rt = 1
 		}

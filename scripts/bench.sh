@@ -6,8 +6,10 @@
 #                        and Workers=NumCPU (pipeline_bench_test.go), plus
 #                        the end-to-end SmallConfig suite speedup
 #   BENCH_serving.json   serving hot-path numbers (internal/serve
-#                        bench_test.go): cached vs uncached single-score
-#                        ns/op and allocs/op, scores/sec serially and at
+#                        bench_test.go): cached single-score ns/op and
+#                        allocs/op, the miss path per predictor
+#                        (uncached/nn, gnn, xgbpl, xgbss), scores/sec
+#                        serially and at
 #                        GOMAXPROCS clients, p50/p99 latency through the
 #                        admission gate, and batch throughput; plus the
 #                        sharded-fleet routing number (internal/cluster
@@ -16,7 +18,11 @@
 #   BENCH_planner.json   cluster-planner numbers (internal/plan
 #                        bench_test.go): full 1,000-job plan build and the
 #                        bare FCFS token simulation, as plans/sec with the
-#                        constant jobs/plan and the derived jobs/sec
+#                        constant jobs/plan and the derived jobs/sec; plus
+#                        the served planner's curve-resolution layer
+#                        (internal/serve BenchmarkPlanResolve1000): a
+#                        1,000-job FCFS PlanLocal against a fresh server
+#                        (cold: every curve a miss) and a primed cache
 #
 # All files derive throughput (jobs/sec, plans/sec) in ONE place — the
 # shared awk program below — from ns/op and the benchmark's constant
@@ -43,8 +49,8 @@ go test -run='^$' -bench='^BenchmarkPipeline' -benchtime="$benchtime" -count=1 .
 echo "== go test ./internal/serve ./internal/cluster -bench='Benchmark(Score|Batch)' -benchtime=${SERVING_BENCHTIME:-100x}" >&2
 go test -run='^$' -bench='^Benchmark(Score|Batch)' -benchtime="${SERVING_BENCHTIME:-100x}" -count=1 ./internal/serve ./internal/cluster | tee "$sraw" >&2
 
-echo "== go test ./internal/plan -bench=BenchmarkPlan -benchtime=${PLANNER_BENCHTIME:-100x}" >&2
-go test -run='^$' -bench='^BenchmarkPlan' -benchtime="${PLANNER_BENCHTIME:-100x}" -count=1 ./internal/plan | tee "$praw" >&2
+echo "== go test ./internal/plan ./internal/serve -bench=BenchmarkPlan -benchtime=${PLANNER_BENCHTIME:-100x}" >&2
+go test -run='^$' -bench='^BenchmarkPlan' -benchtime="${PLANNER_BENCHTIME:-100x}" -count=1 ./internal/plan ./internal/serve | tee "$praw" >&2
 
 goversion=$(go env GOVERSION)
 cpus=$(go run ./scripts/ncpu 2>/dev/null || getconf _NPROCESSORS_ONLN)
@@ -56,6 +62,9 @@ function jps(ns, jobsop) {
 	if (jobsop == "" || jobsop + 0 <= 0) jobsop = 1
 	return jobsop * 1e9 / ns
 }
+/^goos: / { goos = $2 }
+/^goarch: / { goarch = $2 }
+/^cpu: / { cpumodel = substr($0, 6); gsub(/["\\]/, "", cpumodel) }
 /^Benchmark/ {
 	name = $1
 	if (match(name, /-[0-9]+$/)) {
@@ -94,6 +103,7 @@ END {
 	printf "{\n"
 	printf "  \"generated_by\": \"scripts/bench.sh\",\n"
 	printf "  \"go\": \"%s\",\n", goversion
+	printf "  \"host\": \"%s/%s, %s\",\n", goos, goarch, cpumodel
 	printf "  \"cpus\": %d,\n", cpus
 	printf "  \"gomaxprocs\": %d,\n", gomaxprocs
 	printf "  \"benchtime\": \"%s\",\n", benchtime

@@ -32,5 +32,5 @@ echo "== planner soak (seeded batches, savings vs baselines + reproducibility, r
 go test -race -short -run 'TestPlanSoak' -count=1 ./internal/harness/...
 echo "== serving bench smoke (1 iteration, harness bit-rot check)"
 go test -run='^$' -bench='^Benchmark(Score|Batch)' -benchtime=1x -count=1 ./internal/serve/ ./internal/cluster/
-go test -run='^$' -bench='^BenchmarkPlan' -benchtime=1x -count=1 ./internal/plan/
+go test -run='^$' -bench='^BenchmarkPlan' -benchtime=1x -count=1 ./internal/plan/ ./internal/serve/
 echo "check: ok"
