@@ -69,13 +69,28 @@ func Simulate(orig skyline.Skyline, newAlloc int) (skyline.Skyline, error) {
 }
 
 // SimulateRuntime returns only the simulated run time in seconds for the
-// job at the given allocation.
+// job at the given allocation: len(Simulate(orig, newAlloc)) with the same
+// validation and errors, counted in one walk that builds no skyline. A
+// second at or under the allocation counts as itself; a maximal run of
+// seconds over it counts as ceil(area/newAlloc), the length Simulate
+// flattens it to.
 func SimulateRuntime(orig skyline.Skyline, newAlloc int) (int, error) {
-	s, err := Simulate(orig, newAlloc)
-	if err != nil {
-		return 0, err
+	if newAlloc < 1 {
+		return 0, ErrNonPositiveAllocation
 	}
-	return s.Runtime(), nil
+	var seconds, area int // area: token-seconds of the over-run in progress
+	for _, v := range orig {
+		switch {
+		case v < 0:
+			return 0, fmt.Errorf("arepas: invalid input skyline: %w", orig.Validate())
+		case v > newAlloc:
+			area += v
+		default:
+			seconds += (area+newAlloc-1)/newAlloc + 1
+			area = 0
+		}
+	}
+	return seconds + (area+newAlloc-1)/newAlloc, nil
 }
 
 // Point is one (allocation, run time) sample of a performance

@@ -1,6 +1,7 @@
 package arepas
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -295,4 +296,89 @@ func randomSkyline(rng *rand.Rand, n, maxTok int) skyline.Skyline {
 		s[i] = rng.Intn(maxTok + 1)
 	}
 	return s
+}
+
+// requireCountMatchesSimulate holds SimulateRuntime to its contract: the
+// length of the skyline Simulate builds (res, err are Simulate's results
+// for the same arguments), or the very same error.
+func requireCountMatchesSimulate(t *testing.T, orig skyline.Skyline, newAlloc int, res skyline.Skyline, err error) {
+	t.Helper()
+	rt, rtErr := SimulateRuntime(orig, newAlloc)
+	if (err == nil) != (rtErr == nil) || (err != nil && err.Error() != rtErr.Error()) {
+		t.Fatalf("alloc %d: Simulate error %v, SimulateRuntime error %v", newAlloc, err, rtErr)
+	}
+	if errors.Is(err, ErrNonPositiveAllocation) != errors.Is(rtErr, ErrNonPositiveAllocation) {
+		t.Fatalf("alloc %d: errors wrap differently: %v vs %v", newAlloc, err, rtErr)
+	}
+	if rt != len(res) {
+		t.Fatalf("alloc %d on %d seconds: SimulateRuntime %d, len(Simulate) %d", newAlloc, len(orig), rt, len(res))
+	}
+}
+
+// SimulateRuntime counts what Simulate would build. The property runs over
+// random skylines shaped to hit every branch of the walk: empty, all-zero
+// seconds, peak at or under the allocation, valleys of zeros between
+// over-runs, an over-run reaching the last second, allocations below one
+// and skylines with a negative second somewhere.
+func TestSimulateRuntimeIsLenOfSimulate(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 4000; trial++ {
+		n := rng.Intn(40)
+		if trial%50 == 0 {
+			n = 0
+		}
+		peak := 1 + rng.Intn(60)
+		s := make(skyline.Skyline, n)
+		for i := range s {
+			switch rng.Intn(4) {
+			case 0: // a valley: zero seconds count as themselves
+			default:
+				s[i] = rng.Intn(peak + 1)
+			}
+		}
+		var newAlloc int
+		switch trial % 8 {
+		case 0:
+			newAlloc = -rng.Intn(3) // 0, -1, -2: below one token
+		case 1:
+			clear(s) // all-zero seconds
+			newAlloc = 1 + rng.Intn(peak)
+		case 2:
+			newAlloc = s.Peak() + rng.Intn(2) // peak ≤ alloc: the identity
+		case 3:
+			if n > 0 { // one over-run reaching the last second
+				newAlloc = 1 + rng.Intn(peak)
+				for i := n - 1 - rng.Intn(n); i < n; i++ {
+					s[i] = newAlloc + 1 + rng.Intn(peak)
+				}
+			}
+		case 4:
+			if n > 0 { // invalid: a negative second, sometimes behind an over-run
+				s[rng.Intn(n)] = -1 - rng.Intn(5)
+			}
+			newAlloc = rng.Intn(peak + 1)
+		default:
+			newAlloc = 1 + rng.Intn(peak+5)
+		}
+		res, err := Simulate(s, newAlloc)
+		requireCountMatchesSimulate(t, s, newAlloc, res, err)
+		if err == nil && newAlloc >= s.Peak() && len(res) != len(s) {
+			t.Fatalf("alloc %d ≥ peak %d: runtime changed %d -> %d", newAlloc, s.Peak(), len(s), len(res))
+		}
+	}
+}
+
+// A sweep makes one allocation, its result slice, however long the
+// skyline and the grid: no grid point builds a skyline.
+func TestSweepAllocatesOnlyItsResult(t *testing.T) {
+	s := benchSkyline(1800)
+	grid := FractionGrid(200, GridFractions)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Sweep(s, grid); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Sweep allocates %.0f times, want 1", allocs)
+	}
 }

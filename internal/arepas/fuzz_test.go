@@ -25,7 +25,8 @@ func skylineFromBytes(data []byte) skyline.Skyline {
 // and allocations: the simulated skyline is valid, never exceeds the new
 // allocation, preserves the area under the skyline exactly (the remainder
 // fix on each flattened section's final second), and never gets faster
-// with fewer tokens.
+// with fewer tokens. The count-only SimulateRuntime must be the length of
+// that skyline, or fail with the same error.
 func FuzzArepasSimulate(f *testing.F) {
 	f.Add([]byte{}, 1)
 	f.Add([]byte{0, 0, 0}, 2)
@@ -37,6 +38,7 @@ func FuzzArepasSimulate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, newAlloc int) {
 		orig := skylineFromBytes(data)
 		res, err := Simulate(orig, newAlloc)
+		requireCountMatchesSimulate(t, orig, newAlloc, res, err)
 		if newAlloc < 1 {
 			if !errors.Is(err, ErrNonPositiveAllocation) {
 				t.Fatalf("alloc %d: got err %v, want ErrNonPositiveAllocation", newAlloc, err)

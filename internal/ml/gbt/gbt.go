@@ -276,9 +276,19 @@ func newBinning(x *linalg.Matrix, maxBins int) *binning {
 }
 
 // growTree builds one regression tree on the gradient statistics of the
-// given rows using histogram split finding.
+// given rows using histogram split finding. It reorders rows: every split
+// partitions its node's stretch of the slice in place, stably, so a child
+// sums its rows in the order a freshly appended slice would hold them.
 func growTree(b *binning, grad, hess []float64, rows []int, cfg Config) *tree {
 	t := &tree{}
+	// One histogram pair and one partition spill area serve every node of
+	// the tree: a node is done with both before it recurses.
+	maxBins := 0
+	for _, edges := range b.edges {
+		maxBins = max(maxBins, len(edges)+1)
+	}
+	hist := make([]float64, 2*maxBins)
+	spill := make([]int, len(rows))
 	var build func(rows []int, depth int) int
 	build = func(rows []int, depth int) int {
 		var gSum, hSum float64
@@ -303,8 +313,9 @@ func growTree(b *binning, grad, hess []float64, rows []int, cfg Config) *tree {
 				continue
 			}
 			nb := len(edges) + 1
-			histG := make([]float64, nb)
-			histH := make([]float64, nb)
+			histG, histH := hist[:nb], hist[maxBins:maxBins+nb]
+			clear(histG)
+			clear(histH)
 			codes := b.codes[f]
 			for _, r := range rows {
 				c := codes[r]
@@ -333,18 +344,24 @@ func growTree(b *binning, grad, hess []float64, rows []int, cfg Config) *tree {
 		}
 
 		threshold := b.edges[bestFeature][bestBin]
-		var left, right []int
+		// Left rows close ranks at the front (the write index never passes
+		// the read index), right rows wait in spill and follow them.
+		nl, nr := 0, 0
 		codes := b.codes[bestFeature]
 		for _, r := range rows {
 			if int(codes[r]) <= bestBin {
-				left = append(left, r)
+				rows[nl] = r
+				nl++
 			} else {
-				right = append(right, r)
+				spill[nr] = r
+				nr++
 			}
 		}
-		if len(left) == 0 || len(right) == 0 {
+		if nl == 0 || nr == 0 {
 			return idx
 		}
+		copy(rows[nl:], spill[:nr])
+		left, right := rows[:nl], rows[nl:]
 		t.nodes[idx].feature = bestFeature
 		// Values strictly below the edge go left at prediction time; the
 		// bin boundary is the first value above the edge, so nudge the

@@ -105,7 +105,7 @@ func (m *Model) Forward(tape *autodiff.Tape, features, adj *autodiff.Node) (*aut
 	if adj.Value.Rows != n || adj.Value.Cols != n {
 		panic(fmt.Sprintf("gnn: adjacency %dx%d for %d nodes", adj.Value.Rows, adj.Value.Cols, n))
 	}
-	var paramNodes []*autodiff.Node
+	paramNodes := make([]*autodiff.Node, 0, 2*len(m.Convs)+1+2*len(m.Head.Layers))
 
 	// Node-level embeddings: stacked graph convolutions.
 	h := features
@@ -122,7 +122,7 @@ func (m *Model) Forward(tape *autodiff.Tape, features, adj *autodiff.Node) (*aut
 	// job plans span 5–60 operators, and an unnormalized readout makes
 	// the embedding magnitude track plan size, drowning the content
 	// signal (plan size remains available through the node features).
-	ones := linalg.New(1, n)
+	ones := tape.Matrix(1, n)
 	for i := range ones.Data {
 		ones.Data[i] = 1 / float64(n)
 	}

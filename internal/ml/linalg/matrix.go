@@ -1,7 +1,7 @@
 // Package linalg provides the dense matrix and vector primitives used by
 // every model in this repository. It is deliberately small: row-major dense
 // matrices backed by a single float64 slice, with the handful of operations
-// (matmul, transpose, broadcast add, elementwise maps, reductions) that
+// (matmul, transpose, elementwise sums, reductions, linear solves) that
 // gradient-boosted trees, neural networks and graph networks need.
 //
 // All operations validate shapes and panic on mismatch: a shape error is a
@@ -179,6 +179,61 @@ func matMulAcc(out, a, b *Matrix) {
 	}
 }
 
+// MatMulNTInto overwrites out with a×bᵀ without materialising the
+// transpose; out must be a.Rows x b.Rows and alias neither operand. Every
+// element sums its products in the k-order, and with the skip of zero a
+// entries, that MatMul(a, Transpose(b)) uses, so the two agree bit for bit.
+func MatMulNTInto(out, a, b *Matrix) {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("linalg: matmul shape mismatch %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if out.Rows != a.Rows || out.Cols != b.Rows {
+		panic(fmt.Sprintf("linalg: matmul into %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
+	}
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for j := range orow {
+			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
+			var s float64
+			for k, av := range arow {
+				if av == 0 {
+					continue
+				}
+				s += av * brow[k]
+			}
+			orow[j] = s
+		}
+	}
+}
+
+// MatMulTNInto overwrites out with aᵀ×b without materialising the
+// transpose; out must be a.Cols x b.Cols and alias neither operand. It
+// agrees bit for bit with MatMul(Transpose(a), b): the same products reach
+// every element in the same k-order, zero a entries skipped.
+func MatMulTNInto(out, a, b *Matrix) {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("linalg: matmul shape mismatch (%dx%d)ᵀ × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if out.Rows != a.Cols || out.Cols != b.Cols {
+		panic(fmt.Sprintf("linalg: matmul into %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols))
+	}
+	clear(out.Data)
+	for k := 0; k < a.Rows; k++ {
+		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
+		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
 // Transpose returns mᵀ.
 func Transpose(m *Matrix) *Matrix {
 	out := New(m.Cols, m.Rows)
@@ -210,44 +265,11 @@ func Sub(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Mul returns the elementwise (Hadamard) product a∘b.
-func Mul(a, b *Matrix) *Matrix {
-	requireSameShape("mul", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
 // Scale returns s·m.
 func Scale(m *Matrix, s float64) *Matrix {
 	out := New(m.Rows, m.Cols)
 	for i := range out.Data {
 		out.Data[i] = m.Data[i] * s
-	}
-	return out
-}
-
-// AddRowVector returns m with the 1 x Cols row vector v added to every row.
-func AddRowVector(m, v *Matrix) *Matrix {
-	if v.Rows != 1 || v.Cols != m.Cols {
-		panic(fmt.Sprintf("linalg: addrow shape mismatch %dx%d + %dx%d", m.Rows, m.Cols, v.Rows, v.Cols))
-	}
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[i*m.Cols+j] = m.Data[i*m.Cols+j] + v.Data[j]
-		}
-	}
-	return out
-}
-
-// Apply returns f applied to every element of m.
-func Apply(m *Matrix, f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
 	}
 	return out
 }

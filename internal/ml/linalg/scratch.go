@@ -9,7 +9,9 @@ import "sync"
 // contents start unspecified, so every kernel writing into one must
 // overwrite it fully (MatMulInto clears its destination itself).
 //
-// A Scratch is not safe for concurrent use: take one per pass.
+// GetScratch/Release serve inference from a process-wide pool; a long-lived
+// owner (the autodiff tape) instead holds a Scratch value of its own and
+// calls Reset between passes. A Scratch is not safe for concurrent use.
 type Scratch struct {
 	buf  []float64
 	hdrs []Matrix
@@ -26,11 +28,13 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // the pool, sized so that a pass like the one just finished fits without
 // growing.
 func (s *Scratch) Release() {
-	s.reset()
+	s.Reset()
 	scratchPool.Put(s)
 }
 
-func (s *Scratch) reset() {
+// Reset invalidates every matrix the arena handed out and keeps the arena,
+// sized so that a pass like the one just finished fits without growing.
+func (s *Scratch) Reset() {
 	if s.floats > cap(s.buf) {
 		s.buf = make([]float64, 0, s.floats)
 	}

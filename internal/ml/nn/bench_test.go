@@ -15,10 +15,12 @@ func BenchmarkMLPEpoch(b *testing.B) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
+	// One tape, recycled after every pass, as the trainer runs it.
+	tape := autodiff.NewTape()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tape := autodiff.NewTape()
 		out, _ := m.Forward(tape, tape.Const(x))
 		autodiff.Backward(autodiff.Mean(autodiff.Abs(out)))
+		tape.Reset()
 	}
 }

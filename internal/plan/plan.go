@@ -43,6 +43,10 @@ var (
 	ErrBadQuota = errors.New("plan: bad tenant quota")
 	// ErrBadStrategy rejects unknown scheduling strategies.
 	ErrBadStrategy = errors.New("plan: unknown scheduling strategy")
+	// ErrCostRange rejects a batch whose provisioned cost Σ tokens×duration
+	// exceeds maxPlanTokenSeconds: the plan's sums are kept in int, and a
+	// batch this large is refused rather than allowed to wrap.
+	ErrCostRange = errors.New("plan: provisioned cost out of range")
 	// ErrStarved reports a job whose request can never be satisfied by
 	// the remaining pool — defense in depth; allocation validation makes
 	// it unreachable through the public entry points.
@@ -376,9 +380,12 @@ func Summarize(allocs []Allocation, outs []Outcome) Stats {
 	if len(outs) == 0 {
 		return st
 	}
-	var waitSum int
+	// Waits can each reach the makespan, so their sum over many jobs is the
+	// one total the cost bound does not keep inside int; float64 adds them
+	// exactly up to 2^53 and rounds, never wraps, beyond.
+	var waitSum float64
 	for i, o := range outs {
-		waitSum += o.WaitSeconds
+		waitSum += float64(o.WaitSeconds)
 		if o.WaitSeconds > st.MaxWaitSeconds {
 			st.MaxWaitSeconds = o.WaitSeconds
 		}
@@ -397,7 +404,7 @@ func Summarize(allocs []Allocation, outs []Outcome) Stats {
 			}
 		}
 	}
-	st.MeanWaitSeconds = float64(waitSum) / float64(len(outs))
+	st.MeanWaitSeconds = waitSum / float64(len(outs))
 	return st
 }
 

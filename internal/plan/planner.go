@@ -45,6 +45,34 @@ type JobSpec struct {
 // ErrBadArrival alongside NaN/±Inf.
 const maxArrivalSecond = 1 << 40
 
+// maxPlanTokenSeconds bounds a batch's provisioned cost Σ tokens×duration,
+// both legs of a retried job counted (2^53−1 where int has 64 bits: every
+// cost the plan reports is then exact in a float64 and a JSON number as
+// well). Capacity, curves and job counts are otherwise unbounded, so this
+// is what keeps every int the planner sums from wrapping: tokens ≥ 1 makes
+// it a bound on Σ durations too, hence on every simulated second
+// (≤ maxArrivalSecond + Σ durations). Allocate rejects anything above it
+// with ErrCostRange.
+const maxPlanTokenSeconds = math.MaxInt >> 10
+
+// addCost returns total plus a's provisioned cost (both legs), or false
+// when that exceeds maxPlanTokenSeconds. Tokens are ≥ 1, durations ≥ 0 and
+// total is a previous result, so the comparisons themselves cannot
+// overflow.
+func addCost(total int, a Allocation) (int, bool) {
+	if a.DurationSeconds > (maxPlanTokenSeconds-total)/a.Tokens {
+		return 0, false
+	}
+	total += a.Tokens * a.DurationSeconds
+	if !a.retries() {
+		return total, true
+	}
+	if a.RetryDurationSeconds > (maxPlanTokenSeconds-total)/a.RetryTokens {
+		return 0, false
+	}
+	return total + a.RetryTokens*a.RetryDurationSeconds, true
+}
+
 // Config parameterizes one plan.
 type Config struct {
 	// Capacity is the shared pool's guaranteed-token capacity.
@@ -109,6 +137,7 @@ func Allocate(specs []JobSpec, cfg Config) ([]Allocation, error) {
 		threshold = 0.01
 	}
 	allocs := make([]Allocation, len(specs))
+	cost := 0
 	for i := range specs {
 		sp := &specs[i]
 		if !sp.Curve.Valid() {
@@ -148,6 +177,11 @@ func Allocate(specs []JobSpec, cfg Config) ([]Allocation, error) {
 				allocs[i].RetryTokens = peak
 				allocs[i].RetryDurationSeconds = predictedDuration(sp.Curve, peak)
 			}
+		}
+		var inRange bool
+		if cost, inRange = addCost(cost, allocs[i]); !inRange {
+			return nil, fmt.Errorf("%w: above %d token-seconds at job %s (%d tokens for %d s)",
+				ErrCostRange, maxPlanTokenSeconds, sp.ID, tokens, allocs[i].DurationSeconds)
 		}
 	}
 	return allocs, nil
@@ -256,11 +290,13 @@ func predictedDuration(c pcc.Curve, tokens int) int {
 	if math.IsNaN(rt) || rt < 1 {
 		return 1
 	}
-	d := int(math.Ceil(rt))
-	if d < 1 {
-		return 1
+	if rt > maxPlanTokenSeconds {
+		// Beyond any admissible cost, and beyond int for large enough
+		// curves: saturate rather than convert (Allocate then rejects
+		// the batch with ErrCostRange).
+		return math.MaxInt
 	}
-	return d
+	return int(math.Ceil(rt))
 }
 
 func clamp(v, lo, hi int) int {

@@ -436,3 +436,13 @@ func TestPlanStrategiesEndToEnd(t *testing.T) {
 		t.Fatalf("-Inf arrival: %v, want ErrBadArrival", err)
 	}
 }
+
+// A batch whose provisioned cost would leave the planner's integer range is
+// the request's to fix: plan.ErrCostRange answers 400, never a wrapped
+// number or a 500.
+func TestHTTPStatusPlanCostRange(t *testing.T) {
+	err := fmt.Errorf("serve: plan: %w", plan.ErrCostRange)
+	if got := httpStatus(err); got != http.StatusBadRequest {
+		t.Fatalf("httpStatus(ErrCostRange) = %d, want 400", got)
+	}
+}

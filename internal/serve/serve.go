@@ -166,12 +166,13 @@ func httpStatus(err error) int {
 	}
 	// The shared allocation core's validation failures are the planner
 	// request's to fix: infeasible capacities, empty batches, allocations
-	// outside the pool, unknown policies, degenerate curves.
+	// outside the pool, unknown policies, degenerate curves, batches whose
+	// cost would leave the planner's integer range.
 	if errors.Is(err, plan.ErrBadCapacity) || errors.Is(err, plan.ErrNoJobs) ||
 		errors.Is(err, plan.ErrBadAllocation) || errors.Is(err, plan.ErrBadPolicy) ||
 		errors.Is(err, plan.ErrBadCurve) || errors.Is(err, plan.ErrBadArrival) ||
 		errors.Is(err, plan.ErrBadDeadline) || errors.Is(err, plan.ErrBadQuota) ||
-		errors.Is(err, plan.ErrBadStrategy) {
+		errors.Is(err, plan.ErrBadStrategy) || errors.Is(err, plan.ErrCostRange) {
 		return http.StatusBadRequest
 	}
 	if errors.Is(err, model.ErrUntrained) || errors.Is(err, model.ErrUncovered) {

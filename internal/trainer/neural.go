@@ -182,15 +182,25 @@ func trainNN(recs []*jobrepo.Record, targets []Target, scaler *features.Scaler,
 	}
 
 	opt := nn.NewAdam(cfg.LearningRate)
+	params := model.MLP.Params()
+	tape := autodiff.NewTape()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		tape := autodiff.NewTape()
 		raw, paramNodes := model.MLP.Forward(tape, tape.Const(x))
-		a, logb := signSafeParams(raw, scaling)
-		loss := neuralLoss(tape, a, logb, in, scaling, cfg)
-		autodiff.Backward(loss)
-		opt.Step(model.MLP.Params(), nn.GradsOf(paramNodes))
+		neuralStep(tape, opt, params, raw, paramNodes, in, scaling, cfg)
 	}
 	return model, nil
+}
+
+// neuralStep finishes one optimizer step from the network's raw output:
+// sign-safe head, configured loss, Backward, Adam update. Only then does it
+// recycle the tape: the gradients Adam reads live in the tape's arena.
+func neuralStep(tape *autodiff.Tape, opt *nn.Adam, params []*linalg.Matrix,
+	raw *autodiff.Node, paramNodes []*autodiff.Node, in lossInputs, scaling ParamScaling, cfg NeuralConfig) {
+
+	a, logb := signSafeParams(raw, scaling)
+	autodiff.Backward(neuralLoss(tape, a, logb, in, scaling, cfg))
+	opt.Step(params, nn.GradsOf(paramNodes))
+	tape.Reset()
 }
 
 // PredictTarget returns the predicted PCC parameters for a job from its
@@ -243,16 +253,14 @@ func trainGNN(recs []*jobrepo.Record, targets []Target, opScaler *features.Scale
 	}
 
 	opt := nn.NewAdam(cfg.LearningRate)
+	params := net.Params()
+	tape := autodiff.NewTape()
 	order := rng.Perm(len(recs))
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, i := range order {
-			tape := autodiff.NewTape()
 			raw, paramNodes := net.Forward(tape, tape.Const(feats[i]), tape.Const(adjs[i]))
-			a, logb := signSafeParams(raw, scaling)
-			loss := neuralLoss(tape, a, logb, in.row(i), scaling, cfg)
-			autodiff.Backward(loss)
-			opt.Step(net.Params(), nn.GradsOf(paramNodes))
+			neuralStep(tape, opt, params, raw, paramNodes, in.row(tape, i), scaling, cfg)
 		}
 	}
 	return model, nil
@@ -324,13 +332,14 @@ func buildLossInputs(recs []*jobrepo.Record, targets []Target, scaling ParamScal
 }
 
 // row extracts the single-sample slice of the loss inputs for per-graph
-// GNN training.
-func (in lossInputs) row(i int) lossInputs {
+// GNN training, as 1x1 constants carved from the step's tape (valid until
+// its Reset) rather than seven fresh matrices a step.
+func (in lossInputs) row(tape *autodiff.Tape, i int) lossInputs {
 	pick := func(m *linalg.Matrix) *linalg.Matrix {
 		if m == nil {
 			return nil
 		}
-		out := linalg.New(1, 1)
+		out := tape.Matrix(1, 1)
 		out.Data[0] = m.Data[i]
 		return out
 	}

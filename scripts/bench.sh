@@ -4,7 +4,10 @@
 #
 #   BENCH_pipeline.json  per-stage offline pipeline numbers at Workers=1
 #                        and Workers=NumCPU (pipeline_bench_test.go), plus
-#                        the end-to-end SmallConfig suite speedup
+#                        the end-to-end SmallConfig suite speedup, plus the
+#                        retrain path's kernels with allocs/op and B/op: one
+#                        GNN forward+backward and one NN epoch on a recycled
+#                        tape, one AREPAS sweep, one boosted-tree fit
 #   BENCH_serving.json   serving hot-path numbers (internal/serve
 #                        bench_test.go): cached single-score ns/op and
 #                        allocs/op, the miss path per predictor
@@ -35,6 +38,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 benchtime="${BENCHTIME:-3x}"
+# The retrain kernels are micro-benchmarks: a fixed count, large enough that
+# the cold first pass that sizes the arena disappears in the mean.
+kbenchtime=200x
 pipeline_out="${OUT:-BENCH_pipeline.json}"
 serving_out="${SERVING_OUT:-BENCH_serving.json}"
 planner_out="${PLANNER_OUT:-BENCH_planner.json}"
@@ -45,6 +51,10 @@ trap 'rm -f "$raw" "$sraw" "$praw"' EXIT
 
 echo "== go test -bench=BenchmarkPipeline -benchtime=$benchtime" >&2
 go test -run='^$' -bench='^BenchmarkPipeline' -benchtime="$benchtime" -count=1 . | tee "$raw" >&2
+
+echo "== go test (retrain kernels) -bench='Benchmark(ForwardBackward|MLPEpoch|Sweep|Train)' -benchmem -benchtime=$kbenchtime" >&2
+go test -run='^$' -bench='^Benchmark(ForwardBackward|MLPEpoch|Sweep|Train)$' -benchmem -benchtime="$kbenchtime" -count=1 \
+	./internal/ml/gnn ./internal/ml/nn ./internal/arepas ./internal/ml/gbt | tee -a "$raw" >&2
 
 echo "== go test ./internal/serve ./internal/cluster -bench='Benchmark(Score|Batch)' -benchtime=${SERVING_BENCHTIME:-100x}" >&2
 go test -run='^$' -bench='^Benchmark(Score|Batch)' -benchtime="${SERVING_BENCHTIME:-100x}" -count=1 ./internal/serve ./internal/cluster | tee "$sraw" >&2
@@ -65,6 +75,7 @@ function jps(ns, jobsop) {
 /^goos: / { goos = $2 }
 /^goarch: / { goarch = $2 }
 /^cpu: / { cpumodel = substr($0, 6); gsub(/["\\]/, "", cpumodel) }
+/^pkg: / { n_pkg = split($2, pkgparts, "/"); pkg = pkgparts[n_pkg] }
 /^Benchmark/ {
 	name = $1
 	if (match(name, /-[0-9]+$/)) {
@@ -77,7 +88,15 @@ function jps(ns, jobsop) {
 	if (!("ns/op" in met)) next
 	ns = met["ns/op"] + 0
 	if (mode == "pipeline") {
-		if (name !~ /^BenchmarkPipeline/) next
+		if (name !~ /^BenchmarkPipeline/) {
+			# A retrain kernel, named by its package: gbt.Train, nn.MLPEpoch.
+			kname = pkg "." substr(name, 10)
+			if (!(kname in kns)) korder[++kn] = kname
+			kns[kname] = ns
+			kallocs[kname] = met["allocs/op"]
+			kbytes[kname] = met["B/op"]
+			next
+		}
 		split(name, parts, "/")
 		stage = substr(parts[1], 18)
 		w = substr(parts[2], 9) + 0
@@ -118,6 +137,14 @@ END {
 			printf "}%s\n", (i < n ? "," : "")
 		}
 		printf "  ],\n"
+		printf "  \"retrain_kernels_benchtime\": \"%s\",\n", kbenchtime
+		printf "  \"retrain_kernels\": [\n"
+		for (i = 1; i <= kn; i++) {
+			kname = korder[i]
+			printf "    {\"name\": \"%s\", \"ns_per_op\": %.0f, \"allocs_per_op\": %.0f, \"bytes_per_op\": %.0f}%s\n", \
+				kname, kns[kname], kallocs[kname], kbytes[kname], (i < kn ? "," : "")
+		}
+		printf "  ],\n"
 		e2e = 1.0
 		if (("Suite" in serial) && ("Suite" in fastest) && fastest["Suite"] > 0)
 			e2e = serial["Suite"] / fastest["Suite"]
@@ -148,7 +175,7 @@ END {
 	printf "}\n"
 }'
 
-awk -v mode=pipeline -v goversion="$goversion" -v cpus="$cpus" -v benchtime="$benchtime" \
+awk -v mode=pipeline -v goversion="$goversion" -v cpus="$cpus" -v benchtime="$benchtime" -v kbenchtime="$kbenchtime" \
 	"$bench_awk" "$raw" > "$pipeline_out"
 awk -v mode=serving -v goversion="$goversion" -v cpus="$cpus" -v benchtime="${SERVING_BENCHTIME:-100x}" \
 	"$bench_awk" "$sraw" > "$serving_out"
