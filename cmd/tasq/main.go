@@ -37,7 +37,6 @@ import (
 	"tasq/internal/flight"
 	"tasq/internal/jobrepo"
 	"tasq/internal/model"
-	"tasq/internal/plan"
 	"tasq/internal/registry"
 	"tasq/internal/scopesim"
 	"tasq/internal/selection"
@@ -581,95 +580,42 @@ func cmdPlan(args []string) error {
 		recs = recs[:*n]
 	}
 
+	req := &serve.PlanRequest{
+		CapacityTokens: *capacity,
+		Policy:         *alloc,
+		Strategy:       *strategy,
+		Model:          *predictor,
+		Threshold:      *threshold,
+	}
+	for _, rec := range recs {
+		req.Jobs = append(req.Jobs, rec.Job)
+	}
+	var resp *serve.PlanResponse
 	if *addr != "" {
-		req := &serve.PlanRequest{
-			CapacityTokens: *capacity,
-			Policy:         *alloc,
-			Strategy:       *strategy,
-			Model:          *predictor,
-			Threshold:      *threshold,
-		}
-		for _, rec := range recs {
-			req.Jobs = append(req.Jobs, rec.Job)
-		}
-		resp, err := serve.NewClient(*addr).Plan(req)
-		if err != nil {
-			return err
-		}
-		printPlan(resp)
-		return nil
+		resp, err = serve.NewClient(*addr).Plan(req)
+	} else {
+		resp, err = planLocal(*modelPath, req)
 	}
-
-	p, err := trainer.LoadPipelineFile(*modelPath)
 	if err != nil {
 		return err
-	}
-	policy, err := plan.ParsePolicyKind(*alloc)
-	if err != nil {
-		return err
-	}
-	sched, err := plan.ParseStrategy(*strategy)
-	if err != nil {
-		return err
-	}
-	specs := make([]plan.JobSpec, len(recs))
-	served := make([]string, len(recs))
-	for i, rec := range recs {
-		curve, name, err := p.ScoreJobModel(*predictor, rec.Job)
-		if err != nil {
-			return fmt.Errorf("scoring job %s: %w", rec.Job.ID, err)
-		}
-		specs[i] = plan.JobSpec{
-			ID:              rec.Job.ID,
-			RequestedTokens: rec.Job.RequestedTokens,
-			PeakTokens:      rec.Job.PeakParallelism(),
-			Curve:           curve,
-		}
-		served[i] = name
-	}
-	built, err := plan.Build(specs, plan.Config{Capacity: *capacity, Policy: policy, Threshold: *threshold, Strategy: sched})
-	if err != nil {
-		return err
-	}
-	resp := &serve.PlanResponse{
-		Policy:                   built.Policy.String(),
-		Strategy:                 built.Strategy.String(),
-		CapacityTokens:           built.Capacity,
-		MakespanSeconds:          built.Stats.MakespanSeconds,
-		MeanWaitSeconds:          built.Stats.MeanWaitSeconds,
-		MaxWaitSeconds:           built.Stats.MaxWaitSeconds,
-		TotalTokenSeconds:        built.Stats.TotalTokenSeconds,
-		PeakBaselineTokenSeconds: built.Stats.TotalTokenSeconds,
-		Retries:                  built.Stats.Retries,
-		RetryWasteTokenSeconds:   built.Stats.RetryWasteTokenSeconds,
-		DeadlineViolations:       built.Stats.DeadlineViolations,
-		FellBackToFCFS:           built.FellBack,
-	}
-	if base, err := plan.Build(specs, plan.Config{Capacity: *capacity, Policy: plan.PolicyPeak}); err == nil {
-		resp.PeakBaselineTokenSeconds = base.Stats.TotalTokenSeconds
-	}
-	resp.SavedTokenSeconds = resp.PeakBaselineTokenSeconds - resp.TotalTokenSeconds
-	for i, out := range built.Outcomes {
-		j := serve.PlanJobJSON{
-			ID:                      out.ID,
-			Model:                   served[i],
-			Tokens:                  built.Allocations[i].Tokens,
-			PredictedRuntimeSeconds: built.Allocations[i].DurationSeconds,
-			StartSecond:             out.StartSecond,
-			WaitSeconds:             out.WaitSeconds,
-			EndSecond:               out.EndSecond,
-			Attempts:                1,
-		}
-		if a := built.Allocations[i]; a.RetryTokens > 0 {
-			j.Attempts = 2
-			j.RetryTokens = a.RetryTokens
-			j.RetryRuntimeSeconds = a.RetryDurationSeconds
-			j.RetryStartSecond = out.RetryStartSecond
-		}
-		resp.Jobs = append(resp.Jobs, j)
 	}
 	printPlan(resp)
 	return nil
+}
+
+// planLocal answers the request a daemon would have been sent with the
+// planner that daemon runs, over the model file. A daemon caps the jobs of
+// one request; a local plan is as large as the repository it was given.
+func planLocal(modelPath string, req *serve.PlanRequest) (*serve.PlanResponse, error) {
+	p, err := trainer.LoadPipelineFile(modelPath)
+	if err != nil {
+		return nil, err
+	}
+	srv, err := serve.NewServer(p, serve.WithMaxPlanJobs(len(req.Jobs)))
+	if err != nil {
+		return nil, err
+	}
+	return srv.PlanLocal(req)
 }
 
 // printPlan renders a plan: the first jobs row by row, then the

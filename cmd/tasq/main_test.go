@@ -1,11 +1,15 @@
 package main
 
 import (
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tasq/internal/registry"
+	"tasq/internal/serve"
+	"tasq/internal/trainer"
 )
 
 // TestCLIWorkflow drives the full generate → stats → train → evaluate →
@@ -98,6 +102,75 @@ func TestCLIUnknownJob(t *testing.T) {
 	}
 	if err := run([]string{"score", "-data", repo, "-model", model, "-job", "nope"}); err == nil {
 		t.Fatal("unknown job accepted by score")
+	}
+}
+
+// stdoutOf runs one tasq command line and returns what it printed.
+func stdoutOf(t *testing.T, args ...string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = saved
+	if err != nil {
+		t.Fatalf("tasq %v: %v", args, err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestCLIPlanLocalMatchesServed: tasq plan has one behaviour. The same
+// repository and flags print the same plan whether the batch is planned in
+// process from -model or posted to a server of that model (an httptest
+// server here, no daemon), under every scheduling strategy, with and
+// without -predictor and -n, on a pool small enough that jobs queue.
+func TestCLIPlanLocalMatchesServed(t *testing.T) {
+	dir := t.TempDir()
+	repo := filepath.Join(dir, "repo.jsonl")
+	model := filepath.Join(dir, "model.gob")
+	if err := run([]string{"generate", "-n", "60", "-seed", "11", "-scale", "0.25", "-out", repo}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"train", "-data", repo, "-out", model, "-nn-epochs", "5", "-skip-gnn"}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := trainer.LoadPipelineFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.NewServer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, strategy := range []string{"fcfs", "backfill", "retry"} {
+		for _, extra := range [][]string{nil, {"-predictor", "jockey", "-n", "25", "-alloc", "default", "-threshold", "0.05"}} {
+			common := append([]string{"plan", "-data", repo, "-capacity", "150", "-strategy", strategy}, extra...)
+			local := stdoutOf(t, append(common, "-model", model)...)
+			served := stdoutOf(t, append(common, "-addr", ts.URL)...)
+			if local != served {
+				t.Errorf("tasq %v: local and served output differ\nlocal:\n%s\nserved:\n%s", common, local, served)
+			}
+			if !strings.Contains(local, "planned ") || !strings.Contains(local, "token-seconds vs") {
+				t.Errorf("tasq %v printed no plan:\n%s", common, local)
+			}
+		}
+	}
+	// Both modes refuse the same requests: validation is the server's.
+	for _, mode := range [][]string{{"-model", model}, {"-addr", ts.URL}} {
+		if err := run(append([]string{"plan", "-data", repo, "-threshold", "-1"}, mode...)); err == nil {
+			t.Errorf("tasq plan %v accepted a negative threshold", mode)
+		}
 	}
 }
 

@@ -134,7 +134,6 @@ func (h *Histogram) snapshot() (cum []int64, sum float64, count int64) {
 type family struct {
 	name    string
 	kind    metricKind
-	help    string
 	bounds  []float64 // histograms only
 	mu      sync.Mutex
 	series  map[string]any // label signature → *Counter | *Gauge | *Histogram
@@ -147,11 +146,14 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	names    []string
+	// help is kept by family name, not on the family, so that it may be set
+	// before the first series registers the family, and under mu alone.
+	help map[string]string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{families: make(map[string]*family), help: make(map[string]string)}
 }
 
 // lookup finds or creates a family, enforcing one kind per name.
@@ -239,13 +241,12 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 	}).(*Histogram)
 }
 
-// SetHelp attaches a HELP string rendered above the family.
+// SetHelp attaches a HELP string rendered above the family, whether the
+// family is registered yet or not.
 func (r *Registry) SetHelp(name, help string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		f.help = help
-	}
+	r.help[name] = help
 }
 
 // WriteTo renders every family in the Prometheus text exposition format,
@@ -254,14 +255,15 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.Lock()
 	names := append([]string(nil), r.names...)
 	fams := make([]*family, len(names))
+	helps := make([]string, len(names))
 	for i, n := range names {
-		fams[i] = r.families[n]
+		fams[i], helps[i] = r.families[n], r.help[n]
 	}
 	r.mu.Unlock()
 
 	var total int64
-	for _, f := range fams {
-		n, err := f.write(w)
+	for i, f := range fams {
+		n, err := f.write(w, helps[i])
 		total += n
 		if err != nil {
 			return total, err
@@ -270,14 +272,13 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-func (f *family) write(w io.Writer) (int64, error) {
+func (f *family) write(w io.Writer, help string) (int64, error) {
 	f.mu.Lock()
 	keys := append([]string(nil), f.ordered...)
 	series := make([]any, len(keys))
 	for i, k := range keys {
 		series[i] = f.series[k]
 	}
-	help := f.help
 	f.mu.Unlock()
 
 	var b strings.Builder

@@ -177,3 +177,62 @@ func TestRegistryHandler(t *testing.T) {
 		t.Fatalf("POST status %d", post.StatusCode)
 	}
 }
+
+// TestSetHelpBeforeRegistration: every caller in the tree describes a
+// family before the first Counter/Gauge/Histogram call creates it, so the
+// text must not depend on which comes first; help for a family that never
+// registers renders nothing.
+func TestSetHelpBeforeRegistration(t *testing.T) {
+	r := NewRegistry()
+	r.SetHelp("early_total", "Set before the family exists.")
+	r.SetHelp("never_total", "No series ever registers this one.")
+	r.Counter("early_total").Inc()
+	r.Gauge("late").Set(1)
+	r.SetHelp("late", "Set after the family exists.")
+
+	var b strings.Builder
+	if _, err := r.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"# HELP early_total Set before the family exists.\n# TYPE early_total counter\n",
+		"# HELP late Set after the family exists.\n# TYPE late gauge\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q in rendered output:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "never_total") {
+		t.Fatalf("help rendered for a family with no series:\n%s", out)
+	}
+}
+
+// TestSetHelpConcurrentWithWriteTo is for the race detector: a reload
+// re-describes the shadow families (serve.setShadow) while /metrics is
+// being scraped.
+func TestSetHelpConcurrentWithWriteTo(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("swaps_total").Inc()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r.SetHelp("swaps_total", "Model swaps.")
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				var b strings.Builder
+				if _, err := r.WriteTo(&b); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

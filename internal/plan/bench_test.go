@@ -27,23 +27,12 @@ func benchSpecs(n int) []JobSpec {
 // FCFS simulation + summary — over a 1,000-job batch. jobs/op feeds
 // scripts/bench.sh's jobs_per_plan column.
 func BenchmarkPlanBuild1000(b *testing.B) {
-	specs := benchSpecs(1000)
-	cfg := Config{Capacity: 400, Policy: PolicyOptimal}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(specs, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(specs)), "jobs/op")
+	benchBuild(b, benchSpecs(1000), Config{Capacity: 400, Policy: PolicyOptimal})
 }
 
-// BenchmarkPlanBackfill1000 measures the deadline-aware bin-packing
-// strategy end to end, including the FCFS reference simulation the
-// no-regression guard requires. Deadlines on every 8th job and two
-// tenant quotas keep both guard paths hot.
-func BenchmarkPlanBackfill1000(b *testing.B) {
+// backfillBench is the packing benchmarks' batch: deadlines on every 8th
+// job and two tenant quotas keep both of Build's guard paths hot.
+func backfillBench() ([]JobSpec, Config) {
 	specs := benchSpecs(1000)
 	for i := range specs {
 		specs[i].Tenant = []string{"acme", "globex"}[i%2]
@@ -51,12 +40,24 @@ func BenchmarkPlanBackfill1000(b *testing.B) {
 			specs[i].DeadlineSecond = int(specs[i].ArrivalSecond) + 2000
 		}
 	}
-	cfg := Config{
+	return specs, Config{
 		Capacity: 400,
 		Policy:   PolicyOptimal,
 		Strategy: StrategyBackfill,
 		Quota:    Quota{"acme": 300, "globex": 300},
 	}
+}
+
+// retryBench is the retry benchmarks' batch: seeded demand draws decide
+// which first slices overrun.
+func retryBench() ([]JobSpec, Config) {
+	return benchSpecs(1000), Config{Capacity: 400, Policy: PolicyOptimal, Strategy: StrategyRetry, RetrySeed: 42}
+}
+
+// benchBuild times one full plan: policy allocation, simulation (for
+// backfill, the FCFS reference the no-regression guard requires as well)
+// and summary.
+func benchBuild(b *testing.B, specs []JobSpec, cfg Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,35 +68,53 @@ func BenchmarkPlanBackfill1000(b *testing.B) {
 	b.ReportMetric(float64(len(specs)), "jobs/op")
 }
 
-// BenchmarkPlanRetry1000 measures the first-allocation retry strategy:
-// seeded demand draws, two-attempt scheduling and waste accounting.
-func BenchmarkPlanRetry1000(b *testing.B) {
-	specs := benchSpecs(1000)
-	cfg := Config{Capacity: 400, Policy: PolicyOptimal, Strategy: StrategyRetry, RetrySeed: 42}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(specs, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(specs)), "jobs/op")
-}
-
-// BenchmarkPlanSimulateFCFS1000 isolates the shared FCFS pool simulator
-// from the policy layer.
-func BenchmarkPlanSimulateFCFS1000(b *testing.B) {
-	specs := benchSpecs(1000)
-	p, err := Build(specs, Config{Capacity: 400, Policy: PolicyOptimal})
+// benchSimulate isolates one pass of the event loop from the policy layer:
+// the batch is allocated once, outside the timer.
+func benchSimulate(b *testing.B, specs []JobSpec, cfg Config, sim func(int, Quota, []Allocation) ([]Outcome, error)) {
+	allocs, err := Allocate(specs, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulateFCFS(400, p.Allocations); err != nil {
+		if _, err := sim(cfg.Capacity, cfg.Quota, allocs); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(specs)), "jobs/op")
+}
+
+// BenchmarkPlanBackfill1000 measures the deadline-aware bin-packing
+// strategy end to end, including the FCFS reference simulation.
+func BenchmarkPlanBackfill1000(b *testing.B) {
+	specs, cfg := backfillBench()
+	benchBuild(b, specs, cfg)
+}
+
+// BenchmarkPlanRetry1000 measures the first-allocation retry strategy:
+// seeded demand draws, two-attempt scheduling and waste accounting.
+func BenchmarkPlanRetry1000(b *testing.B) {
+	specs, cfg := retryBench()
+	benchBuild(b, specs, cfg)
+}
+
+// BenchmarkPlanSimulateFCFS1000 isolates the FCFS discipline from the
+// policy layer.
+func BenchmarkPlanSimulateFCFS1000(b *testing.B) {
+	benchSimulate(b, benchSpecs(1000), Config{Capacity: 400, Policy: PolicyOptimal}, SimulateFCFSQuota)
+}
+
+// BenchmarkPlanSimulateBackfill1000 is the packing discipline alone, over
+// BenchmarkPlanBackfill1000's batch: no Allocate, no FCFS reference.
+func BenchmarkPlanSimulateBackfill1000(b *testing.B) {
+	specs, cfg := backfillBench()
+	benchSimulate(b, specs, cfg, SimulateBackfill)
+}
+
+// BenchmarkPlanSimulateRetry1000 is the retry discipline alone, over
+// BenchmarkPlanRetry1000's batch and its retry legs.
+func BenchmarkPlanSimulateRetry1000(b *testing.B) {
+	specs, cfg := retryBench()
+	benchSimulate(b, specs, cfg, SimulateRetry)
 }

@@ -2,14 +2,20 @@
 // one Allocation/Pool/Outcome vocabulary for everything that reasons
 // about token capacity. The Figure-1 provisioning policies
 // (internal/scheduler re-exports them), the token-capacity cluster
-// simulators (FCFS, backfill bin-packing, first-allocation retry), the
-// scopesim executor's free-token ledger, and the PCC-driven cluster
-// planner behind POST /v1/plan all build on the types in this package,
-// so capacity arithmetic exists exactly once.
+// simulator (one event loop, simulate, under the FCFS, backfill
+// bin-packing and first-allocation retry disciplines), the scopesim
+// executor's free-token ledger, and the PCC-driven cluster planner behind
+// POST /v1/plan all build on the types in this package, so capacity
+// arithmetic exists exactly once.
 //
 // Every entry point is deterministic: the same inputs produce the same
 // outcomes event for event, which is what lets the planner soak assert
 // same-seed reproducibility across runs.
+//
+// bench_test.go times a 1,000-job batch two ways: BenchmarkPlanBuild1000,
+// PlanBackfill1000 and PlanRetry1000 are Build under each strategy, and
+// BenchmarkPlanSimulateFCFS1000, PlanSimulateBackfill1000 and
+// PlanSimulateRetry1000 the event loop alone under each discipline.
 package plan
 
 import (
@@ -207,18 +213,28 @@ func (p *Pool) Acquire(n int) error { return p.AcquireTenant("", n) }
 
 // AcquireTenant is Acquire charged against tenant's quota.
 func (p *Pool) AcquireTenant(tenant string, n int) error {
+	if p.tryAcquire(tenant, n) {
+		return nil
+	}
 	if n < 1 || n > p.free {
 		return fmt.Errorf("%w: acquire %d of %d free", ErrBadAllocation, n, p.free)
 	}
-	if q, ok := p.quota[tenant]; ok && p.held[tenant]+n > q {
-		return fmt.Errorf("%w: tenant %q holding %d of %d acquiring %d",
-			ErrBadAllocation, tenant, p.held[tenant], q, n)
+	return fmt.Errorf("%w: tenant %q holding %d of %d acquiring %d",
+		ErrBadAllocation, tenant, p.held[tenant], p.quota[tenant], n)
+}
+
+// tryAcquire claims n tokens for tenant iff they fit the pool and its
+// quota: admission's test and claim in one step, with no error to build
+// for the claim that merely has to wait.
+func (p *Pool) tryAcquire(tenant string, n int) bool {
+	if !p.FitsTenant(tenant, n) {
+		return false
 	}
 	p.free -= n
 	if p.held != nil {
 		p.held[tenant] += n
 	}
-	return nil
+	return true
 }
 
 // AcquireUpTo claims min(want, free) tokens and returns the grant — the
@@ -258,9 +274,9 @@ func (p *Pool) ReleaseTenant(tenant string, n int) error {
 	return nil
 }
 
-// validateAllocs applies the shared feasibility checks every simulator
-// performs before touching the pool: tokens inside [1, capacity] and
-// inside the tenant's quota, non-negative times.
+// validateAllocs applies the feasibility checks simulate performs before
+// touching the pool: tokens inside [1, capacity] and inside the tenant's
+// quota, non-negative times.
 func validateAllocs(capacity int, quota Quota, allocs []Allocation) error {
 	for _, a := range allocs {
 		if a.Tokens < 1 || a.Tokens > capacity {
@@ -283,78 +299,6 @@ func validateAllocs(capacity int, quota Quota, allocs []Allocation) error {
 		}
 	}
 	return nil
-}
-
-// SimulateFCFS runs the allocations through a fixed-capacity token pool
-// with FCFS admission: a job is admitted when its full token request is
-// free; later arrivals cannot jump the queue (no backfilling), which
-// models SCOPE's guaranteed-token admission. Arrival ties are broken by
-// input order (stable), and outcomes are returned in input order. Retry
-// legs on the allocations are ignored — SimulateRetry honors them.
-func SimulateFCFS(capacity int, allocs []Allocation) ([]Outcome, error) {
-	return SimulateFCFSQuota(capacity, nil, allocs)
-}
-
-// SimulateFCFSQuota is SimulateFCFS with per-tenant quotas enforced at
-// admission: the queue head additionally waits until its tenant's
-// concurrently held tokens would stay within quota.
-func SimulateFCFSQuota(capacity int, quota Quota, allocs []Allocation) ([]Outcome, error) {
-	pool, err := NewPoolQuota(capacity, quota)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateAllocs(capacity, quota, allocs); err != nil {
-		return nil, err
-	}
-	// FCFS by arrival (stable for ties: input order).
-	order := make([]int, len(allocs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return allocs[order[a]].ArrivalSecond < allocs[order[b]].ArrivalSecond
-	})
-
-	out := make([]Outcome, len(allocs))
-	releases := &releaseHeap{}
-	now := 0
-	for _, idx := range order {
-		a := allocs[idx]
-		if a.ArrivalSecond > now {
-			now = a.ArrivalSecond
-		}
-		// Advance time until the request fits both pool and quota.
-		for !pool.FitsTenant(a.Tenant, a.Tokens) {
-			if len(*releases) == 0 {
-				return nil, fmt.Errorf("%w: job %s with %d free tokens", ErrStarved, a.ID, pool.Free())
-			}
-			r := releases.pop()
-			if r.at > now {
-				now = r.at
-			}
-			if err := pool.ReleaseTenant(r.tenant, r.tokens); err != nil {
-				return nil, err
-			}
-		}
-		// Drain any releases that already happened by now.
-		for len(*releases) > 0 && (*releases)[0].at <= now {
-			r := releases.pop()
-			if err := pool.ReleaseTenant(r.tenant, r.tokens); err != nil {
-				return nil, err
-			}
-		}
-		out[idx] = Outcome{
-			ID:          a.ID,
-			StartSecond: now,
-			WaitSeconds: now - a.ArrivalSecond,
-			EndSecond:   now + a.DurationSeconds,
-		}
-		if err := pool.AcquireTenant(a.Tenant, a.Tokens); err != nil {
-			return nil, err
-		}
-		releases.push(release{at: now + a.DurationSeconds, tokens: a.Tokens, tenant: a.Tenant})
-	}
-	return out, nil
 }
 
 // Stats summarizes a simulated schedule.
@@ -413,8 +357,8 @@ func Summarize(allocs []Allocation, outs []Outcome) Stats {
 // runs for exactly its predicted duration, and at every instant the
 // running legs hold at most the pool capacity in total and at most each
 // tenant's quota individually. This is the property-test oracle for all
-// three strategies — it rebuilds occupancy from first principles rather
-// than trusting the simulator's ledger.
+// three strategies — it rebuilds occupancy from first principles and
+// shares no code with simulate or its ledger.
 func ValidateSchedule(capacity int, quota Quota, allocs []Allocation, outs []Outcome) error {
 	if len(allocs) != len(outs) {
 		return fmt.Errorf("%w: %d allocations vs %d outcomes", ErrBadAllocation, len(allocs), len(outs))
@@ -452,7 +396,7 @@ func ValidateSchedule(capacity int, quota Quota, allocs []Allocation, outs []Out
 			edge{firstEnd, -a.Tokens, a.Tenant})
 	}
 	// Sweep: releases before acquires at the same instant (a slot freed
-	// at t is reusable at t, matching the simulators' drain-then-admit).
+	// at t is reusable at t, matching simulate's drain-then-admit).
 	sort.SliceStable(edges, func(i, j int) bool {
 		if edges[i].at != edges[j].at {
 			return edges[i].at < edges[j].at
@@ -478,54 +422,4 @@ func ValidateSchedule(capacity int, quota Quota, allocs []Allocation, outs []Out
 		return fmt.Errorf("%w: %d tokens still held after the last job drained", ErrBadAllocation, inUse)
 	}
 	return nil
-}
-
-type release struct {
-	at     int
-	tokens int
-	tenant string
-}
-
-// releaseHeap is a min-heap on release.at with direct push/pop — the
-// simulators sit on the plan hot path and container/heap's interface
-// boxing costs one allocation per event.
-type releaseHeap []release
-
-func (h *releaseHeap) push(r release) {
-	s := append(*h, r)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p].at <= s[i].at {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-	*h = s
-}
-
-func (h *releaseHeap) pop() release {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && s[r].at < s[c].at {
-			c = r
-		}
-		if s[i].at <= s[c].at {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
-	}
-	*h = s
-	return top
 }

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 )
 
@@ -76,252 +75,4 @@ func RetryDemand(seed uint64, id string, peak int) int {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
 	return 1 + int(x%uint64(peak))
-}
-
-// SimulateBackfill packs the allocations onto the pool: at every event
-// time (an arrival or a release) the waiting jobs are scanned in packing
-// order — deadline jobs first by earliest deadline, then the rest widest
-// first, ties by arrival then input order — and every job that fits the
-// free tokens and its tenant quota starts immediately. Unlike FCFS, a
-// blocked head never starves the pool. Retry legs are ignored. Outcomes
-// are returned in input order.
-//
-// Callers wanting the no-regression guarantee (never a longer makespan
-// and never a missed deadline FCFS met) should go through Build with
-// StrategyBackfill, which compares against the FCFS schedule and keeps
-// the better one.
-func SimulateBackfill(capacity int, quota Quota, allocs []Allocation) ([]Outcome, error) {
-	pool, err := NewPoolQuota(capacity, quota)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateAllocs(capacity, quota, allocs); err != nil {
-		return nil, err
-	}
-	// Packing order: SLA holders first (earliest deadline), then widest
-	// first so big jobs anchor the packing and small ones fill the gaps.
-	order := make([]int, len(allocs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, b := allocs[order[x]], allocs[order[y]]
-		ad, bd := a.DeadlineSecond > 0, b.DeadlineSecond > 0
-		if ad != bd {
-			return ad
-		}
-		if ad && a.DeadlineSecond != b.DeadlineSecond {
-			return a.DeadlineSecond < b.DeadlineSecond
-		}
-		if a.Tokens != b.Tokens {
-			return a.Tokens > b.Tokens
-		}
-		return a.ArrivalSecond < b.ArrivalSecond
-	})
-
-	out := make([]Outcome, len(allocs))
-	releases := &releaseHeap{}
-	pending := order
-	now := 0
-	if len(pending) > 0 {
-		now = minArrival(allocs, pending)
-	}
-	for len(pending) > 0 {
-		// Drain releases due by now, then admit everything that fits.
-		for len(*releases) > 0 && (*releases)[0].at <= now {
-			r := releases.pop()
-			if err := pool.ReleaseTenant(r.tenant, r.tokens); err != nil {
-				return nil, err
-			}
-		}
-		rest := pending[:0]
-		for _, idx := range pending {
-			a := allocs[idx]
-			if a.ArrivalSecond <= now && pool.FitsTenant(a.Tenant, a.Tokens) {
-				out[idx] = Outcome{
-					ID:          a.ID,
-					StartSecond: now,
-					WaitSeconds: now - a.ArrivalSecond,
-					EndSecond:   now + a.DurationSeconds,
-				}
-				if err := pool.AcquireTenant(a.Tenant, a.Tokens); err != nil {
-					return nil, err
-				}
-				releases.push(release{at: now + a.DurationSeconds, tokens: a.Tokens, tenant: a.Tenant})
-				continue
-			}
-			rest = append(rest, idx)
-		}
-		pending = rest
-		if len(pending) == 0 {
-			break
-		}
-		// Advance to the next event: a release or a future arrival.
-		next := -1
-		if len(*releases) > 0 {
-			next = (*releases)[0].at
-		}
-		for _, idx := range pending {
-			if at := allocs[idx].ArrivalSecond; at > now && (next < 0 || at < next) {
-				next = at
-			}
-		}
-		if next < 0 || (next <= now && len(*releases) == 0) {
-			return nil, fmt.Errorf("%w: %d jobs waiting with %d free tokens and no future event",
-				ErrStarved, len(pending), pool.Free())
-		}
-		if next > now {
-			now = next
-		}
-		// next == now (a zero-duration leg released at this instant):
-		// loop again — the drain at the top frees it for re-admission.
-	}
-	return out, nil
-}
-
-// SimulateRetry runs the allocations through FCFS admission where an
-// allocation carrying a retry leg occupies the pool twice: the first
-// slice runs to its predicted end, is detected as overrun, and the peak
-// leg re-enters the queue at that instant (ties with fresh first legs
-// break in favor of the fresh legs, then input order). Outcomes are in
-// input order; a retried job's WaitSeconds accumulates both queue waits.
-func SimulateRetry(capacity int, quota Quota, allocs []Allocation) ([]Outcome, error) {
-	pool, err := NewPoolQuota(capacity, quota)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateAllocs(capacity, quota, allocs); err != nil {
-		return nil, err
-	}
-	out := make([]Outcome, len(allocs))
-	queue := &legHeap{}
-	for i, a := range allocs {
-		queue.push(leg{arrival: a.ArrivalSecond, seq: i, idx: i})
-	}
-	releases := &releaseHeap{}
-	now := 0
-	for len(*queue) > 0 {
-		l := queue.pop()
-		a := allocs[l.idx]
-		tokens, dur := a.Tokens, a.DurationSeconds
-		if l.retry {
-			tokens, dur = a.RetryTokens, a.RetryDurationSeconds
-		}
-		if l.arrival > now {
-			now = l.arrival
-		}
-		for !pool.FitsTenant(a.Tenant, tokens) {
-			if len(*releases) == 0 {
-				return nil, fmt.Errorf("%w: job %s with %d free tokens", ErrStarved, a.ID, pool.Free())
-			}
-			r := releases.pop()
-			if r.at > now {
-				now = r.at
-			}
-			if err := pool.ReleaseTenant(r.tenant, r.tokens); err != nil {
-				return nil, err
-			}
-		}
-		for len(*releases) > 0 && (*releases)[0].at <= now {
-			r := releases.pop()
-			if err := pool.ReleaseTenant(r.tenant, r.tokens); err != nil {
-				return nil, err
-			}
-		}
-		if err := pool.AcquireTenant(a.Tenant, tokens); err != nil {
-			return nil, err
-		}
-		end := now + dur
-		releases.push(release{at: end, tokens: tokens, tenant: a.Tenant})
-		if l.retry {
-			o := &out[l.idx]
-			o.RetryStartSecond = now
-			o.WaitSeconds += now - l.arrival
-			o.EndSecond = end
-			continue
-		}
-		out[l.idx] = Outcome{
-			ID:          a.ID,
-			StartSecond: now,
-			WaitSeconds: now - a.ArrivalSecond,
-			EndSecond:   end,
-		}
-		if a.retries() {
-			// Overrun detected when the first slice drains: the peak leg
-			// re-queues at that instant, behind fresh arrivals at the
-			// same second (seq offset keeps ordering deterministic).
-			queue.push(leg{arrival: end, seq: len(allocs) + l.idx, idx: l.idx, retry: true})
-		}
-	}
-	return out, nil
-}
-
-func minArrival(allocs []Allocation, idxs []int) int {
-	min := allocs[idxs[0]].ArrivalSecond
-	for _, i := range idxs[1:] {
-		if at := allocs[i].ArrivalSecond; at < min {
-			min = at
-		}
-	}
-	return min
-}
-
-// leg is one queued admission: a job's first slice or its peak re-run.
-type leg struct {
-	arrival int
-	seq     int
-	idx     int
-	retry   bool
-}
-
-// legHeap orders admissions FCFS: by arrival, ties by sequence number
-// (input order for first legs; retry legs sort after same-second fresh
-// arrivals). Direct push/pop, like releaseHeap, to stay boxing-free on
-// the plan hot path.
-type legHeap []leg
-
-func legLess(a, b leg) bool {
-	if a.arrival != b.arrival {
-		return a.arrival < b.arrival
-	}
-	return a.seq < b.seq
-}
-
-func (h *legHeap) push(l leg) {
-	s := append(*h, l)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !legLess(s[i], s[p]) {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-	*h = s
-}
-
-func (h *legHeap) pop() leg {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && legLess(s[r], s[c]) {
-			c = r
-		}
-		if !legLess(s[c], s[i]) {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
-	}
-	*h = s
-	return top
 }

@@ -252,6 +252,33 @@ func TestReadyzDrain(t *testing.T) {
 	}
 }
 
+// TestEveryMetricFamilyCarriesHelp: a fresh server describes every family
+// it exposes. Each has a SetHelp call, and each call comes before the
+// family's first series registers it, which must not lose the text.
+func TestEveryMetricFamilyCarriesHelp(t *testing.T) {
+	_, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
+	out, err := NewClient(ts.URL).Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := 0
+	lines := strings.Split(out, "\n")
+	for i, line := range lines {
+		name, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		families++
+		name, _, _ = strings.Cut(name, " ")
+		if i == 0 || !strings.HasPrefix(lines[i-1], "# HELP "+name+" ") {
+			t.Errorf("family %s has no HELP line", name)
+		}
+	}
+	if families < 19 {
+		t.Fatalf("a fresh server exposes %d families, want at least 19:\n%s", families, out)
+	}
+}
+
 // TestMetricsEndpointShape scripts requests and asserts the Prometheus
 // exposition contains the expected families and that counters and
 // histograms actually move.

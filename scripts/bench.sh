@@ -19,8 +19,12 @@
 #                        bench_test.go): consistent-hash ring pick +
 #                        cached score on the owning member
 #   BENCH_planner.json   cluster-planner numbers (internal/plan
-#                        bench_test.go): full 1,000-job plan build and the
-#                        bare FCFS token simulation, as plans/sec with the
+#                        bench_test.go): full 1,000-job plan build under
+#                        each strategy (PlanBuild1000 is FCFS,
+#                        PlanBackfill1000, PlanRetry1000) and the bare
+#                        event loop under each discipline
+#                        (PlanSimulateFCFS1000, PlanSimulateBackfill1000,
+#                        PlanSimulateRetry1000), as plans/sec with the
 #                        constant jobs/plan and the derived jobs/sec; plus
 #                        the served planner's curve-resolution layer
 #                        (internal/serve BenchmarkPlanResolve1000): a
