@@ -98,4 +98,8 @@ func TestAutopilotSoakReproducible(t *testing.T) {
 		t.Fatalf("final states diverged:\n  run A: %+v pinned v%d\n  run B: %+v pinned v%d",
 			a.Status, a.Pinned, b.Status, b.Pinned)
 	}
+	for _, res := range []*AutopilotResult{a, b} {
+		checkSoakDigest(t, "autopilot seed=77", res.Events, res.Status, res.Pinned,
+			res.ServingVersion, res.PromotionCleared)
+	}
 }

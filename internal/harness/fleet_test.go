@@ -133,4 +133,8 @@ func TestFleetReproducibility(t *testing.T) {
 		t.Fatalf("disruption counts differ: %d/%d vs %d/%d",
 			a.Kills, a.Partitions, b.Kills, b.Partitions)
 	}
+	for _, res := range []*FleetResult{a, b} {
+		checkSoakDigest(t, "fleet seed=7 "+runMode(), res.Events, res.FaultTrace, res.Wave.Adopted,
+			res.Wave.Outcome, res.Kills, res.Partitions, res.StepsRun, res.Recovered)
+	}
 }

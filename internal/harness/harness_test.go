@@ -94,11 +94,15 @@ func TestChaosSameSeedReproducesSchedule(t *testing.T) {
 				site, trace, second.FaultTrace[site])
 		}
 	}
+	for _, res := range []*Result{first, second} {
+		checkSoakDigest(t, "chaos seed=7", res.FaultTrace, res.ActiveVersion)
+	}
 
 	other, err := Run(chaosConfig(t, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSoakDigest(t, "chaos seed=8", other.FaultTrace, other.ActiveVersion)
 	diverged := false
 	for site, trace := range first.FaultTrace {
 		if other.FaultTrace[site] != trace {

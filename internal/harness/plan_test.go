@@ -94,11 +94,15 @@ func TestPlanSoakReproducible(t *testing.T) {
 		a.Retries != b.Retries {
 		t.Fatalf("same-seed totals diverge:\n%+v\n%+v", a, b)
 	}
+	for _, res := range []*PlanSoakResult{a, b} {
+		checkSoakDigest(t, "plan seed=1 plans=60", *res)
+	}
 
 	other, err := RunPlanSoak(PlanSoakConfig{Seed: planSoakSeed + 1, Short: true, Plans: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSoakDigest(t, "plan seed=2 plans=10", *other)
 	if other.Fingerprint == a.Fingerprint {
 		t.Fatalf("different seeds produced the same fingerprint %016x", a.Fingerprint)
 	}
