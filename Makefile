@@ -3,7 +3,8 @@
 #   make build     compile everything
 #   make test      tier-1 verification (go build + go test)
 #   make race      race-detector pass over the concurrent paths
-#   make check     full gate: fmt + vet + build + tests + race (run before merging)
+#   make check     the one gate: fmt + vet + build + tests + race + soaks + bench
+#                  smoke (run before merging; scripts/check.sh and CI run it too)
 #   make coverage  coverage profile with the fail-below-baseline floor
 #   make chaos     deterministic chaos/soak harness under the race detector
 #   make autopilot-soak  continuous-learning loop under drift + faults (-race)
@@ -18,8 +19,10 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# -shuffle=on runs each package's tests in a random order (the seed is
+# printed), so no test may lean on state a sibling left behind.
 test: build
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 vet:
 	$(GO) vet ./...
@@ -27,14 +30,23 @@ vet:
 # The serving path shares one pipeline across handler goroutines and the
 # registry hot-swaps it under live traffic; the offline pipeline fans out
 # ingest/augmentation/training/experiments across a worker pool. Keep all
-# of it provably race-clean (mirrors scripts/check.sh).
+# of it provably race-clean.
 race:
-	$(GO) test -race ./internal/serve/... ./internal/obs/... ./internal/registry/... ./internal/model/... ./internal/faults/... ./internal/autopilot/... ./internal/drift/... ./internal/cluster/... ./internal/plan/... ./cmd/tasqd/...
-	$(GO) test -race ./internal/parallel/... ./internal/flight/... ./internal/trainer/... ./internal/experiments/...
+	$(GO) test -race -shuffle=on ./internal/serve/... ./internal/obs/... ./internal/registry/... ./internal/model/... ./internal/faults/... ./internal/autopilot/... ./internal/drift/... ./internal/cluster/... ./internal/plan/... ./cmd/tasqd/...
+	$(GO) test -race -shuffle=on ./internal/parallel/... ./internal/flight/... ./internal/trainer/... ./internal/experiments/...
 
+# The four soaks below share one kit in internal/harness (boot, seeded
+# workers, one attempt ledger reconciled per member against /metrics, the
+# fault trace). Their reproducibility tests also hold each soak's
+# deterministic outputs to testdata/soak_digests.txt, generated on the
+# commit before the kit.
+#
 # Seeded fault-injection chaos/soak runs over the serving stack (three
-# fixed seeds plus a same-seed reproducibility check); -short keeps the
-# storm within the CI budget while exercising every phase.
+# fixed seeds; the same-seed reproducibility check runs without -short in
+# `make test`). -short keeps the storm within the CI budget while
+# exercising every phase. The saturation phase holds every admission slot
+# with withheld-body requests, so its 429 shed does not depend on how
+# fast the host drains a burst.
 chaos:
 	$(GO) test -race -short -run 'TestChaos' -count=1 ./internal/harness/...
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -106,6 +107,9 @@ func (r *Replica) gate(h http.Handler) http.Handler {
 			r.mu.Lock()
 			r.partRefused[req.URL.Path]++
 			r.mu.Unlock()
+			// Read the body first, as the admission gate does: closing on
+			// unread bytes would reset the connection and lose the 503.
+			io.Copy(io.Discard, req.Body)
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, partitionedBody, http.StatusServiceUnavailable)
 			return

@@ -11,7 +11,7 @@ import (
 	"tasq/internal/flight"
 	"tasq/internal/jobrepo"
 	"tasq/internal/pcc"
-	"tasq/internal/scheduler"
+	"tasq/internal/plan"
 	"tasq/internal/skyline"
 	"tasq/internal/stats"
 )
@@ -24,7 +24,7 @@ import (
 type Figure1Result struct {
 	JobID      string
 	Skyline    skyline.Skyline
-	Accounting []scheduler.PolicyAccounting
+	Accounting []plan.PolicyAccounting
 }
 
 // Figure1 picks a representative peaky job whose request exceeds its peak
@@ -39,9 +39,9 @@ func Figure1(s *Suite) (*Figure1Result, error) {
 	if rec == nil {
 		return nil, errors.New("experiments: no over-allocated job found for Figure 1")
 	}
-	var accs []scheduler.PolicyAccounting
-	for _, kind := range []scheduler.PolicyKind{scheduler.PolicyDefault, scheduler.PolicyPeak, scheduler.PolicyAdaptivePeak} {
-		acc, err := scheduler.AccountPolicy(kind, rec.Skyline, rec.ObservedTokens, 0)
+	var accs []plan.PolicyAccounting
+	for _, kind := range []plan.PolicyKind{plan.PolicyDefault, plan.PolicyPeak, plan.PolicyAdaptivePeak} {
+		acc, err := plan.AccountPolicy(kind, rec.Skyline, rec.ObservedTokens, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -13,23 +13,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
-	"sync"
+	"slices"
 	"time"
 
 	"tasq/internal/autopilot"
 	"tasq/internal/drift"
 	"tasq/internal/faults"
 	"tasq/internal/jobrepo"
-	"tasq/internal/parallel"
 	"tasq/internal/registry"
 	"tasq/internal/scopesim"
 	"tasq/internal/serve"
-	"tasq/internal/trainer"
-	"tasq/internal/workload"
 )
 
 // AutopilotConfig parameterizes one autopilot soak run.
@@ -78,34 +73,16 @@ const apSoakWindowCap = 300
 // RunAutopilot executes one autopilot soak scenario end to end. Any
 // invariant violation surfaces as an error.
 func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
-	if cfg.ScoreWorkers <= 0 {
-		cfg.ScoreWorkers = 4
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+	orDefault(&cfg.ScoreWorkers, 4)
+	logf := quiet(cfg.Logf)
 
 	// ---- Boot (faults disabled): registry, v1, window, autopilot. ----
-	reg, err := registry.Open(cfg.Dir)
+	p1, recs, g, err := quickTrain(cfg.Seed, 40)
 	if err != nil {
 		return nil, err
 	}
-	g := workload.New(workload.TestConfig(cfg.Seed))
-	repo := jobrepo.New()
-	var ex scopesim.Executor
-	if err := repo.Ingest(g.Workload(40), &ex); err != nil {
-		return nil, err
-	}
-	tcfg := trainer.DefaultConfig(cfg.Seed)
-	tcfg.XGB.NumTrees = 8
-	tcfg.SkipNN = true
-	tcfg.SkipGNN = true
-	p1, err := trainer.Train(repo.All(), tcfg)
+	reg, err := openRegistry(cfg.Dir, p1, "soak seed generation")
 	if err != nil {
-		return nil, err
-	}
-	if _, err := reg.PublishPipeline(p1, registry.Manifest{Notes: "soak seed generation"}); err != nil {
 		return nil, err
 	}
 
@@ -126,7 +103,7 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 			GuardrailWindow: 25, GuardrailFactor: 2,
 			GuardrailFloor: 0.05, GuardAlpha: 0.5, GuardMinSamples: 3,
 		},
-		Train:             tcfg,
+		Train:             quickTrainConfig(cfg.Seed),
 		RetrainMinRecords: 20,
 		CooldownRecords:   15,
 		QueueCap:          64,
@@ -136,18 +113,13 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 	// The serving stack around it: telemetry flows through the HTTP
 	// endpoint, and loop decisions reach serving through SyncFn only (the
 	// poll interval is effectively infinite).
-	srv, err := serve.NewUnloadedServer(serve.WithTelemetry(ap), serve.WithWorkers(4))
+	srv, rl, ts, err := serveRegistry(reg, time.Hour, logf, serve.WithTelemetry(ap), serve.WithWorkers(4))
 	if err != nil {
 		return nil, err
 	}
-	rl := serve.NewReloader(reg, srv, time.Hour, logf)
-	if err := rl.Sync(); err != nil {
-		return nil, err
-	}
+	defer ts.Close()
 	ap.SyncFn = rl.Sync
 	ap.BindMetrics(srv.Registry())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
 	apCtx, stopAp := context.WithCancel(context.Background())
 	ap.Start(apCtx)
 	defer func() {
@@ -159,37 +131,28 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 
 	// ---- Concurrent scoring chaos: interleaving pressure on the hot
 	// path while generations swap underneath. Allowed failures only.
-	var scoreAttempts int64
-	var scoreMu sync.Mutex
+	led := newLedger()
 	stopScore := make(chan struct{})
-	var swg sync.WaitGroup
-	for w := 0; w < cfg.ScoreWorkers; w++ {
-		swg.Add(1)
-		go func(w int) {
-			defer swg.Done()
-			rng := rand.New(rand.NewSource(parallel.Seed(cfg.Seed, w)))
-			client := serve.NewClient(ts.URL)
-			recs := repo.All()
-			for {
-				select {
-				case <-stopScore:
-					return
-				default:
-				}
-				job := recs[rng.Intn(len(recs))].Job
-				_, err := client.Score(&serve.ScoreRequest{Job: job})
-				scoreMu.Lock()
-				scoreAttempts++
-				scoreMu.Unlock()
-				if err != nil && !allowed(err, http.StatusTooManyRequests,
-					http.StatusInternalServerError, http.StatusServiceUnavailable,
-					http.StatusGatewayTimeout) {
-					errs.set(fmt.Errorf("scoring under autopilot churn: %w", err))
-				}
-				time.Sleep(time.Duration(200+rng.Intn(500)) * time.Microsecond)
+	scoreDone := fanOut(cfg.ScoreWorkers, func(w int) {
+		rng := workerRNG(cfg.Seed, w)
+		client := serve.NewClient(ts.URL)
+		client.OnAttempt = led.hook("")
+		for {
+			select {
+			case <-stopScore:
+				return
+			default:
 			}
-		}(w)
-	}
+			job := recs[rng.Intn(len(recs))].Job
+			_, err := client.Score(&serve.ScoreRequest{Job: job})
+			if err != nil && !allowed(err, http.StatusTooManyRequests,
+				http.StatusInternalServerError, http.StatusServiceUnavailable,
+				http.StatusGatewayTimeout) {
+				errs.set(fmt.Errorf("scoring under autopilot churn: %w", err))
+			}
+			time.Sleep(time.Duration(200+rng.Intn(500)) * time.Microsecond)
+		}
+	})
 
 	// ---- Single-goroutine telemetry driver: the loop's only input. ----
 	tclient := serve.NewClient(ts.URL)
@@ -224,7 +187,7 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 	feed := func(max int, stop func(autopilot.Status) bool) (bool, error) {
 		for i := 0; i < max; i++ {
 			j := g.Job()
-			res, err := ex.Run(j, j.RequestedTokens)
+			res, err := (&scopesim.Executor{}).Run(j, j.RequestedTokens)
 			if err != nil {
 				return false, err
 			}
@@ -279,7 +242,7 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 	}
 
 	close(stopScore)
-	swg.Wait()
+	scoreDone()
 	inj.SetEnabled(false)
 
 	// ---- Convergence: storm cleared, serving settles on the pin. ----
@@ -299,16 +262,14 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 	}
 	// A bad promotion never sticks: nothing quarantined may be pinned or
 	// serving, and the guardrail fired at most once.
-	for _, q := range st.Quarantined {
-		if q == pinned {
-			return nil, fmt.Errorf("quarantined v%d is pinned — a bad promotion stuck", q)
-		}
+	if slices.Contains(st.Quarantined, pinned) {
+		return nil, fmt.Errorf("quarantined v%d is pinned — a bad promotion stuck", pinned)
 	}
 	if st.Rollbacks > 1 {
 		return nil, fmt.Errorf("guardrail rolled back %d times, want at most once", st.Rollbacks)
 	}
 	// Clean scoring against the converged generation.
-	resp, err := serve.NewClient(ts.URL).Score(&serve.ScoreRequest{Job: repo.All()[0].Job})
+	resp, err := serve.NewClient(ts.URL).Score(&serve.ScoreRequest{Job: recs[0].Job})
 	if err != nil {
 		return nil, fmt.Errorf("post-storm score: %w", err)
 	}
@@ -324,16 +285,13 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 	}
 
 	_, promoErr := reg.Promotion()
-	scoreMu.Lock()
-	attempts := scoreAttempts
-	scoreMu.Unlock()
 	return &AutopilotResult{
 		Events:           ap.Events(),
 		Status:           st,
 		Pinned:           pinned,
 		ServingVersion:   srv.ActiveVersion(),
 		PromotionCleared: errors.Is(promoErr, registry.ErrNoPromotion),
-		ScoreAttempts:    attempts,
+		ScoreAttempts:    led.count(func(a attempt) bool { return a.route == "/v1/score" }),
 		FiredBySite:      inj.Stats(),
 	}, nil
 }

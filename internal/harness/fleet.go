@@ -40,20 +40,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
-	"strings"
-	"sync"
+	"slices"
 	"time"
 
 	"tasq/internal/autopilot"
 	"tasq/internal/cluster"
 	"tasq/internal/faults"
 	"tasq/internal/jobrepo"
-	"tasq/internal/parallel"
 	"tasq/internal/registry"
 	"tasq/internal/serve"
-	"tasq/internal/trainer"
 )
 
 // FleetConfig parameterizes one fleet chaos run.
@@ -61,7 +59,8 @@ type FleetConfig struct {
 	// Seed fixes the kill/partition schedule, victim choices and worker
 	// op mixes.
 	Seed int64
-	// Dir is the shared registry root (a fresh temp dir per run).
+	// Replicas sizes the fleet (default 3); Dir is the shared registry
+	// root (a fresh temp dir per run).
 	Replicas int
 	Dir      string
 	// Workers × OpsPerStep × Steps sizes the storm (defaults 6 × 8 × 18).
@@ -122,118 +121,16 @@ type FleetResult struct {
 	FiredBySite map[string]faults.SiteStats
 }
 
-// Fleet chaos defaults.
-const (
-	defaultFleetReplicas   = 3
-	defaultFleetWorkers    = 6
-	defaultFleetOpsPerStep = 8
-	defaultFleetSteps      = 18
-	defaultKillDownSteps   = 3
-	defaultPartitionSteps  = 2
-	defaultMaxFailRate     = 0.20
-)
-
-// fleetTally aggregates every HTTP attempt per member, the member-side
-// half of the reconciliation ledger. 503s are additionally classified by
-// body — partitioned (the fleet's pre-mux gate), draining (the admission
-// gate), other — since those three must reconcile against different
-// server-side counters.
-type fleetTally struct {
-	mu       sync.Mutex
-	attempts int64
-	byClass  map[string]int64 // "member|route|2xx"
-	byStatus map[string]int64 // "member|429"
-	sub503   map[string]int64 // "member|route|draining"
-}
-
-func newFleetTally() *fleetTally {
-	return &fleetTally{
-		byClass:  map[string]int64{},
-		byStatus: map[string]int64{},
-		sub503:   map[string]int64{},
-	}
-}
-
-// hook builds the OnAttempt observer for one member's client.
-func (t *fleetTally) hook(member string) func(method, path string, status int, err error) {
-	return func(_ string, path string, status int, err error) {
-		cls := "0xx" // transport error: the member never answered
-		if status >= 100 && status <= 599 {
-			cls = fmt.Sprintf("%dxx", status/100)
-		}
-		sub := ""
-		if status == http.StatusServiceUnavailable {
-			sub = "other"
-			var se *serve.StatusError
-			if errors.As(err, &se) {
-				if strings.Contains(se.Message, "cluster: partitioned") {
-					sub = "partitioned"
-				} else if strings.Contains(se.Message, "draining") {
-					sub = "draining"
-				}
-			}
-		}
-		t.mu.Lock()
-		t.attempts++
-		t.byClass[member+"|"+path+"|"+cls]++
-		t.byStatus[fmt.Sprintf("%s|%d", member, status)]++
-		if sub != "" {
-			t.sub503[member+"|"+path+"|"+sub]++
-		}
-		t.mu.Unlock()
-	}
-}
-
-func (t *fleetTally) class(member, route, cls string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byClass[member+"|"+route+"|"+cls]
-}
-
-func (t *fleetTally) status(member string, code int) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byStatus[fmt.Sprintf("%s|%d", member, code)]
-}
-
-func (t *fleetTally) sub(member, route, subtype string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sub503[member+"|"+route+"|"+subtype]
-}
-
-// fleetCounters tracks storm-wide op outcomes.
-type fleetCounters struct {
-	mu          sync.Mutex
-	ops         int64
-	failed      int64
-	failedKinds map[string]int64
-	intended400 int64
-	itemsOK     int64
-	// strandedCap bounds batch items a member may have scored inside an
-	// envelope whose sibling group failed (the client never saw the
-	// partial result, so it can only bound, not count).
-	strandedCap int64
-}
-
 // allowedFleetFailure reports whether an op failure is within the chaos
 // budget: balancer short-circuits, transport errors to killed members,
 // and the refusal statuses (429/502/503/504). Anything else — a 500, an
 // unexpected 4xx — is an invariant violation.
 func allowedFleetFailure(err error) bool {
-	if errors.Is(err, serve.ErrNoMembers) || errors.Is(err, serve.ErrCircuitOpen) {
-		return true
+	if _, answered := statusOf(err); !answered {
+		return true // a balancer short-circuit, or connection refused mid-churn
 	}
-	code, ok := statusOf(err)
-	if !ok {
-		return true // transport error: connection refused mid-churn
-	}
-	switch code {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
+	return allowed(err, http.StatusTooManyRequests, http.StatusBadGateway,
+		http.StatusServiceUnavailable, http.StatusGatewayTimeout)
 }
 
 // newFleetMemberClient builds the client the balancer uses for one
@@ -241,14 +138,14 @@ func allowedFleetFailure(err error) bool {
 // off so every attempt is a fresh connection that either reaches a live
 // listener or is cleanly refused — never a half-dead pooled connection —
 // and a fast breaker so dead members eject within two attempts.
-func newFleetMemberClient(url, id string, tal *fleetTally) *serve.Client {
+func newFleetMemberClient(url, id string, led *ledger) *serve.Client {
 	c := serve.NewClient(url)
 	c.HTTP = &http.Client{
 		Timeout:   30 * time.Second,
 		Transport: &http.Transport{DisableKeepAlives: true},
 	}
 	c.Breaker = serve.NewBreaker(2, 10*time.Millisecond)
-	c.OnAttempt = tal.hook(id)
+	c.OnAttempt = led.hook(id)
 	return c
 }
 
@@ -268,24 +165,13 @@ func newFleetSchedule(n int) *fleetSchedule {
 	return s
 }
 
-// disrupted counts replicas currently draining, dead or partitioned.
-func (s *fleetSchedule) disrupted() int {
-	n := 0
-	for i := range s.deadAt {
-		if s.drainAt[i] >= 0 || s.deadAt[i] >= 0 || s.partAt[i] >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// servable lists the members the schedule says can serve right now: not
+// idle lists the replicas the schedule says can serve right now: not
 // draining, not dead, not partitioned.
-func servable(fleet *cluster.Fleet, sched *fleetSchedule) []string {
-	var out []string
-	for i, r := range fleet.Replicas() {
-		if sched.drainAt[i] < 0 && sched.deadAt[i] < 0 && sched.partAt[i] < 0 {
-			out = append(out, r.ID())
+func (s *fleetSchedule) idle() []int {
+	var out []int
+	for i := range s.deadAt {
+		if s.drainAt[i] < 0 && s.deadAt[i] < 0 && s.partAt[i] < 0 {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -296,35 +182,23 @@ func servable(fleet *cluster.Fleet, sched *fleetSchedule) []string {
 // cooldown, so this sleeps the cooldown off rather than spinning.
 func probeUntil(cc *serve.ClusterClient, ctx context.Context, want []string) error {
 	for try := 0; ; try++ {
-		healthy := map[string]bool{}
-		for _, id := range cc.HealthyMembers() {
-			healthy[id] = true
-		}
-		missing := ""
-		for _, id := range want {
-			if !healthy[id] {
-				missing = id
-				break
-			}
-		}
-		if missing == "" {
+		healthy := cc.HealthyMembers()
+		missing := slices.IndexFunc(want, func(id string) bool { return !slices.Contains(healthy, id) })
+		if missing < 0 {
 			return nil
 		}
 		if try >= 200 {
 			return fmt.Errorf("member %s not re-admitted after %d probes (healthy %v, want %v)",
-				missing, try, cc.HealthyMembers(), want)
+				want[missing], try, healthy, want)
 		}
 		time.Sleep(2 * time.Millisecond)
 		cc.Probe(ctx)
 	}
 }
 
-// victim picks a deterministic victim among the eligible indices via the
-// shared unit-stream construction; -1 when none are eligible.
+// victim picks a deterministic victim among the (non-empty) eligible
+// indices via the shared unit-stream construction.
 func victim(seed int64, site string, step int, eligible []int) int {
-	if len(eligible) == 0 {
-		return -1
-	}
 	u := faults.Unit(seed, site, int64(step))
 	i := int(u * float64(len(eligible)))
 	if i >= len(eligible) {
@@ -336,51 +210,23 @@ func victim(seed int64, site string, step int, eligible []int) int {
 // RunFleet executes one fleet chaos scenario end to end. Any invariant
 // violation surfaces as an error.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = defaultFleetReplicas
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = defaultFleetWorkers
-	}
-	if cfg.OpsPerStep <= 0 {
-		cfg.OpsPerStep = defaultFleetOpsPerStep
-	}
-	if cfg.Steps <= 0 {
-		cfg.Steps = defaultFleetSteps
-	}
-	if cfg.KillDownSteps <= 0 {
-		cfg.KillDownSteps = defaultKillDownSteps
-	}
-	if cfg.PartitionSteps <= 0 {
-		cfg.PartitionSteps = defaultPartitionSteps
-	}
-	if cfg.MaxFailRate <= 0 {
-		cfg.MaxFailRate = defaultMaxFailRate
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+	orDefault(&cfg.Replicas, 3)
+	orDefault(&cfg.Workers, 6)
+	orDefault(&cfg.OpsPerStep, 8)
+	orDefault(&cfg.Steps, 18)
+	orDefault(&cfg.KillDownSteps, 3)
+	orDefault(&cfg.PartitionSteps, 2)
+	orDefault(&cfg.MaxFailRate, 0.20)
+	logf := quiet(cfg.Logf)
 	n := cfg.Replicas
 
 	// ---- Boot: shared registry, v1, fleet, balancer. ----
-	reg, err := registry.Open(cfg.Dir)
+	p1, p2, recs, oracle, err := trainGenerations("", "xgboost-pl")
 	if err != nil {
 		return nil, err
 	}
-	p1, recs, err := trainSmall(51)
+	reg, err := openRegistry(cfg.Dir, p1, "fleet v1")
 	if err != nil {
-		return nil, err
-	}
-	p2, _, err := trainSmall(53)
-	if err != nil {
-		return nil, err
-	}
-	oracle, err := buildOracle(map[int]*trainer.Pipeline{1: p1, 2: p2}, recs, []string{"", "xgboost-pl"})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := reg.PublishPipeline(p1, registry.Manifest{Notes: "fleet v1"}); err != nil {
 		return nil, err
 	}
 
@@ -390,11 +236,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 	defer fleet.Close()
 
-	tal := newFleetTally()
+	led := newLedger()
 	ring := cluster.NewRing(0)
 	cc := serve.NewClusterClient(ring)
 	for _, r := range fleet.Replicas() {
-		if err := cc.AddMember(r.ID(), newFleetMemberClient(r.URL(), r.ID(), tal)); err != nil {
+		if err := cc.AddMember(r.ID(), newFleetMemberClient(r.URL(), r.ID(), led)); err != nil {
 			return nil, err
 		}
 	}
@@ -411,10 +257,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 
 	inj := faults.New(cfg.Seed, cfg.Profile)
-	res := &FleetResult{FaultTrace: map[string]string{}}
+	res := &FleetResult{}
 	errs := &firstErr{}
-	cnt := &fleetCounters{}
-	versions := map[int]bool{1: true, 2: true}
+	cnt := &counters{versions: map[int]bool{1: true, 2: true}, failedKinds: map[string]int64{}}
 	sched := newFleetSchedule(n)
 	ctx := context.Background()
 
@@ -422,11 +267,39 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		res.Events = append(res.Events, FleetEvent{Step: step, Action: action, Member: member})
 		logf("fleet: step %d %s %s", step, action, member)
 	}
+	servable := func() []string {
+		var ids []string
+		for _, i := range sched.idle() {
+			ids = append(ids, fleet.Replica(i).ID())
+		}
+		return ids
+	}
+	kill := func(i, step int) error {
+		sched.deadAt[i] = step
+		event(step, "kill", fleet.Replica(i).ID())
+		return fleet.Replica(i).Kill()
+	}
+	restart := func(i, step int) error {
+		r := fleet.Replica(i)
+		if err := r.Restart(); err != nil {
+			return err
+		}
+		sched.deadAt[i], sched.drainAt[i] = -1, -1
+		event(step, "restart", r.ID())
+		// The new incarnation listens on a fresh port; re-point the
+		// balancer. Health state is preserved — a probe re-admits it.
+		return cc.SetMemberClient(r.ID(), newFleetMemberClient(r.URL(), r.ID(), led))
+	}
+	heal := func(i, step int) error {
+		sched.partAt[i] = -1
+		event(step, "heal", fleet.Replica(i).ID())
+		return fleet.Replica(i).Partition(false)
+	}
 
 	// Per-worker deterministic op mixes, persistent across steps.
 	rngs := make([]*rand.Rand, cfg.Workers)
 	for w := range rngs {
-		rngs[w] = rand.New(rand.NewSource(parallel.Seed(cfg.Seed, 3000+w)))
+		rngs[w] = workerRNG(cfg.Seed, 3000+w)
 	}
 
 	waveStep := cfg.Steps / 2
@@ -436,25 +309,14 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		// -- (a) schedule mutations, at a barrier: nothing in flight. --
 		for i := 0; i < n; i++ {
 			if sched.deadAt[i] >= 0 && step-sched.deadAt[i] >= cfg.KillDownSteps {
-				r := fleet.Replica(i)
-				if err := r.Restart(); err != nil {
+				if err := restart(i, step); err != nil {
 					return nil, err
 				}
-				// The new incarnation listens on a fresh port; re-point
-				// the balancer. Health state is preserved — a probe
-				// re-admits it.
-				if err := cc.SetMemberClient(r.ID(), newFleetMemberClient(r.URL(), r.ID(), tal)); err != nil {
-					return nil, err
-				}
-				sched.deadAt[i], sched.drainAt[i] = -1, -1
-				event(step, "restart", r.ID())
 			}
 			if sched.partAt[i] >= 0 && step-sched.partAt[i] >= cfg.PartitionSteps {
-				if err := fleet.Replica(i).Partition(false); err != nil {
+				if err := heal(i, step); err != nil {
 					return nil, err
 				}
-				sched.partAt[i] = -1
-				event(step, "heal", fleet.Replica(i).ID())
 			}
 		}
 		// Drains announced last step close now: one step of traffic hit
@@ -462,46 +324,31 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		// the shed breakdown demonstrably survives the restart.
 		for i := 0; i < n; i++ {
 			if sched.drainAt[i] >= 0 && sched.deadAt[i] < 0 && step > sched.drainAt[i] {
-				if err := fleet.Replica(i).Kill(); err != nil {
+				if err := kill(i, step); err != nil {
 					return nil, err
 				}
-				sched.deadAt[i] = step
-				event(step, "kill", fleet.Replica(i).ID())
 			}
 		}
 		// New disruptions — every step consumes exactly one draw per
-		// site, so the decision stream is a pure function of the step.
+		// site, so the decision stream is a pure function of the step —
+		// and at least one replica always stays undisrupted.
 		killFire := inj.ReplicaKill()
 		partFire := inj.ReplicaPartition()
-		if killFire && sched.disrupted() < n-1 {
-			var eligible []int
-			for i := 0; i < n; i++ {
-				if sched.drainAt[i] < 0 && sched.deadAt[i] < 0 && sched.partAt[i] < 0 {
-					eligible = append(eligible, i)
-				}
-			}
-			if v := victim(cfg.Seed, "replica.victim.kill", step, eligible); v >= 0 {
-				fleet.Replica(v).Server().BeginDrain()
-				sched.drainAt[v] = step
-				res.Kills++
-				event(step, "drain", fleet.Replica(v).ID())
-			}
+		if idle := sched.idle(); killFire && len(idle) > 1 {
+			v := victim(cfg.Seed, "replica.victim.kill", step, idle)
+			fleet.Replica(v).Server().BeginDrain()
+			sched.drainAt[v] = step
+			res.Kills++
+			event(step, "drain", fleet.Replica(v).ID())
 		}
-		if partFire && sched.disrupted() < n-1 {
-			var eligible []int
-			for i := 0; i < n; i++ {
-				if sched.drainAt[i] < 0 && sched.deadAt[i] < 0 && sched.partAt[i] < 0 {
-					eligible = append(eligible, i)
-				}
+		if idle := sched.idle(); partFire && len(idle) > 1 {
+			v := victim(cfg.Seed, "replica.victim.partition", step, idle)
+			if err := fleet.Replica(v).Partition(true); err != nil {
+				return nil, err
 			}
-			if v := victim(cfg.Seed, "replica.victim.partition", step, eligible); v >= 0 {
-				if err := fleet.Replica(v).Partition(true); err != nil {
-					return nil, err
-				}
-				sched.partAt[v] = step
-				res.Partitions++
-				event(step, "partition", fleet.Replica(v).ID())
-			}
+			sched.partAt[v] = step
+			res.Partitions++
+			event(step, "partition", fleet.Replica(v).ID())
 		}
 
 		// -- Mid-storm promotion wave: publish v2, canary it on the
@@ -541,22 +388,16 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		// servable must be back in the ring before traffic flows, so
 		// each step starts from the schedule-determined health baseline
 		// (steps can be faster than the breaker cooldown; sleep it off).
-		if err := probeUntil(cc, ctx, servable(fleet, sched)); err != nil {
+		if err := probeUntil(cc, ctx, servable()); err != nil {
 			return nil, fmt.Errorf("fleet: step %d: %w", step, err)
 		}
 
 		// -- (c) worker traffic. --
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for op := 0; op < cfg.OpsPerStep; op++ {
-					runFleetOp(rngs[w], cc, recs, versions, oracle, cnt, errs)
-				}
-			}(w)
-		}
-		wg.Wait()
+		fanOut(cfg.Workers, func(w int) {
+			for op := 0; op < cfg.OpsPerStep; op++ {
+				runFleetOp(rngs[w], cc, recs, oracle, cnt, errs)
+			}
+		})()
 
 		if err := errs.get(); err != nil {
 			return nil, err
@@ -567,36 +408,27 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	inj.SetEnabled(false)
 	logf("fleet: recovery")
 	for i := 0; i < n; i++ {
-		r := fleet.Replica(i)
-		if sched.deadAt[i] >= 0 || sched.drainAt[i] >= 0 {
-			if sched.deadAt[i] < 0 {
-				// Draining but not yet closed: finish the kill first.
-				if err := r.Kill(); err != nil {
-					return nil, err
-				}
-				event(cfg.Steps, "kill", r.ID())
-			}
-			if err := r.Restart(); err != nil {
+		if sched.drainAt[i] >= 0 && sched.deadAt[i] < 0 {
+			// Draining but not yet closed: finish the kill first.
+			if err := kill(i, cfg.Steps); err != nil {
 				return nil, err
 			}
-			if err := cc.SetMemberClient(r.ID(), newFleetMemberClient(r.URL(), r.ID(), tal)); err != nil {
+		}
+		if sched.deadAt[i] >= 0 {
+			if err := restart(i, cfg.Steps); err != nil {
 				return nil, err
 			}
-			sched.deadAt[i], sched.drainAt[i] = -1, -1
-			event(cfg.Steps, "restart", r.ID())
 		}
 		if sched.partAt[i] >= 0 {
-			if err := r.Partition(false); err != nil {
+			if err := heal(i, cfg.Steps); err != nil {
 				return nil, err
 			}
-			sched.partAt[i] = -1
-			event(cfg.Steps, "heal", r.ID())
 		}
 	}
 	if err := fleet.SyncAll(); err != nil {
 		return nil, err
 	}
-	if err := probeUntil(cc, ctx, servable(fleet, sched)); err != nil {
+	if err := probeUntil(cc, ctx, servable()); err != nil {
 		return nil, fmt.Errorf("fleet: recovery: %w", err)
 	}
 	if got := len(cc.HealthyMembers()); got != n {
@@ -612,16 +444,8 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 	// Every job must score on the promoted generation, routed by the
 	// restored ring.
-	recVersions := map[int]bool{2: true}
-	for _, rec := range recs {
-		resp, err := cc.Score(&serve.ScoreRequest{Job: rec.Job})
-		if err != nil {
-			return nil, fmt.Errorf("fleet: recovery score %s: %w", rec.Job.ID, err)
-		}
-		if err := checkScore(resp, recVersions, oracle, rec.Job.ID); err != nil {
-			return nil, fmt.Errorf("fleet: recovery score %s: %w", rec.Job.ID, err)
-		}
-		res.Recovered++
+	if res.Recovered, err = recoverScores(cc.Score, recs, map[int]bool{2: true}, oracle); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 
 	// ---- Minimal key movement. ----
@@ -658,17 +482,14 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 
 	// ---- Exact cross-member counter reconciliation. ----
-	if err := reconcileFleet(fleet, tal, cnt); err != nil {
+	if err := reconcileFleet(fleet, led, cnt); err != nil {
 		return nil, err
 	}
 
 	// ---- Error budget and determinism. ----
 	cnt.mu.Lock()
 	res.Ops, res.FailedOps, res.Intended400 = cnt.ops, cnt.failed, cnt.intended400
-	res.FailedByKind = map[string]int64{}
-	for k, v := range cnt.failedKinds {
-		res.FailedByKind[k] = v
-	}
+	res.FailedByKind = maps.Clone(cnt.failedKinds)
 	cnt.mu.Unlock()
 	if res.Ops > 0 {
 		if rate := float64(res.FailedOps) / float64(res.Ops); rate > cfg.MaxFailRate {
@@ -682,23 +503,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if err := errs.get(); err != nil {
 		return nil, err
 	}
-	for _, site := range []string{faults.SiteReplicaKill, faults.SiteReplicaPartition} {
-		var b strings.Builder
-		for _, fire := range faults.Schedule(cfg.Seed, site, rateOf(cfg.Profile, site), faultTraceLen) {
-			if fire {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-		res.FaultTrace[site] = b.String()
-	}
+	res.FaultTrace = faultTrace(cfg.Seed, cfg.Profile, []string{faults.SiteReplicaKill, faults.SiteReplicaPartition})
 	res.FiredBySite = inj.Stats()
 	res.StepsRun = cfg.Steps
 	res.Stats = cc.Stats()
-	tal.mu.Lock()
-	res.Attempts = tal.attempts
-	tal.mu.Unlock()
+	res.Attempts = led.count(func(attempt) bool { return true })
 	logf("fleet: done — %d ops (%d failed), %d kills, %d partitions, %d recovered",
 		res.Ops, res.FailedOps, res.Kills, res.Partitions, res.Recovered)
 	return res, nil
@@ -719,7 +528,7 @@ func fastWaveMachine() autopilot.MachineConfig {
 // labeled generation's oracle), the intended 400, or an allowed churn
 // failure. Anything else fails the run.
 func runFleetOp(rng *rand.Rand, cc *serve.ClusterClient, recs []*jobrepo.Record,
-	versions map[int]bool, oracle curveOracle, cnt *fleetCounters, errs *firstErr) {
+	oracle curveOracle, cnt *counters, errs *firstErr) {
 	cnt.mu.Lock()
 	cnt.ops++
 	cnt.mu.Unlock()
@@ -736,9 +545,6 @@ func runFleetOp(rng *rand.Rand, cc *serve.ClusterClient, recs []*jobrepo.Record,
 			}
 		}
 		cnt.mu.Lock()
-		if cnt.failedKinds == nil {
-			cnt.failedKinds = map[string]int64{}
-		}
 		cnt.failed++
 		cnt.failedKinds[kind]++
 		cnt.strandedCap += stranded
@@ -755,7 +561,7 @@ func runFleetOp(rng *rand.Rand, cc *serve.ClusterClient, recs []*jobrepo.Record,
 			}
 			return
 		}
-		if err := checkScore(resp, versions, oracle, rec.Job.ID); err != nil {
+		if err := checkScore(resp, cnt.versions, oracle, rec.Job.ID); err != nil {
 			errs.set(err)
 		}
 	}
@@ -787,24 +593,12 @@ func runFleetOp(rng *rand.Rand, cc *serve.ClusterClient, recs []*jobrepo.Record,
 			}
 			return
 		}
+		// No scoring fault fires in the fleet: every valid item scores.
 		if resp.Failed != 0 || resp.Succeeded != k {
 			errs.set(fmt.Errorf("fleet batch of %d valid jobs: %d ok, %d failed",
 				k, resp.Succeeded, resp.Failed))
-			return
 		}
-		for i, item := range resp.Results {
-			if item.Status != http.StatusOK || item.Response == nil {
-				errs.set(fmt.Errorf("fleet batch item %d: status %d (%s)", i, item.Status, item.Error))
-				return
-			}
-			if err := checkScore(item.Response, versions, oracle, ids[i]); err != nil {
-				errs.set(err)
-				return
-			}
-		}
-		cnt.mu.Lock()
-		cnt.itemsOK += int64(k)
-		cnt.mu.Unlock()
+		recordBatch(resp, cnt, errs, nil, oracle, ids)
 	default:
 		// Deliberate invalid request: a nil job must come back as a
 		// crisp 400 even mid-churn, unless its whole failover chain is
@@ -824,96 +618,41 @@ func runFleetOp(rng *rand.Rand, cc *serve.ClusterClient, recs []*jobrepo.Record,
 	}
 }
 
-// reconcileFleet balances every member's client-side attempt ledger
-// against its server-side counters summed across incarnations.
-func reconcileFleet(fleet *cluster.Fleet, tal *fleetTally, cnt *fleetCounters) error {
-	var fleetOKJobs, fleetFailedJobs, fleetRejectedJobs float64
-	var fleetSingles2xx, fleetScore4xx float64
-	var fleetShedDraining float64
+// reconcileFleet balances every member's client attempts against its
+// server-side counters summed across incarnations — a partitioned member
+// refuses before its mux, so its refusals join its 5xx first — then
+// checks the job counts fleet-wide.
+func reconcileFleet(fleet *cluster.Fleet, led *ledger, cnt *counters) error {
+	var okJobs, failedJobs, rejectedJobs float64
 	for _, r := range fleet.Replicas() {
-		id := r.ID()
 		total, err := r.MetricsTotal()
 		if err != nil {
 			return err
 		}
-		part := r.PartitionRefusals()
-
-		// Per route, per class: client attempts == server HTTP counters
-		// (all incarnations) + counted partition refusals.
-		for _, route := range []string{"/v1/score", "/v1/score/batch", "/readyz"} {
-			for _, cls := range []string{"2xx", "4xx", "5xx"} {
-				got := total[fmt.Sprintf("tasq_http_requests_total{code=%q,route=%q}", cls, route)]
-				if cls == "5xx" {
-					got += float64(part[route])
-				}
-				want := float64(tal.class(id, route, cls))
-				if got != want {
-					return fmt.Errorf("fleet reconcile %s %s %s: server %v, clients %v (partition refusals %d)",
-						id, route, cls, got, want, part[route])
-				}
-			}
+		for route, n := range r.PartitionRefusals() {
+			total[fmt.Sprintf("tasq_http_requests_total{code=%q,route=%q}", "5xx", route)] += float64(n)
 		}
-
-		// Shed breakdown: the draining sheds a member served across ALL
-		// its incarnations equal the draining 503s clients saw from it —
-		// the counter survives the drain-restart cycle with no loss and
-		// no double-count. The other reasons never fire here.
-		shedDraining := total[`tasq_shed_total{reason="draining"}`]
-		clientDraining := float64(tal.sub(id, "/v1/score", "draining") + tal.sub(id, "/v1/score/batch", "draining"))
-		if shedDraining != clientDraining {
-			return fmt.Errorf("fleet reconcile %s shed{draining}: server %v across incarnations, clients %v",
-				id, shedDraining, clientDraining)
-		}
-		fleetShedDraining += shedDraining
-		if got := total[`tasq_shed_total{reason="queue_full"}`]; got != float64(tal.status(id, http.StatusTooManyRequests)) {
-			return fmt.Errorf("fleet reconcile %s shed{queue_full}: server %v, clients %v", id, got, tal.status(id, 429))
-		}
-		if got := total[`tasq_shed_total{reason="deadline"}`]; got != float64(tal.status(id, http.StatusGatewayTimeout)) {
-			return fmt.Errorf("fleet reconcile %s shed{deadline}: server %v, clients %v", id, got, tal.status(id, 504))
-		}
-		if got := total[`tasq_shed_total{reason="client_gone"}`]; got != 0 {
-			return fmt.Errorf("fleet reconcile %s shed{client_gone}: %v, want 0", id, got)
-		}
-
-		fleetOKJobs += total[`tasq_score_jobs_total{outcome="ok"}`]
-		fleetFailedJobs += total[`tasq_score_jobs_total{outcome="failed"}`]
-		fleetRejectedJobs += total[`tasq_score_jobs_total{outcome="rejected"}`]
-		fleetSingles2xx += float64(tal.class(id, "/v1/score", "2xx"))
-		fleetScore4xx += float64(tal.class(id, "/v1/score", "4xx"))
-
 		// Quiesced gauges come from the live incarnation only.
 		now, err := r.MetricsNow()
 		if err != nil {
 			return err
 		}
-		for _, gauge := range []string{"tasq_admission_queue_depth", "tasq_admission_in_flight"} {
-			if got := now[gauge]; got != 0 {
-				return fmt.Errorf("fleet %s gauge %s = %v after quiesce, want 0", id, gauge, got)
-			}
+		if err := reconcileMember(r.ID(), led, total, now); err != nil {
+			return fmt.Errorf("fleet %w", err)
 		}
+		okJobs += total[`tasq_score_jobs_total{outcome="ok"}`]
+		failedJobs += total[`tasq_score_jobs_total{outcome="failed"}`]
+		rejectedJobs += total[`tasq_score_jobs_total{outcome="rejected"}`]
 	}
-
-	// No lost scores, fleet-wide: every ok job the members counted is a
-	// 200 some client received — a single-score 200 or a batch item in a
-	// delivered envelope — except items stranded when a sibling group
-	// failed the envelope, which are bounded by the stranded cap.
-	cnt.mu.Lock()
-	itemsOK, stranded := cnt.itemsOK, cnt.strandedCap
-	cnt.mu.Unlock()
-	delivered := fleetSingles2xx + float64(itemsOK)
-	if fleetOKJobs < delivered {
-		return fmt.Errorf("fleet reconcile scored-ok: members %v < delivered %v (singles %v + items %d) — scores lost",
-			fleetOKJobs, delivered, fleetSingles2xx, itemsOK)
+	if err := reconcileScored(okJobs, led, cnt); err != nil {
+		return fmt.Errorf("fleet %w", err)
 	}
-	if fleetOKJobs > delivered+float64(stranded) {
-		return fmt.Errorf("fleet reconcile scored-ok: members %v > delivered %v + stranded cap %d — double count",
-			fleetOKJobs, delivered, stranded)
+	if failedJobs != 0 {
+		return fmt.Errorf("fleet reconcile: %v failed jobs with no injected scoring faults", failedJobs)
 	}
-	if fleetFailedJobs != 0 {
-		return fmt.Errorf("fleet reconcile: %v failed jobs with no injected scoring faults", fleetFailedJobs)
-	}
-	if fleetRejectedJobs != fleetScore4xx {
-		return fmt.Errorf("fleet reconcile rejected jobs: members %v, client 4xx %v", fleetRejectedJobs, fleetScore4xx)
+	score4xx := led.count(func(a attempt) bool { return a.route == "/v1/score" && a.class() == "4xx" })
+	if rejectedJobs != float64(score4xx) {
+		return fmt.Errorf("fleet reconcile rejected jobs: members %v, client 4xx %v", rejectedJobs, score4xx)
 	}
 	return nil
 }

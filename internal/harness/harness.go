@@ -1,9 +1,14 @@
-// Package harness is the in-process chaos/soak harness for the serving
-// stack: it boots a tasqd-equivalent (registry + reloader + HTTP server)
-// inside the test process, drives mixed traffic from concurrent workers
-// while a seeded fault injector fails scoring requests, batch items and
-// registry reads mid-flight, and asserts the resilience invariants the
-// ISSUE demands:
+// Package harness holds the in-process soaks behind the paper's
+// system-level claims. Four scenarios run on one kit (kit.go): Run storms
+// one tasqd with faults (this file), RunFleet kills and partitions a
+// sharded fleet (fleet.go), RunAutopilot drifts the Figure-4 learning
+// loop (autopilot.go), and RunPlanSoak pushes the cluster planner to a
+// million jobs (plan.go).
+//
+// Run boots a tasqd-equivalent (registry + reloader + HTTP server) inside
+// the test process, drives mixed traffic from concurrent workers while a
+// seeded fault injector fails scoring requests, batch items and registry
+// reads mid-flight, and asserts the resilience invariants:
 //
 //   - the server never wedges: every request gets a well-formed response
 //     from the allowed status set for its operation;
@@ -31,27 +36,24 @@
 package harness
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
-	"net/http/httptest"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"tasq/internal/faults"
 	"tasq/internal/jobrepo"
 	"tasq/internal/obs"
 	"tasq/internal/parallel"
-	"tasq/internal/pcc"
 	"tasq/internal/registry"
 	"tasq/internal/scopesim"
 	"tasq/internal/serve"
-	"tasq/internal/trainer"
-	"tasq/internal/workload"
 )
 
 // Config parameterizes one chaos run.
@@ -105,342 +107,33 @@ type Result struct {
 	FiredBySite map[string]faults.SiteStats
 }
 
-// faultTraceLen is the schedule prefix recorded in Result.FaultTrace.
-const faultTraceLen = 256
-
-// Defaults for Config zero values.
-const (
-	defaultWorkers      = 8
-	defaultOpsPerWorker = 40
-	defaultMaxInFlight  = 4
-	defaultMaxQueue     = 4
-	defaultQueueWait    = 5 * time.Millisecond
-)
-
-// tally aggregates every HTTP attempt across all harness clients; it is
-// what reconciles against the server's /metrics at the end.
-type tally struct {
-	mu           sync.Mutex
-	attempts     int64
-	byStatus     map[int]int64
-	byRouteClass map[string]int64 // "route|2xx"
-}
-
-func newTally() *tally {
-	return &tally{byStatus: map[int]int64{}, byRouteClass: map[string]int64{}}
-}
-
-// hook is installed as every client's OnAttempt observer.
-func (t *tally) hook(_ string, path string, status int, _ error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.attempts++
-	t.byStatus[status]++
-	cls := "0xx"
-	if status >= 100 && status <= 599 {
-		cls = fmt.Sprintf("%dxx", status/100)
-	}
-	t.byRouteClass[path+"|"+cls]++
-}
-
-func (t *tally) routeClass(route, cls string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byRouteClass[route+"|"+cls]
-}
-
-func (t *tally) status(code int) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byStatus[code]
-}
-
-func (t *tally) snapshotStatuses() map[int]int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[int]int64, len(t.byStatus))
-	for k, v := range t.byStatus {
-		out[k] = v
-	}
-	return out
-}
-
-// firstErr keeps the first invariant violation any goroutine reports.
-type firstErr struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (f *firstErr) set(err error) {
-	if err == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.err == nil {
-		f.err = err
-	}
-}
-
-func (f *firstErr) get() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
-// counters tracks storm-wide observations beyond the attempt tally.
-type counters struct {
-	mu          sync.Mutex
-	itemsOK     int64
-	itemsFailed int64
-	circuitOpen int64
-	versions    map[int]bool // generations observed serving 200s
-}
-
-// curveOracle maps generation → served model name → job ID → the exact
-// curve that generation's own predictor computes for the job. During the
-// storm the admin goroutine flaps the registry pin while workers score,
-// so 200s arrive labeled v1 and v2 interleaved; every one must carry its
-// labeled generation's curve bit-for-bit. A memoized curve surviving a
-// hot reload — a v2-labeled response carrying v1's curve — fails the
-// equality here, because the two generations train from different seeds.
-type curveOracle map[int]map[string]map[string]pcc.Curve
-
-// buildOracle precomputes the oracle by scoring every record through
-// every pipeline with each model-routing a storm request can use (the
-// empty name follows the policy chain, exactly like a request with no
-// model field). Curves survive the JSON round trip exactly —
-// encoding/json emits the shortest representation that parses back to
-// the identical float64 — so the harness asserts equality, not
-// tolerance.
-func buildOracle(pipelines map[int]*trainer.Pipeline, recs []*jobrepo.Record, models []string) (curveOracle, error) {
-	oracle := curveOracle{}
-	for v, p := range pipelines {
-		byModel := map[string]map[string]pcc.Curve{}
-		for _, name := range models {
-			for _, rec := range recs {
-				curve, served, err := p.ScoreJobModel(name, rec.Job)
-				if err != nil {
-					return nil, fmt.Errorf("oracle: v%d model %q job %s: %w", v, name, rec.Job.ID, err)
-				}
-				byJob := byModel[served]
-				if byJob == nil {
-					byJob = map[string]pcc.Curve{}
-					byModel[served] = byJob
-				}
-				byJob[rec.Job.ID] = curve
-			}
-		}
-		oracle[v] = byModel
-	}
-	return oracle, nil
-}
-
-// trainSmall builds one small registry-publishable pipeline (mirrors the
-// serve package's test fixture: 30 jobs, 8-tree XGB, NN/GNN skipped so
-// naming them yields the 409 conflict path).
-func trainSmall(seed int64) (*trainer.Pipeline, []*jobrepo.Record, error) {
-	g := workload.New(workload.TestConfig(seed))
-	repo := jobrepo.New()
-	var ex scopesim.Executor
-	if err := repo.Ingest(g.Workload(30), &ex); err != nil {
-		return nil, nil, err
-	}
-	cfg := trainer.DefaultConfig(seed)
-	cfg.XGB.NumTrees = 8
-	cfg.SkipNN = true
-	cfg.SkipGNN = true
-	p, err := trainer.Train(repo.All(), cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, repo.All(), nil
-}
-
-// checkScore validates a successful scoring response: known model, a
-// served registry generation, a valid curve, predictions consistent with
-// that curve, and — for the usual non-increasing PCC shape from §2 of the
-// paper — run times monotone non-increasing in tokens. (A trained model
-// may legitimately fit a rising curve for an oddball job, so monotonicity
-// is asserted exactly when the curve's own slope is non-positive.) With a
-// non-nil oracle and a known job ID it additionally asserts the response
-// curve equals — exactly — what the labeled generation computes for the
-// job, which is what proves the serving curve cache never outlives a hot
-// reload.
-func checkScore(resp *serve.ScoreResponse, versions map[int]bool, oracle curveOracle, jobID string) error {
-	if resp.Model == "" {
-		return errors.New("200 response without a model name")
-	}
-	if !versions[resp.ModelVersion] {
-		return fmt.Errorf("200 response served by unexpected generation v%d", resp.ModelVersion)
-	}
-	curve := resp.CurveValue()
-	if !curve.Valid() {
-		return fmt.Errorf("200 response with invalid curve %+v", resp.Curve)
-	}
-	if len(resp.Predictions) == 0 {
-		return errors.New("200 response without predictions")
-	}
-	for i, pt := range resp.Predictions {
-		want := curve.Runtime(float64(pt.Tokens))
-		if diff := pt.RuntimeSeconds - want; diff > 1e-6*want || diff < -1e-6*want {
-			return fmt.Errorf("prediction %d inconsistent with its curve: %d tokens → %.6fs, curve says %.6fs",
-				i, pt.Tokens, pt.RuntimeSeconds, want)
-		}
-	}
-	if curve.NonIncreasing() {
-		for i := 1; i < len(resp.Predictions); i++ {
-			prev, cur := resp.Predictions[i-1], resp.Predictions[i]
-			if cur.Tokens > prev.Tokens && cur.RuntimeSeconds > prev.RuntimeSeconds*(1+1e-9) {
-				return fmt.Errorf("predictions not monotone: %d tokens → %.6fs but %d tokens → %.6fs",
-					prev.Tokens, prev.RuntimeSeconds, cur.Tokens, cur.RuntimeSeconds)
-			}
-		}
-	}
-	if resp.OptimalTokens < 1 {
-		return fmt.Errorf("200 response with optimal_tokens %d", resp.OptimalTokens)
-	}
-	if oracle != nil && jobID != "" {
-		if byModel, ok := oracle[resp.ModelVersion]; ok {
-			byJob, ok := byModel[resp.Model]
-			if !ok {
-				return fmt.Errorf("200 response served by model %q that no oracle generation serves", resp.Model)
-			}
-			want, ok := byJob[jobID]
-			if !ok {
-				return fmt.Errorf("job %s has no oracle curve for %s v%d", jobID, resp.Model, resp.ModelVersion)
-			}
-			if resp.Curve.A != want.A || resp.Curve.B != want.B {
-				return fmt.Errorf("stale curve: v%d %s served job %s (a=%g, b=%g) but that generation computes (a=%g, b=%g)",
-					resp.ModelVersion, resp.Model, jobID, resp.Curve.A, resp.Curve.B, want.A, want.B)
-			}
-		}
-	}
-	return nil
-}
-
-// statusOf extracts the wire status of a failed call: (status, true) for
-// a *serve.StatusError, (0, false) otherwise.
-func statusOf(err error) (int, bool) {
-	var se *serve.StatusError
-	if errors.As(err, &se) {
-		return se.Code, true
-	}
-	return 0, false
-}
-
-// allowed reports whether a failure status is in the op's allowed set.
-func allowed(err error, statuses ...int) bool {
-	code, ok := statusOf(err)
-	if !ok {
-		return false
-	}
-	for _, s := range statuses {
-		if code == s {
-			return true
-		}
-	}
-	return false
-}
-
-// parseMetrics reads a Prometheus text exposition into sample-line →
-// value ("name{labels}" keys, label names sorted as obs renders them).
-func parseMetrics(text string) map[string]float64 {
-	out := map[string]float64{}
-	for _, line := range strings.Split(text, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[line[:i]] = v
-	}
-	return out
-}
-
-// rateOf maps a site to its configured rate (mirrors the profile's
-// internal mapping; used to recompute the pure schedule for the trace).
-func rateOf(p faults.Profile, site string) float64 {
-	switch site {
-	case faults.SiteScoreLatency:
-		return p.LatencyRate
-	case faults.SiteScoreError:
-		return p.ErrorRate
-	case faults.SiteBatchItem:
-		return p.BatchItemRate
-	case faults.SiteRegistrySlow:
-		return p.RegistrySlowRate
-	case faults.SiteRegistryCorrupt:
-		return p.RegistryCorruptRate
-	case faults.SiteReplicaKill:
-		return p.ReplicaKillRate
-	case faults.SiteReplicaPartition:
-		return p.ReplicaPartitionRate
-	}
-	return 0
-}
-
 // Run executes one chaos/soak scenario end to end and returns what it
 // observed. Any invariant violation surfaces as an error.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = defaultWorkers
-	}
-	if cfg.OpsPerWorker <= 0 {
-		cfg.OpsPerWorker = defaultOpsPerWorker
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = defaultMaxInFlight
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = defaultMaxQueue
-	}
-	if cfg.QueueWait <= 0 {
-		cfg.QueueWait = defaultQueueWait
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+	orDefault(&cfg.Workers, 8)
+	orDefault(&cfg.OpsPerWorker, 40)
+	orDefault(&cfg.MaxInFlight, 4)
+	orDefault(&cfg.MaxQueue, 4)
+	orDefault(&cfg.QueueWait, 5*time.Millisecond)
+	logf := quiet(cfg.Logf)
 
 	// ---- Boot (faults disabled): registry, v1, server, reloader. ----
-	reg, err := registry.Open(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	p1, recs, err := trainSmall(51)
-	if err != nil {
-		return nil, err
-	}
-	p2, _, err := trainSmall(53)
-	if err != nil {
-		return nil, err
-	}
 	// The staleness oracle covers every model routing a storm 200 can use:
 	// the policy chain ("" resolves to XGBoost PL here) and the explicitly
 	// requested baselines.
-	oracle, err := buildOracle(
-		map[int]*trainer.Pipeline{1: p1, 2: p2}, recs,
-		[]string{"", "xgboost-pl", "jockey", "amdahl"})
+	p1, p2, recs, oracle, err := trainGenerations("", "xgboost-pl", "jockey", "amdahl")
 	if err != nil {
 		return nil, err
 	}
-	if _, err := reg.PublishPipeline(p1, registry.Manifest{}); err != nil {
+	reg, err := openRegistry(cfg.Dir, p1, "")
+	if err != nil {
 		return nil, err
 	}
-
 	inj := faults.New(cfg.Seed, cfg.Profile)
 	inj.SetEnabled(false) // quiet during setup; the storm enables it
 	reg.SetReadHook(inj.RegistryRead)
 	defer reg.SetReadHook(nil)
-
-	srv, err := serve.NewUnloadedServer(
+	srv, rl, ts, err := serveRegistry(reg, 2*time.Millisecond, logf,
 		serve.WithAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
 		serve.WithAdmissionRetryAfter(time.Second),
 		serve.WithFaultInjector(inj),
@@ -449,25 +142,15 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rl := serve.NewReloader(reg, srv, 2*time.Millisecond, logf)
-	if err := rl.Sync(); err != nil {
-		return nil, err
-	}
-	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
 	reloadCtx, stopReload := context.WithCancel(context.Background())
-	reloadDone := make(chan struct{})
-	go func() {
-		defer close(reloadDone)
-		rl.Run(reloadCtx)
-	}()
+	reloadDone := fanOut(1, func(int) { rl.Run(reloadCtx) })
 	defer func() {
 		stopReload()
-		<-reloadDone
+		reloadDone()
 	}()
 
-	tal := newTally()
+	led := newLedger()
 	errs := &firstErr{}
 	cnt := &counters{versions: map[int]bool{1: true, 2: true}}
 
@@ -478,17 +161,14 @@ func Run(cfg Config) (*Result, error) {
 	// Mid-storm actors: a publisher pushing v2, and an admin goroutine
 	// flapping pin(1)/unpin and running GC — reload churn under faults.
 	adminStop := make(chan struct{})
-	var adminWG sync.WaitGroup
-	adminWG.Add(2)
-	go func() {
-		defer adminWG.Done()
-		time.Sleep(5 * time.Millisecond)
-		if _, err := reg.PublishPipeline(p2, registry.Manifest{}); err != nil {
-			errs.set(fmt.Errorf("publishing v2 mid-storm: %w", err))
+	adminDone := fanOut(2, func(actor int) {
+		if actor == 0 {
+			time.Sleep(5 * time.Millisecond)
+			if _, err := reg.PublishPipeline(p2, registry.Manifest{}); err != nil {
+				errs.set(fmt.Errorf("publishing v2 mid-storm: %w", err))
+			}
+			return
 		}
-	}()
-	go func() {
-		defer adminWG.Done()
 		time.Sleep(10 * time.Millisecond)
 		for {
 			select {
@@ -508,36 +188,30 @@ func Run(cfg Config) (*Result, error) {
 			}
 			time.Sleep(3 * time.Millisecond)
 		}
-	}()
+	})
 
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(parallel.Seed(cfg.Seed, w)))
-			client := serve.NewClient(ts.URL)
-			client.Retry = &serve.RetryPolicy{
-				MaxAttempts: 3,
-				BaseDelay:   time.Millisecond,
-				MaxDelay:    4 * time.Millisecond,
-				Multiplier:  2,
-				Seed:        parallel.Seed(cfg.Seed, 1000+w),
-				// Small budget: the server's 1s Retry-After exceeds it,
-				// so mid-storm sheds surface to the op instead of
-				// stalling the storm — recovery proves retries work.
-				Budget: 30 * time.Millisecond,
-			}
-			client.Breaker = serve.NewBreaker(8, 10*time.Millisecond)
-			client.OnAttempt = tal.hook
-			for op := 0; op < cfg.OpsPerWorker; op++ {
-				runOp(rng, client, recs, cnt, errs, oracle)
-			}
-		}(w)
-	}
-	wg.Wait()
+	fanOut(cfg.Workers, func(w int) {
+		rng := workerRNG(cfg.Seed, w)
+		client := serve.NewClient(ts.URL)
+		client.Retry = &serve.RetryPolicy{
+			MaxAttempts: 3,
+			BaseDelay:   time.Millisecond,
+			MaxDelay:    4 * time.Millisecond,
+			Multiplier:  2,
+			Seed:        parallel.Seed(cfg.Seed, 1000+w),
+			// Small budget: the server's 1s Retry-After exceeds it,
+			// so mid-storm sheds surface to the op instead of
+			// stalling the storm — recovery proves retries work.
+			Budget: 30 * time.Millisecond,
+		}
+		client.Breaker = serve.NewBreaker(8, 10*time.Millisecond)
+		client.OnAttempt = led.hook("")
+		for op := 0; op < cfg.OpsPerWorker; op++ {
+			runOp(rng, client, recs, cnt, errs, oracle)
+		}
+	})()
 	close(adminStop)
-	adminWG.Wait()
+	adminDone()
 
 	// ---- Storm over: clear faults, converge, saturate, recover. ----
 	inj.SetEnabled(false)
@@ -550,57 +224,14 @@ func Run(cfg Config) (*Result, error) {
 	if v := srv.ActiveVersion(); v != 2 {
 		return nil, fmt.Errorf("post-storm active version %d, want 2", v)
 	}
-
-	// Saturation burst: more simultaneous batches than slots + queue, from
-	// clients with no retry — the overflow must shed 429 + Retry-After
-	// from the bounded queue, never wedge or queue unboundedly.
 	logf("harness: saturation burst")
-	sheds429Before := tal.status(http.StatusTooManyRequests)
-	for round := 0; round < 10 && tal.status(http.StatusTooManyRequests) == sheds429Before; round++ {
-		burst := cfg.MaxInFlight + cfg.MaxQueue + 8
-		var bwg sync.WaitGroup
-		start := make(chan struct{})
-		for g := 0; g < burst; g++ {
-			bwg.Add(1)
-			go func() {
-				defer bwg.Done()
-				client := serve.NewClient(ts.URL)
-				client.OnAttempt = tal.hook
-				req := &serve.BatchScoreRequest{}
-				var ids []string
-				for i := 0; i < 256; i++ {
-					req.Items = append(req.Items, serve.ScoreRequest{Job: recs[i%len(recs)].Job})
-					ids = append(ids, recs[i%len(recs)].Job.ID)
-				}
-				<-start
-				resp, err := client.ScoreBatch(req)
-				switch {
-				case err == nil:
-					recordBatch(resp, cnt, errs, nil, oracle, ids)
-				case allowed(err, http.StatusTooManyRequests, http.StatusGatewayTimeout):
-					if code, _ := statusOf(err); code == http.StatusTooManyRequests {
-						var se *serve.StatusError
-						errors.As(err, &se)
-						if se.RetryAfter <= 0 {
-							errs.set(errors.New("429 shed without a Retry-After hint"))
-						}
-					}
-				default:
-					errs.set(fmt.Errorf("saturation batch: unexpected outcome %v", err))
-				}
-			}()
-		}
-		close(start)
-		bwg.Wait()
-	}
-	if tal.status(http.StatusTooManyRequests) == sheds429Before {
-		return nil, errors.New("saturation burst never produced a 429 shed")
+	if err := saturate(ts.Listener.Addr().String(), ts.URL, cfg, recs, led, cnt, oracle); err != nil {
+		return nil, err
 	}
 
 	// Recovery: with faults cleared, a retrying client must reach 100%
 	// success — the stack holds nothing over from the storm.
 	logf("harness: recovery")
-	recovered := 0
 	recClient := serve.NewClient(ts.URL)
 	recClient.Retry = &serve.RetryPolicy{
 		MaxAttempts: 6,
@@ -610,70 +241,35 @@ func Run(cfg Config) (*Result, error) {
 		Seed:        parallel.Seed(cfg.Seed, 999),
 		Budget:      5 * time.Second,
 	}
-	recClient.OnAttempt = tal.hook
-	for i := 0; i < 12; i++ {
-		resp, err := recClient.Score(&serve.ScoreRequest{Job: recs[i%len(recs)].Job})
-		if err != nil {
-			return nil, fmt.Errorf("recovery score %d failed after faults cleared: %w", i, err)
-		}
-		if err := checkScore(resp, cnt.versions, oracle, recs[i%len(recs)].Job.ID); err != nil {
-			return nil, fmt.Errorf("recovery score %d: %w", i, err)
-		}
-		recovered++
+	recClient.OnAttempt = led.hook("")
+	recovered, err := recoverScores(recClient.Score, recs[:12], cnt.versions, oracle)
+	if err != nil {
+		return nil, err
 	}
 
 	// ---- Reconcile client-side tallies against /metrics. ----
-	final := serve.NewClient(ts.URL) // no OnAttempt: the tally is frozen
-	text, err := final.Metrics()
+	text, err := serve.NewClient(ts.URL).Metrics() // no OnAttempt: the ledger is frozen
 	if err != nil {
 		return nil, err
 	}
 	m := parseMetrics(text)
-	for _, route := range []string{"/v1/score", "/v1/score/batch"} {
-		for _, cls := range []string{"2xx", "4xx", "5xx"} {
-			want := float64(tal.routeClass(route, cls))
-			key := fmt.Sprintf("tasq_http_requests_total{code=%q,route=%q}", cls, route)
-			if got := m[key]; got != want {
-				return nil, fmt.Errorf("reconcile %s: server %v, clients %v", key, got, want)
-			}
-		}
+	if err := reconcileMember("", led, m, m); err != nil {
+		return nil, err
 	}
-	shedWant := map[string]float64{
-		"queue_full":  float64(tal.status(http.StatusTooManyRequests)),
-		"deadline":    float64(tal.status(http.StatusGatewayTimeout)),
-		"draining":    0,
-		"client_gone": 0,
-	}
-	for reason, want := range shedWant {
-		key := fmt.Sprintf("%s{reason=%q}", obs.MetricShedTotal, reason)
-		if got := m[key]; got != want {
-			return nil, fmt.Errorf("reconcile %s: server %v, clients %v", key, got, want)
-		}
-	}
-	cnt.mu.Lock()
-	itemsOK, itemsFailed := cnt.itemsOK, cnt.itemsFailed
-	circuitOpen := cnt.circuitOpen
-	cnt.mu.Unlock()
-	wantOK := float64(tal.routeClass("/v1/score", "2xx")) + float64(itemsOK)
-	if got := m[`tasq_score_jobs_total{outcome="ok"}`]; got != wantOK {
-		return nil, fmt.Errorf("reconcile scored-ok: server %v, clients %v (singles %d + items %d)",
-			got, wantOK, tal.routeClass("/v1/score", "2xx"), itemsOK)
-	}
-	for _, gauge := range []string{obs.MetricQueueDepth, obs.MetricAdmissionInFlight} {
-		if got := m[gauge]; got != 0 {
-			return nil, fmt.Errorf("gauge %s = %v after quiesce, want 0", gauge, got)
-		}
+	scoredOK := m[`tasq_score_jobs_total{outcome="ok"}`]
+	if err := reconcileScored(scoredOK, led, cnt); err != nil {
+		return nil, err
 	}
 	// Curve-cache accounting: every successfully scored job did exactly one
 	// cache lookup, so lookups bound the ok count from above; only misses
-	// insert and only inserts evict; and a storm of 30 recurring jobs (plus
-	// the all-repeat saturation batches) must actually hit.
+	// insert and only inserts evict; and a storm of 30 recurring jobs must
+	// actually hit.
 	cacheHits := m[obs.MetricCurveCacheHits]
 	cacheMisses := m[obs.MetricCurveCacheMisses]
 	cacheEvictions := m[obs.MetricCurveCacheEvictions]
-	if cacheHits+cacheMisses < wantOK {
+	if cacheHits+cacheMisses < scoredOK {
 		return nil, fmt.Errorf("cache lookups %v (hits %v + misses %v) < scored-ok %v",
-			cacheHits+cacheMisses, cacheHits, cacheMisses, wantOK)
+			cacheHits+cacheMisses, cacheHits, cacheMisses, scoredOK)
 	}
 	if cacheEvictions > cacheMisses {
 		return nil, fmt.Errorf("cache evictions %v exceed misses %v", cacheEvictions, cacheMisses)
@@ -703,32 +299,177 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
+	cnt.mu.Lock()
+	defer cnt.mu.Unlock()
 	res := &Result{
-		ByStatus:         tal.snapshotStatuses(),
-		BatchItemsOK:     itemsOK,
-		BatchItemsFailed: itemsFailed,
-		CircuitOpen:      circuitOpen,
+		Attempts:         led.count(func(attempt) bool { return true }),
+		ByStatus:         led.statuses(""),
+		BatchItemsOK:     cnt.itemsOK,
+		BatchItemsFailed: cnt.itemsFailed,
+		CircuitOpen:      cnt.circuitOpen,
 		Recovered:        recovered,
 		ActiveVersion:    srv.ActiveVersion(),
-		FaultTrace:       map[string]string{},
+		FaultTrace:       faultTrace(cfg.Seed, cfg.Profile, faults.Sites()),
 		FiredBySite:      inj.Stats(),
-	}
-	tal.mu.Lock()
-	res.Attempts = tal.attempts
-	tal.mu.Unlock()
-	for _, site := range faults.Sites() {
-		var b strings.Builder
-		for _, fire := range faults.Schedule(cfg.Seed, site, rateOf(cfg.Profile, site), faultTraceLen) {
-			if fire {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-		res.FaultTrace[site] = b.String()
 	}
 	logf("harness: done — %d attempts, %d batch items ok, %d recovered", res.Attempts, res.BatchItemsOK, res.Recovered)
 	return res, nil
+}
+
+// saturate proves overload is shed, not queued unboundedly. Every
+// admission slot is first held by a score whose body is withheld — the
+// gate admits before the handler reads — so nothing drains while a burst
+// of batches arrives: the queue fills and the overflow must shed 429 with
+// a Retry-After hint. Queued waiters still give up after QueueWait (504),
+// so a burst whose arrivals straggle past it is sent again. The burst is
+// staged on open connections and released at once, and these requests
+// bypass serve.Client, so the ledger is told about each by hand.
+func saturate(addr, url string, cfg Config, recs []*jobrepo.Record, led *ledger, cnt *counters, oracle curveOracle) error {
+	// Every connection is closed on the way out, answered or not: a handler
+	// still waiting for its body would otherwise never let the server close.
+	var opened []*rawPost
+	defer func() {
+		for _, p := range opened {
+			p.conn.Close()
+		}
+	}()
+	post := func(route string, body []byte, withhold int) (*rawPost, error) {
+		p, err := startPost(addr, route, body, withhold)
+		if err == nil {
+			opened = append(opened, p)
+		}
+		return p, err
+	}
+	held := make([]*rawPost, cfg.MaxInFlight)
+	for i := range held {
+		body, err := json.Marshal(&serve.ScoreRequest{Job: recs[i%len(recs)].Job})
+		if err != nil {
+			return err
+		}
+		if held[i], err = post("/v1/score", body, len(body)); err != nil {
+			return err
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		text, err := serve.NewClient(url).Metrics()
+		if err != nil {
+			return err
+		}
+		if parseMetrics(text)[obs.MetricAdmissionInFlight] == float64(cfg.MaxInFlight) {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("saturation: withheld-body requests never held all %d slots", cfg.MaxInFlight)
+		}
+	}
+
+	shed := func() int64 {
+		return led.count(func(a attempt) bool { return a.status == http.StatusTooManyRequests })
+	}
+	before := shed()
+	body := []byte(`{"items":[{"job":null}]}`) // never admitted, so never read
+	for round := 0; round < 10 && shed() == before; round++ {
+		burst := make([]*rawPost, cfg.MaxQueue+8)
+		for i := range burst {
+			var err error
+			if burst[i], err = post("/v1/score/batch", body, len(body)+1); err != nil {
+				return err
+			}
+		}
+		for _, p := range burst {
+			if err := p.send(); err != nil {
+				return err
+			}
+		}
+		for _, p := range burst {
+			resp, _, err := p.answer()
+			if err != nil {
+				return fmt.Errorf("saturation batch: %w", err)
+			}
+			led.record("", "/v1/score/batch", resp.StatusCode, nil)
+			switch {
+			case resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "":
+				return errors.New("429 shed without a Retry-After hint")
+			case resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusGatewayTimeout:
+				return fmt.Errorf("saturation batch: status %d while every slot was held, want 429 or 504", resp.StatusCode)
+			}
+		}
+	}
+	if shed() == before {
+		return errors.New("saturation burst never produced a 429 shed")
+	}
+
+	for i, p := range held {
+		if err := p.send(); err != nil {
+			return err
+		}
+		resp, raw, err := p.answer()
+		if err != nil {
+			return fmt.Errorf("held score %d: %w", i, err)
+		}
+		led.record("", "/v1/score", resp.StatusCode, nil)
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("held score %d: status %d: %s", i, resp.StatusCode, raw)
+		}
+		var out serve.ScoreResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			return fmt.Errorf("held score %d: %w", i, err)
+		}
+		if err := checkScore(&out, cnt.versions, oracle, recs[i%len(recs)].Job.ID); err != nil {
+			return fmt.Errorf("held score %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// rawPost is a POST written to its own connection short of its last
+// bytes. Withholding the body leaves the request admitted but unread, so
+// it holds an admission slot; withholding the header's final newline too
+// keeps the server from seeing the request until send.
+type rawPost struct {
+	conn net.Conn
+	rest []byte
+}
+
+// rawPostDeadline bounds every read and write on a raw connection, so a
+// server that never answers fails the phase instead of hanging the test.
+const rawPostDeadline = 30 * time.Second
+
+func startPost(addr, route string, body []byte, withhold int) (*rawPost, error) {
+	conn, err := net.DialTimeout("tcp", addr, rawPostDeadline)
+	if err != nil {
+		return nil, err
+	}
+	if err := conn.SetDeadline(time.Now().Add(rawPostDeadline)); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	msg := fmt.Appendf(nil, "POST %s HTTP/1.1\r\nHost: harness\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		route, len(body), body)
+	cut := len(msg) - withhold
+	if _, err := conn.Write(msg[:cut]); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return &rawPost{conn: conn, rest: msg[cut:]}, nil
+}
+
+// send writes the withheld bytes.
+func (p *rawPost) send() error {
+	_, err := p.conn.Write(p.rest)
+	return err
+}
+
+// answer reads the response and closes the connection.
+func (p *rawPost) answer() (*http.Response, []byte, error) {
+	defer p.conn.Close()
+	resp, err := http.ReadResponse(bufio.NewReader(p.conn), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return resp, raw, err
 }
 
 // runOp executes one randomly chosen operation and asserts its outcome is
@@ -858,10 +599,7 @@ func checkSingle(resp *serve.ScoreResponse, err error, wantOK, conflict, bad boo
 			errs.set(errors.New("score op: unexpected 200 for a request that cannot succeed"))
 			return
 		}
-		cnt.mu.Lock()
-		versions := cnt.versions
-		cnt.mu.Unlock()
-		if err := checkScore(resp, versions, oracle, jobID); err != nil {
+		if err := checkScore(resp, cnt.versions, oracle, jobID); err != nil {
 			errs.set(fmt.Errorf("score op: %w", err))
 		}
 	case errors.Is(err, serve.ErrCircuitOpen):
@@ -882,64 +620,4 @@ func checkSingle(resp *serve.ScoreResponse, err error, wantOK, conflict, bad boo
 			errs.set(fmt.Errorf("score op: unexpected outcome %v (allowed %v)", err, codes))
 		}
 	}
-}
-
-// recordBatch validates a successful batch envelope: every item carries a
-// status from the per-item contract, expected-invalid items fail with
-// their expected class (or an injected 500, which outranks validation),
-// and item successes are sane scores. expect may be nil when all items
-// are valid; ids carries the job ID per item for the staleness oracle.
-func recordBatch(resp *serve.BatchScoreResponse, cnt *counters, errs *firstErr, expect []string, oracle curveOracle, ids []string) {
-	cnt.mu.Lock()
-	versions := cnt.versions
-	cnt.mu.Unlock()
-	var ok, failed int64
-	for i, item := range resp.Results {
-		exp := "ok"
-		if expect != nil && i < len(expect) {
-			exp = expect[i]
-		}
-		switch item.Status {
-		case http.StatusOK:
-			if exp != "ok" {
-				errs.set(fmt.Errorf("batch item %d: unexpected 200 for a %s item", i, exp))
-				continue
-			}
-			if item.Response == nil {
-				errs.set(fmt.Errorf("batch item %d: 200 without a response", i))
-				continue
-			}
-			jobID := ""
-			if ids != nil && i < len(ids) {
-				jobID = ids[i]
-			}
-			if err := checkScore(item.Response, versions, oracle, jobID); err != nil {
-				errs.set(fmt.Errorf("batch item %d: %w", i, err))
-			}
-			ok++
-		case http.StatusInternalServerError: // injected — allowed for any item
-			failed++
-		case http.StatusBadRequest:
-			if exp != "bad" {
-				errs.set(fmt.Errorf("batch item %d: unexpected 400 for a valid item: %s", i, item.Error))
-			}
-			failed++
-		case http.StatusConflict:
-			if exp != "conflict" {
-				errs.set(fmt.Errorf("batch item %d: unexpected 409 for item: %s", i, item.Error))
-			}
-			failed++
-		default:
-			errs.set(fmt.Errorf("batch item %d: status %d outside the item contract", i, item.Status))
-			failed++
-		}
-	}
-	if resp.Succeeded != int(ok) || resp.Failed != int(failed) {
-		errs.set(fmt.Errorf("batch envelope counts %d/%d disagree with items %d/%d",
-			resp.Succeeded, resp.Failed, ok, failed))
-	}
-	cnt.mu.Lock()
-	cnt.itemsOK += ok
-	cnt.itemsFailed += failed
-	cnt.mu.Unlock()
 }

@@ -22,21 +22,17 @@
 package harness
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"net/http/httptest"
-	"sync"
 
-	"tasq/internal/jobrepo"
 	"tasq/internal/parallel"
 	"tasq/internal/plan"
 	"tasq/internal/scopesim"
 	"tasq/internal/serve"
-	"tasq/internal/trainer"
-	"tasq/internal/workload"
 )
 
 // PlanSoakConfig parameterizes one planner soak run.
@@ -102,29 +98,6 @@ type PlanSoakResult struct {
 	Fingerprint uint64
 	// HTTPPlans counts the plans verified over the wire.
 	HTTPPlans int
-}
-
-// planSoakDefaults fills the zero values.
-func (cfg *PlanSoakConfig) defaults() {
-	if cfg.Plans <= 0 {
-		if cfg.Short {
-			cfg.Plans = 60
-		} else {
-			cfg.Plans = 1000
-		}
-	}
-	if cfg.JobsPerPlan <= 0 {
-		cfg.JobsPerPlan = 1000
-	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 2000
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
-	if cfg.HTTPPlans <= 0 {
-		cfg.HTTPPlans = 3
-	}
 }
 
 // planLane is one allocation strategy driven over a batch.
@@ -210,7 +183,7 @@ func hashPlan(resp *serve.PlanResponse) uint64 {
 // concurrent-token quotas, and an SLA deadline on a slice of the jobs —
 // all a pure function of (seed, p).
 func soakRequest(seed int64, p int, pool []*scopesim.Job, cfg *PlanSoakConfig) *serve.PlanRequest {
-	rng := rand.New(rand.NewSource(parallel.Seed(seed, p)))
+	rng := workerRNG(seed, p)
 	req := &serve.PlanRequest{
 		CapacityTokens:  cfg.Capacity,
 		Jobs:            make([]*scopesim.Job, cfg.JobsPerPlan),
@@ -325,24 +298,19 @@ func checkLanes(i int, lanes []planOutcome) error {
 // RunPlanSoak executes one planner soak end to end. Any invariant
 // violation surfaces as an error.
 func RunPlanSoak(cfg PlanSoakConfig) (*PlanSoakResult, error) {
-	cfg.defaults()
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	plans := 1000
+	if cfg.Short {
+		plans = 60
 	}
+	orDefault(&cfg.Plans, plans)
+	orDefault(&cfg.JobsPerPlan, 1000)
+	orDefault(&cfg.Capacity, 2000)
+	orDefault(&cfg.Workers, 4)
+	orDefault(&cfg.HTTPPlans, 3)
+	logf := quiet(cfg.Logf)
 
 	// ---- Boot: quick-train over the seeded workload, serve in-process.
-	g := workload.New(workload.TestConfig(cfg.Seed))
-	repo := jobrepo.New()
-	var ex scopesim.Executor
-	if err := repo.Ingest(g.Workload(40), &ex); err != nil {
-		return nil, err
-	}
-	tcfg := trainer.DefaultConfig(cfg.Seed)
-	tcfg.XGB.NumTrees = 8
-	tcfg.SkipNN = true
-	tcfg.SkipGNN = true
-	p, err := trainer.Train(repo.All(), tcfg)
+	p, recs, _, err := quickTrain(cfg.Seed, 40)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +322,7 @@ func RunPlanSoak(cfg PlanSoakConfig) (*PlanSoakResult, error) {
 	// The job pool is the recurring (templated) subset of the training
 	// set, so the AutoToken baseline covers every sampled job.
 	var pool []*scopesim.Job
-	for _, rec := range repo.All() {
+	for _, rec := range recs {
 		if rec.Job.Template != "" {
 			pool = append(pool, rec.Job)
 		}
@@ -367,51 +335,32 @@ func RunPlanSoak(cfg PlanSoakConfig) (*PlanSoakResult, error) {
 
 	// ---- Bulk lanes: seeded workers, per-plan outcomes folded in order.
 	outcomes := make([][]planOutcome, cfg.Plans) // [plan][lane]
-	errs := &firstErr{}
-	next := make(chan int, cfg.Plans)
-	for i := 0; i < cfg.Plans; i++ {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				req := soakRequest(cfg.Seed, i, pool, &cfg)
-				lanes := make([]planOutcome, len(soakLanes))
-				for li, lane := range soakLanes {
-					req.Policy, req.Model, req.Strategy = lane.policy, lane.model, lane.strategy
-					resp, err := srv.PlanLocal(req)
-					if err != nil {
-						errs.set(fmt.Errorf("plan %d lane %s/%s/%s: %w", i, lane.policy, lane.model, lane.strategy, err))
-						return
-					}
-					if err := validatePlanResponse(req, resp); err != nil {
-						errs.set(fmt.Errorf("plan %d lane %s/%s/%s: infeasible schedule: %w",
-							i, lane.policy, lane.model, lane.strategy, err))
-						return
-					}
-					lanes[li] = planOutcome{
-						cost:     int64(resp.TotalTokenSeconds),
-						makespan: int64(resp.MakespanSeconds),
-						hash:     hashPlan(resp),
-						waste:    int64(resp.RetryWasteTokenSeconds),
-						retries:  int64(resp.Retries),
-						fellBack: resp.FellBackToFCFS,
-					}
-				}
-				if err := checkLanes(i, lanes); err != nil {
-					errs.set(err)
-					return
-				}
-				outcomes[i] = lanes
+	err = parallel.ForEach(context.Background(), cfg.Plans, cfg.Workers, func(i int) error {
+		req := soakRequest(cfg.Seed, i, pool, &cfg)
+		lanes := make([]planOutcome, len(soakLanes))
+		for li, lane := range soakLanes {
+			req.Policy, req.Model, req.Strategy = lane.policy, lane.model, lane.strategy
+			resp, err := srv.PlanLocal(req)
+			if err != nil {
+				return fmt.Errorf("plan %d lane %s/%s/%s: %w", i, lane.policy, lane.model, lane.strategy, err)
 			}
-		}()
-	}
-	wg.Wait()
-	if err := errs.get(); err != nil {
+			if err := validatePlanResponse(req, resp); err != nil {
+				return fmt.Errorf("plan %d lane %s/%s/%s: infeasible schedule: %w",
+					i, lane.policy, lane.model, lane.strategy, err)
+			}
+			lanes[li] = planOutcome{
+				cost:     int64(resp.TotalTokenSeconds),
+				makespan: int64(resp.MakespanSeconds),
+				hash:     hashPlan(resp),
+				waste:    int64(resp.RetryWasteTokenSeconds),
+				retries:  int64(resp.Retries),
+				fellBack: resp.FellBackToFCFS,
+			}
+		}
+		outcomes[i] = lanes
+		return checkLanes(i, lanes)
+	})
+	if err != nil {
 		return nil, err
 	}
 

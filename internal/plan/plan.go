@@ -1,12 +1,11 @@
 // Package plan is the shared allocation core of the TASQ reproduction:
 // one Allocation/Pool/Outcome vocabulary for everything that reasons
-// about token capacity. The Figure-1 provisioning policies
-// (internal/scheduler re-exports them), the token-capacity cluster
-// simulator (one event loop, simulate, under the FCFS, backfill
-// bin-packing and first-allocation retry disciplines), the scopesim
-// executor's free-token ledger, and the PCC-driven cluster planner behind
-// POST /v1/plan all build on the types in this package, so capacity
-// arithmetic exists exactly once.
+// about token capacity. The Figure-1 provisioning policies, the
+// token-capacity cluster simulator (one event loop, simulate, under the
+// FCFS, backfill bin-packing and first-allocation retry disciplines), the
+// scopesim executor's free-token ledger, and the PCC-driven cluster
+// planner behind POST /v1/plan all build on the types in this package, so
+// capacity arithmetic exists exactly once.
 //
 // Every entry point is deterministic: the same inputs produce the same
 // outcomes event for event, which is what lets the planner soak assert

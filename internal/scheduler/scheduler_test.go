@@ -1,13 +1,22 @@
-package scheduler
+// Package scheduler_test holds the offline scheduler's checks of the
+// paper's allocation claims: the Figure-1 provisioning policies with their
+// over-allocation accounting, and the token-capacity FCFS cluster whose
+// queueing shows the §1 benefit of requesting fewer tokens ("utilizing
+// fewer tokens reduces job wait time and improves the overall resource
+// availability for other jobs in the cluster"). Both live in
+// internal/plan, the shared allocation core, which these tests call
+// directly.
+package scheduler_test
 
 import (
 	"testing"
 
+	"tasq/internal/plan"
 	"tasq/internal/skyline"
 )
 
 func TestPolicyNames(t *testing.T) {
-	for _, p := range []PolicyKind{PolicyDefault, PolicyPeak, PolicyAdaptivePeak, PolicyOptimal} {
+	for _, p := range []plan.PolicyKind{plan.PolicyDefault, plan.PolicyPeak, plan.PolicyAdaptivePeak, plan.PolicyOptimal} {
 		if p.String() == "" {
 			t.Fatal("empty policy name")
 		}
@@ -17,15 +26,15 @@ func TestPolicyNames(t *testing.T) {
 func TestAccountPolicyFigure1Ordering(t *testing.T) {
 	// Figure 1's qualitative claim: Default ≥ Peak ≥ AdaptivePeak ≥ usage.
 	sky := skyline.Skyline{10, 40, 80, 30, 5, 60, 20}
-	def, err := AccountPolicy(PolicyDefault, sky, 125, 0)
+	def, err := plan.AccountPolicy(plan.PolicyDefault, sky, 125, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peak, err := AccountPolicy(PolicyPeak, sky, 125, 0)
+	peak, err := plan.AccountPolicy(plan.PolicyPeak, sky, 125, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := AccountPolicy(PolicyAdaptivePeak, sky, 125, 0)
+	adaptive, err := plan.AccountPolicy(plan.PolicyAdaptivePeak, sky, 125, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +58,7 @@ func TestAccountPolicyFigure1Ordering(t *testing.T) {
 func TestAccountPolicyOptimal(t *testing.T) {
 	// Optimal allocation at 50 tokens with the re-simulated skyline.
 	sky := skyline.Skyline{50, 50, 30, 20}
-	acc, err := AccountPolicy(PolicyOptimal, sky, 125, 50)
+	acc, err := plan.AccountPolicy(plan.PolicyOptimal, sky, 125, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,20 +72,20 @@ func TestAccountPolicyOptimal(t *testing.T) {
 
 func TestAccountPolicyErrors(t *testing.T) {
 	sky := skyline.Skyline{1}
-	if _, err := AccountPolicy(PolicyDefault, sky, 0, 0); err == nil {
+	if _, err := plan.AccountPolicy(plan.PolicyDefault, sky, 0, 0); err == nil {
 		t.Fatal("default 0 accepted")
 	}
-	if _, err := AccountPolicy(PolicyOptimal, sky, 10, 0); err == nil {
+	if _, err := plan.AccountPolicy(plan.PolicyOptimal, sky, 10, 0); err == nil {
 		t.Fatal("optimal 0 accepted")
 	}
-	if _, err := AccountPolicy(PolicyKind(99), sky, 10, 10); err == nil {
+	if _, err := plan.AccountPolicy(plan.PolicyKind(99), sky, 10, 10); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
 
 func TestAccountPolicyOveruseClampsToZeroWaste(t *testing.T) {
 	sky := skyline.Skyline{20, 20} // used 40 > allocated 10×2
-	acc, err := AccountPolicy(PolicyDefault, sky, 10, 0)
+	acc, err := plan.AccountPolicy(plan.PolicyDefault, sky, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +95,12 @@ func TestAccountPolicyOveruseClampsToZeroWaste(t *testing.T) {
 }
 
 func TestClusterRunSerializesWhenFull(t *testing.T) {
-	c := &Cluster{Capacity: 100}
-	subs := []Submission{
+	subs := []plan.Allocation{
 		{ID: "a", ArrivalSecond: 0, Tokens: 100, DurationSeconds: 10},
 		{ID: "b", ArrivalSecond: 0, Tokens: 100, DurationSeconds: 10},
 		{ID: "c", ArrivalSecond: 0, Tokens: 100, DurationSeconds: 10},
 	}
-	scheds, err := c.Run(subs)
+	scheds, err := plan.SimulateFCFS(100, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +110,11 @@ func TestClusterRunSerializesWhenFull(t *testing.T) {
 }
 
 func TestClusterRunParallelWhenFits(t *testing.T) {
-	c := &Cluster{Capacity: 100}
-	subs := []Submission{
+	subs := []plan.Allocation{
 		{ID: "a", ArrivalSecond: 0, Tokens: 50, DurationSeconds: 10},
 		{ID: "b", ArrivalSecond: 0, Tokens: 50, DurationSeconds: 10},
 	}
-	scheds, err := c.Run(subs)
+	scheds, err := plan.SimulateFCFS(100, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +124,11 @@ func TestClusterRunParallelWhenFits(t *testing.T) {
 }
 
 func TestClusterRunRespectsArrivals(t *testing.T) {
-	c := &Cluster{Capacity: 10}
-	subs := []Submission{
+	subs := []plan.Allocation{
 		{ID: "late", ArrivalSecond: 100, Tokens: 5, DurationSeconds: 5},
 		{ID: "early", ArrivalSecond: 0, Tokens: 5, DurationSeconds: 5},
 	}
-	scheds, err := c.Run(subs)
+	scheds, err := plan.SimulateFCFS(10, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,55 +141,52 @@ func TestClusterRunRespectsArrivals(t *testing.T) {
 }
 
 func TestClusterRunErrors(t *testing.T) {
-	c := &Cluster{}
-	if _, err := c.Run(nil); err == nil {
+	if _, err := plan.SimulateFCFS(0, nil); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
-	c = &Cluster{Capacity: 10}
-	if _, err := c.Run([]Submission{{ID: "big", Tokens: 20, DurationSeconds: 1}}); err == nil {
+	if _, err := plan.SimulateFCFS(10, []plan.Allocation{{ID: "big", Tokens: 20, DurationSeconds: 1}}); err == nil {
 		t.Fatal("oversize request accepted")
 	}
-	if _, err := c.Run([]Submission{{ID: "neg", Tokens: 5, DurationSeconds: -1}}); err == nil {
+	if _, err := plan.SimulateFCFS(10, []plan.Allocation{{ID: "neg", Tokens: 5, DurationSeconds: -1}}); err == nil {
 		t.Fatal("negative duration accepted")
 	}
 }
 
 func TestSmallerRequestsReduceWait(t *testing.T) {
 	// The §1 motivation: shrinking token requests lowers queueing delay.
-	c := &Cluster{Capacity: 100}
-	var fat, thin []Submission
+	var fat, thin []plan.Allocation
 	for i := 0; i < 20; i++ {
-		fat = append(fat, Submission{ID: "f", ArrivalSecond: i, Tokens: 80, DurationSeconds: 30})
-		thin = append(thin, Submission{ID: "t", ArrivalSecond: i, Tokens: 40, DurationSeconds: 33})
+		fat = append(fat, plan.Allocation{ID: "f", ArrivalSecond: i, Tokens: 80, DurationSeconds: 30})
+		thin = append(thin, plan.Allocation{ID: "t", ArrivalSecond: i, Tokens: 40, DurationSeconds: 33})
 	}
-	fs, err := c.Run(fat)
+	fs, err := plan.SimulateFCFS(100, fat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := c.Run(thin)
+	ts, err := plan.SimulateFCFS(100, thin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Summarize(thin, ts).MeanWaitSeconds >= Summarize(fat, fs).MeanWaitSeconds {
+	if plan.Summarize(thin, ts).MeanWaitSeconds >= plan.Summarize(fat, fs).MeanWaitSeconds {
 		t.Fatalf("thin requests waited %.1fs, fat %.1fs",
-			Summarize(thin, ts).MeanWaitSeconds, Summarize(fat, fs).MeanWaitSeconds)
+			plan.Summarize(thin, ts).MeanWaitSeconds, plan.Summarize(fat, fs).MeanWaitSeconds)
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	subs := []Submission{{Tokens: 10, DurationSeconds: 5}, {Tokens: 20, DurationSeconds: 2}}
-	scheds := []Scheduled{
+	subs := []plan.Allocation{{Tokens: 10, DurationSeconds: 5}, {Tokens: 20, DurationSeconds: 2}}
+	scheds := []plan.Outcome{
 		{WaitSeconds: 4, EndSecond: 9},
 		{WaitSeconds: 0, EndSecond: 11},
 	}
-	st := Summarize(subs, scheds)
+	st := plan.Summarize(subs, scheds)
 	if st.MeanWaitSeconds != 2 || st.MaxWaitSeconds != 4 || st.MakespanSeconds != 11 {
 		t.Fatalf("stats %+v", st)
 	}
 	if st.TotalTokenSeconds != 10*5+20*2 {
 		t.Fatalf("token seconds %d", st.TotalTokenSeconds)
 	}
-	if got := Summarize(nil, nil); got.MeanWaitSeconds != 0 {
+	if got := plan.Summarize(nil, nil); got.MeanWaitSeconds != 0 {
 		t.Fatal("empty summarize must be zero")
 	}
 }

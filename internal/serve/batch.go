@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
+
+	"tasq/internal/parallel"
 )
 
 // BatchScoreRequest scores several jobs in one call. Items are scored
@@ -58,46 +59,17 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// scoreBatch fans the items out over at most s.workers goroutines and
+// scoreBatch scores the items over at most s.workers goroutines and
 // assembles results in input order. The envelope always succeeds; errors
 // are isolated per item.
 func (s *Server) scoreBatch(req *BatchScoreRequest) *BatchScoreResponse {
-	n := len(req.Items)
-	out := &BatchScoreResponse{Results: make([]BatchItemResult, n)}
-
-	workers := s.workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				res := BatchItemResult{Index: i}
-				resp, err := s.scoreItem(&req.Items[i])
-				if err != nil {
-					res.Status = httpStatus(err)
-					res.Error = err.Error()
-				} else {
-					res.Status = http.StatusOK
-					res.Response = resp
-				}
-				out.Results[i] = res
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
+	out := &BatchScoreResponse{Results: make([]BatchItemResult, len(req.Items))}
+	// No item fails the fan-out and nothing cancels it: every item runs
+	// and records its own outcome.
+	_ = parallel.ForEach(context.Background(), len(req.Items), s.workers, func(i int) error {
+		out.Results[i] = s.scoreItem(i, &req.Items[i])
+		return nil
+	})
 	for _, res := range out.Results {
 		if res.Status == http.StatusOK {
 			out.Succeeded++
@@ -110,13 +82,30 @@ func (s *Server) scoreBatch(req *BatchScoreRequest) *BatchScoreResponse {
 
 // scoreItem runs one batch item: a per-item injected fault fails this
 // item alone (its siblings keep scoring), otherwise the shared scoring
-// path runs.
-func (s *Server) scoreItem(req *ScoreRequest) (*ScoreResponse, error) {
-	if err := s.inj.BatchItemError(); err != nil {
+// path runs. A panic fails the item with a 500 too: items run on pool
+// goroutines, outside net/http's per-request recovery, where a panic
+// would take the whole process down.
+func (s *Server) scoreItem(i int, req *ScoreRequest) (res BatchItemResult) {
+	res.Index = i
+	defer func() {
+		if p := recover(); p != nil {
+			s.scoreFailed.Inc()
+			res = BatchItemResult{Index: i, Status: http.StatusInternalServerError, Error: fmt.Sprintf("serve: scoring panicked: %v", p)}
+		}
+	}()
+	err := s.inj.BatchItemError()
+	if err != nil {
 		s.scoreFailed.Inc()
-		return nil, fmt.Errorf("serve: scoring: %w", err)
+		err = fmt.Errorf("serve: scoring: %w", err)
+	} else {
+		res.Response, err = s.score(req)
 	}
-	return s.score(req)
+	if err != nil {
+		res.Status, res.Error = httpStatus(err), err.Error()
+	} else {
+		res.Status = http.StatusOK
+	}
+	return res
 }
 
 // ScoreBatch submits several jobs in one request. The returned response

@@ -256,3 +256,68 @@ func TestTrainedServerConcurrentBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// panicScorer scores like fakeScorer but panics on one job, the way a
+// predictor bug would.
+type panicScorer struct {
+	fakeScorer
+	panicOn string
+}
+
+func (p *panicScorer) ScoreJob(job *scopesim.Job) (pcc.Curve, string, error) {
+	if job.ID == p.panicOn {
+		panic("predictor bug")
+	}
+	return p.fakeScorer.ScoreJob(job)
+}
+
+// TestBatchItemPanicFailsOnlyItsItem: batch items score on pool
+// goroutines, outside net/http's per-request recovery, so a panic there
+// would kill the process. It must instead fail its own item with a 500,
+// counted as a failed score, while its siblings succeed and the server
+// keeps serving — inline (one worker) and fanned out alike.
+func TestBatchItemPanicFailsOnlyItsItem(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		srv, err := newServer(&panicScorer{fakeScorer: fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, panicOn: "boom"},
+			WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		client := NewClient(ts.URL)
+		boom := validJob("boom")
+		boom.Stages[0].Tasks = 9 // a plan no cached curve covers
+		resp, err := client.ScoreBatch(&BatchScoreRequest{Items: []ScoreRequest{
+			{Job: validJob("ok-0")}, {Job: boom}, {Job: validJob("ok-2")}, {Job: validJob("ok-3")},
+		}})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if resp.Succeeded != 3 || resp.Failed != 1 {
+			t.Fatalf("workers=%d: succeeded=%d failed=%d, want 3/1", workers, resp.Succeeded, resp.Failed)
+		}
+		for i, res := range resp.Results {
+			want := http.StatusOK
+			if i == 1 {
+				want = http.StatusInternalServerError
+			}
+			if res.Index != i || res.Status != want {
+				t.Fatalf("workers=%d: item %d: %+v, want status %d", workers, i, res, want)
+			}
+		}
+		if !strings.Contains(resp.Results[1].Error, "panicked") {
+			t.Fatalf("workers=%d: panicking item's error %q", workers, resp.Results[1].Error)
+		}
+		if _, err := client.Score(&ScoreRequest{Job: validJob("after")}); err != nil {
+			t.Fatalf("workers=%d: server stopped serving after an item panic: %v", workers, err)
+		}
+		text, err := client.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(text, `tasq_score_jobs_total{outcome="failed"} 1`) {
+			t.Fatalf("workers=%d: the panicking item is not counted as one failed score", workers)
+		}
+		ts.Close()
+	}
+}

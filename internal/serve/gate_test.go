@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -264,6 +267,36 @@ func TestBeginDrainFinishesQueued(t *testing.T) {
 	}
 	if err := srv.gate.checkIdle(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShedReadsBodyBeforeRefusing pins that a shed reaches a client that
+// is still writing its body on a Connection: close request. Answering and
+// closing on unread bytes would reset the connection, and the client would
+// see a broken pipe instead of its 503.
+func TestShedReadsBodyBeforeRefusing(t *testing.T) {
+	srv, ts := fakeServer(t, &fakeScorer{})
+	srv.BeginDrain()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+	half := strings.Repeat(" ", 64<<10)
+	fmt.Fprintf(conn, "POST /v1/score/batch HTTP/1.1\r\nHost: tasq\r\nConnection: close\r\nContent-Length: %d\r\n\r\n%s",
+		2*len(half), half)
+	time.Sleep(50 * time.Millisecond) // the refusal is written, if it does not wait
+	if _, err := io.WriteString(conn, half); err != nil {
+		t.Fatalf("writing the rest of the body: %v", err)
+	}
+	reply, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("reading the refusal: %v", err)
+	}
+	if !strings.HasPrefix(string(reply), "HTTP/1.1 503") {
+		t.Fatalf("reply %.40q, want a 503", reply)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"tasq/internal/pcc"
 	"tasq/internal/plan"
 	"tasq/internal/registry"
-	"tasq/internal/scheduler"
 	"tasq/internal/scopesim"
 	"tasq/internal/selection"
 	"tasq/internal/serve"
@@ -67,10 +66,9 @@ type (
 	SelectionConfig = selection.Config
 	// SelectionResult reports the selected subset and its quality.
 	SelectionResult = selection.Result
-	// Cluster is a fixed-capacity FCFS token pool.
-	Cluster = scheduler.Cluster
-	// Submission is one job entering the cluster queue.
-	Submission = scheduler.Submission
+	// Submission is one job entering the cluster queue: it requires Tokens
+	// guaranteed tokens for DurationSeconds starting when admitted.
+	Submission = plan.Allocation
 	// TokenPool is the shared all-or-nothing token ledger both the
 	// scheduler and the scopesim executor draw from.
 	TokenPool = plan.Pool
@@ -135,6 +133,19 @@ type (
 	// NN → GNN → XGBoost-PL order.
 	PredictorPolicy = model.Policy
 )
+
+// Cluster is a fixed-capacity token pool with FCFS admission: a job is
+// admitted when its full token request is free, and later arrivals cannot
+// jump the queue (no backfilling), which models SCOPE's guaranteed-token
+// admission.
+type Cluster struct {
+	Capacity int
+}
+
+// Run simulates the submissions and returns their schedules in input order.
+func (c *Cluster) Run(subs []Submission) ([]plan.Outcome, error) {
+	return plan.SimulateFCFS(c.Capacity, subs)
+}
 
 // Loss kinds for the constrained neural models (§4.5 of the paper).
 const (
