@@ -109,7 +109,7 @@ func (r *Replica) gate(h http.Handler) http.Handler {
 			r.mu.Unlock()
 			// Read the body first, as the admission gate does: closing on
 			// unread bytes would reset the connection and lose the 503.
-			io.Copy(io.Discard, req.Body)
+			_, _ = io.Copy(io.Discard, req.Body)
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, partitionedBody, http.StatusServiceUnavailable)
 			return

@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"tasq/internal/jobrepo"
 	"tasq/internal/registry"
@@ -110,6 +114,24 @@ func TestFleetPartitionGate(t *testing.T) {
 	}
 	if got := r.PartitionRefusals()["/v1/score"]; got < 1 {
 		t.Fatalf("partition refusals for /v1/score = %d, want >= 1", got)
+	}
+	// The refusal also reaches a Connection: close client still writing
+	// its body; closing on unread bytes would reset the connection.
+	conn, err := net.Dial("tcp", strings.TrimPrefix(r.URL(), "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	half := strings.Repeat(" ", 64<<10)
+	fmt.Fprintf(conn, "POST /v1/score/batch HTTP/1.1\r\nHost: r0\r\nConnection: close\r\nContent-Length: %d\r\n\r\n%s",
+		2*len(half), half)
+	time.Sleep(50 * time.Millisecond)
+	if _, err := io.WriteString(conn, half); err != nil {
+		t.Fatalf("writing the rest of the body: %v", err)
+	}
+	if reply, err := io.ReadAll(conn); err != nil || !strings.HasPrefix(string(reply), "HTTP/1.1 503") {
+		t.Fatalf("partitioned batch: reply %.40q, err %v, want a 503", reply, err)
 	}
 	// The refusal happened outside the instrumented mux: the server's own
 	// HTTP counters must not have seen those requests.

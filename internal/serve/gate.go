@@ -234,12 +234,12 @@ func (s *Server) gated(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		release, shed := s.gate.admit(r.Context())
 		if shed != nil {
-			// Read the body out before refusing. A client that sent
-			// Connection: close may still be writing it, and closing on
-			// unread bytes resets the connection: the client would see a
-			// broken pipe, not this status, and could not tell a refused
-			// batch from one that ran.
-			io.Copy(io.Discard, io.LimitReader(r.Body, maxBodyBytes))
+			// Read the body out before refusing (the refusal stands
+			// whatever the read returns). A Connection: close client may
+			// still be writing it, and closing on unread bytes resets the
+			// connection: the client would see a broken pipe, not this
+			// status, and could not tell a refused batch from one that ran.
+			_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, maxBodyBytes))
 			shed.write(w)
 			return
 		}
