@@ -81,6 +81,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -111,6 +112,20 @@ func splitPeers(s string) []string {
 	return out
 }
 
+// logSettings writes every flag's effective value, defaults included, as
+// one JSON line, so the log says what the daemon runs with.
+func logSettings(fs *flag.FlagSet) {
+	settings := map[string]any{}
+	fs.VisitAll(func(f *flag.Flag) {
+		v := f.Value.(flag.Getter).Get()
+		if d, ok := v.(time.Duration); ok {
+			v = d.String()
+		}
+		settings[f.Name] = v
+	})
+	obs.NewLogger(log.Writer()).Log("settings", settings)
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -125,7 +140,7 @@ func run(ctx context.Context, args []string) error {
 	modelPath := fs.String("model", "model.gob", "trained model path (from 'tasq train')")
 	registryDir := fs.String("registry", "", "model registry directory; takes precedence over -model and enables hot reload")
 	poll := fs.Duration("poll", serve.DefaultPollInterval, "registry poll interval")
-	shadowSample := fs.Float64("shadow-sample", 1.0, "fraction of score requests mirrored to the shadow candidate (0 disables, 1 mirrors all)")
+	shadowSample := fs.Float64("shadow-sample", 1, "fraction of score requests mirrored to the shadow candidate, in [0, 1] (0 disables, 1 mirrors all)")
 	addr := fs.String("addr", ":8080", "listen address")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown deadline for in-flight requests")
 	grace := fs.Duration("grace", 0, "wait after flipping /readyz to draining before closing the listener")
@@ -133,18 +148,16 @@ func run(ctx context.Context, args []string) error {
 	writeTimeout := fs.Duration("write-timeout", 60*time.Second, "max time to write a response")
 	idleTimeout := fs.Duration("idle-timeout", 120*time.Second, "keep-alive idle connection timeout")
 	maxHeaderBytes := fs.Int("max-header-bytes", 1<<20, "request header size limit")
-	workers := fs.Int("workers", 0, "batch-scoring worker pool size (0 = NumCPU)")
-	maxInFlight := fs.Int("max-inflight", 0, "max concurrently executing scoring requests (0 = default)")
-	maxQueue := fs.Int("max-queue", -1, "max scoring requests queued behind the in-flight limit before shedding 429 (-1 = default)")
-	curveCache := fs.Int("curve-cache", serve.DefaultCurveCacheCap, "memoized-curve cache capacity per model generation (<= 0 disables)")
-	maxPlanJobs := fs.Int("max-plan-jobs", serve.DefaultMaxPlanJobs, "max jobs accepted per POST /v1/plan request")
-	queueWait := fs.Duration("queue-wait", 0, "max time a scoring request may wait in the admission queue before shedding 504 (0 = default)")
+	workers := fs.Int("workers", runtime.NumCPU(), "batch-scoring and plan-resolution worker pool size")
+	maxInFlight := fs.Int("max-inflight", serve.DefaultMaxInFlight, "max concurrently executing scoring requests")
+	maxQueue := fs.Int("max-queue", serve.DefaultMaxQueue, "max scoring requests queued behind the in-flight limit before shedding 429 (0 = no queue)")
+	curveCache := fs.Int("curve-cache", serve.DefaultCurveCacheCap, "memoized-curve cache capacity per model generation (0 disables)")
+	maxPlanJobs := fs.Int("max-plan-jobs", serve.DefaultMaxPlanJobs, "max jobs accepted per POST /v1/plan request; the 16 MiB request-body bound binds first, at about 1,100 jobs of 15 KB")
+	queueWait := fs.Duration("queue-wait", serve.DefaultQueueWait, "max time a scoring request may wait in the admission queue before shedding 504")
 	autopilotOn := fs.Bool("autopilot", false, "close the learning loop: ingest /v1/telemetry, detect drift, retrain, auto-promote with a rollback guardrail (requires -registry)")
 	driftThreshold := fs.Float64("drift-threshold", drift.DefaultConfig().Threshold, "relative-error EWMA above which the drift alarm fires a retrain (autopilot mode)")
 	promoteMinN := fs.Int("promote-min-n", autopilot.DefaultMachineConfig().PromoteMinN, "paired error samples required before a candidate may be auto-promoted (autopilot mode)")
 	guardrailWindow := fs.Int("guardrail-window", autopilot.DefaultMachineConfig().GuardrailWindow, "post-promotion observations the rollback guardrail watches (autopilot mode)")
-	telemetryCap := fs.Int("telemetry-window", autopilot.DefaultWindowCap, "retraining window capacity in records (autopilot mode)")
-	trainSeed := fs.Int64("train-seed", 1, "deterministic seed for autopilot retrains")
 	faultProfile := fs.String("fault-profile", "", "DEV ONLY: inject deterministic faults, e.g. 'seed=42,latency=0.2:5ms,error=0.1,batch-item=0.05,registry-slow=0.1:10ms,registry-corrupt=0.02'")
 	policyFlag := fs.String("policy", "", "comma-separated predictor fallback chain for requests that name no model (e.g. 'GNN,NN'; empty = built-in NN,GNN,XGBoost-PL order)")
 	clusterID := fs.String("cluster-id", "", "fleet member ID for cluster mode; enables GET /v1/cluster")
@@ -152,6 +165,9 @@ func run(ctx context.Context, args []string) error {
 	quiet := fs.Bool("quiet", false, "disable structured request logging")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *poll <= 0 {
+		return fmt.Errorf("-poll %v: must be positive", *poll)
 	}
 	if *autopilotOn && *registryDir == "" {
 		return errors.New("-autopilot requires -registry (the loop retrains into and promotes within a registry)")
@@ -161,19 +177,25 @@ func run(ctx context.Context, args []string) error {
 		return errors.New("-peers requires -cluster-id (a member must know its own ring key)")
 	}
 	policy := model.ParsePolicy(*policyFlag)
-	opts := []serve.Option{serve.WithShadowSampleRate(*shadowSample)}
+	opts := []serve.Option{
+		serve.WithShadowSampleRate(*shadowSample),
+		serve.WithWorkers(*workers),
+		serve.WithAdmission(*maxInFlight, *maxQueue, *queueWait),
+		serve.WithCurveCache(*curveCache),
+		serve.WithMaxPlanJobs(*maxPlanJobs),
+	}
 	if !*quiet {
 		opts = append(opts, serve.WithLogger(obs.NewLogger(os.Stderr)))
 	}
-	if *workers > 0 {
-		opts = append(opts, serve.WithWorkers(*workers))
-	}
-	opts = append(opts, serve.WithAdmission(*maxInFlight, *maxQueue, *queueWait))
-	opts = append(opts, serve.WithCurveCache(*curveCache))
-	opts = append(opts, serve.WithMaxPlanJobs(*maxPlanJobs))
 	if *clusterID != "" {
 		opts = append(opts, serve.WithClusterInfo(*clusterID, peers))
 	}
+	// The server refuses a meaningless setting; find out before the
+	// registry, the telemetry window or the listener is touched.
+	if _, err := serve.NewUnloadedServer(opts...); err != nil {
+		return err
+	}
+	logSettings(fs)
 
 	var inj *faults.Injector
 	if *faultProfile != "" {
@@ -208,12 +230,12 @@ func run(ctx context.Context, args []string) error {
 			// The window store lives beside the versions it feeds; the
 			// registry ignores non-v* entries, so it is GC-safe there.
 			win, err := autopilot.OpenWindow(
-				filepath.Join(*registryDir, "telemetry", "window.jsonl"), *telemetryCap)
+				filepath.Join(*registryDir, "telemetry", "window.jsonl"), autopilot.DefaultWindowCap)
 			if err != nil {
 				return err
 			}
 			defer win.Close()
-			apCfg := autopilot.DefaultConfig(*trainSeed)
+			apCfg := autopilot.DefaultConfig(1)
 			apCfg.Drift.Threshold = *driftThreshold
 			apCfg.Machine.PromoteMinN = *promoteMinN
 			apCfg.Machine.GuardrailWindow = *guardrailWindow

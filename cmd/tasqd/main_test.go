@@ -2,14 +2,19 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
+	"math"
 	"net"
 	"net/http"
 	"os/signal"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -42,6 +47,97 @@ func TestRunBadAddr(t *testing.T) {
 	path := trainModel(t)
 	if err := run(context.Background(), []string{"-model", path, "-addr", "256.256.256.256:0"}); err == nil {
 		t.Fatal("bad listen address accepted")
+	}
+}
+
+// TestRefusedSettings pins that a setting meaning nothing is refused,
+// through the server constructors and through tasqd at startup, with an
+// error naming it, where it used to be coerced to a default silently.
+// Rows without a flag or an option have no second route.
+func TestRefusedSettings(t *testing.T) {
+	for _, tc := range []struct {
+		name, flag, value string
+		opt               serve.Option
+	}{
+		{"workers", "workers", "-3", serve.WithWorkers(-3)},
+		{"workers", "workers", "0", serve.WithWorkers(0)},
+		{"max-inflight", "max-inflight", "0", serve.WithAdmission(0, serve.DefaultMaxQueue, serve.DefaultQueueWait)},
+		{"max-queue", "max-queue", "-1", serve.WithAdmission(serve.DefaultMaxInFlight, -1, serve.DefaultQueueWait)},
+		{"max-queue", "max-queue", "-2", serve.WithAdmission(serve.DefaultMaxInFlight, -2, serve.DefaultQueueWait)},
+		{"queue-wait", "queue-wait", "0s", serve.WithAdmission(serve.DefaultMaxInFlight, serve.DefaultMaxQueue, 0)},
+		{"queue-wait", "queue-wait", "-1s", serve.WithAdmission(serve.DefaultMaxInFlight, serve.DefaultMaxQueue, -time.Second)},
+		{"retry-after", "", "0s", serve.WithAdmissionRetryAfter(0)},
+		{"shadow-sample", "shadow-sample", "7", serve.WithShadowSampleRate(7)},
+		{"shadow-sample", "shadow-sample", "-0.5", serve.WithShadowSampleRate(-0.5)},
+		{"shadow-sample", "shadow-sample", "NaN", serve.WithShadowSampleRate(math.NaN())},
+		{"curve-cache", "curve-cache", "-5", serve.WithCurveCache(-5)},
+		{"max-plan-jobs", "max-plan-jobs", "0", serve.WithMaxPlanJobs(0)},
+		{"poll", "poll", "0s", nil},
+	} {
+		row := tc.name + " " + tc.value
+		if tc.opt != nil {
+			_, loaded := serve.NewServer(&trainer.Pipeline{}, tc.opt)
+			_, unloaded := serve.NewUnloadedServer(tc.opt)
+			for route, err := range map[string]error{"NewServer": loaded, "NewUnloadedServer": unloaded} {
+				if err == nil || !strings.Contains(err.Error(), tc.name) {
+					t.Errorf("%s via %s: err %v, want a refusal naming %s", row, route, err, tc.name)
+				}
+			}
+		}
+		if tc.flag != "" {
+			// An empty registry would fail the first sync anyway; the
+			// refusal must come first and name the flag.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			err := run(ctx, []string{"-registry", t.TempDir(), "-addr", "127.0.0.1:0", "-quiet", "-" + tc.flag, tc.value})
+			cancel()
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Errorf("%s via tasqd: err %v, want a refusal naming -%s", row, err, tc.flag)
+			}
+		}
+	}
+}
+
+// TestDefaultSettingsLine reads the settings line tasqd logs with no
+// flags: one JSON line holding every flag's effective value, which must be
+// what the server ran with before the defaults had one owner — default
+// admission (256 in flight, 512 queued, 2 s wait), NumCPU workers, a
+// 4,096-entry curve cache, 4,096 plan jobs, every request shadowed.
+func TestDefaultSettingsLine(t *testing.T) {
+	var buf bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&buf)
+	defer log.SetOutput(prev)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // nothing may stay up, should a model.gob be in reach
+	_ = run(ctx, nil)
+	log.SetOutput(prev)
+
+	var lines []map[string]any
+	for _, line := range strings.Split(buf.String(), "\n") {
+		var m map[string]any
+		if json.Unmarshal([]byte(line), &m) == nil && m["event"] == "settings" {
+			lines = append(lines, m)
+		}
+	}
+	if len(lines) != 1 {
+		t.Fatalf("%d settings lines in the log, want 1:\n%s", len(lines), buf.String())
+	}
+	got := lines[0]
+	delete(got, "event")
+	delete(got, "ts")
+	want := map[string]any{
+		"addr": ":8080", "model": "model.gob", "registry": "", "poll": "10s",
+		"shadow-sample": 1.0, "drain": "15s", "grace": "0s",
+		"read-timeout": "30s", "write-timeout": "1m0s", "idle-timeout": "2m0s",
+		"max-header-bytes": float64(1 << 20), "workers": float64(runtime.NumCPU()),
+		"max-inflight": 256.0, "max-queue": 512.0, "queue-wait": "2s",
+		"curve-cache": 4096.0, "max-plan-jobs": 4096.0,
+		"autopilot": false, "drift-threshold": 0.5, "promote-min-n": 32.0,
+		"guardrail-window": 64.0, "fault-profile": "", "policy": "",
+		"cluster-id": "", "peers": "", "quiet": false,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("settings line\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -40,8 +40,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchScoreRequest
-	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Items) == 0 {

@@ -111,7 +111,8 @@ func TestBatchScoreInternalFailureIsolated(t *testing.T) {
 }
 
 func TestBatchEnvelopeValidation(t *testing.T) {
-	_, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, WithMaxBatch(2))
+	srv, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
+	srv.maxBatch = 2
 	client := NewClient(ts.URL)
 
 	// Empty batch.

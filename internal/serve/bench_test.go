@@ -245,6 +245,45 @@ func BenchmarkScoreGateLatency(b *testing.B) {
 	b.ReportMetric(pct(99), "p99_us")
 }
 
+// BenchmarkDecodeScoreRequest decodes recurring-job /v1/score bodies
+// (14 KB on average, the benchmark population's templates) through the
+// handler's decode path, decodeBody: the in-package baseline for a
+// faster decoder. The request and readers are reused, so allocs/op are
+// the decoder's own.
+func BenchmarkDecodeScoreRequest(b *testing.B) {
+	cfg := workload.TestConfig(1)
+	cfg.AdHocFraction = 0
+	jobs := workload.New(cfg).Workload(256)
+	bodies := make([][]byte, len(jobs))
+	readers := make([]*bytes.Reader, len(jobs))
+	closers := make([]io.ReadCloser, len(jobs))
+	total := 0
+	for i, job := range jobs {
+		body, err := json.Marshal(&ScoreRequest{Job: job})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i], readers[i] = body, bytes.NewReader(body)
+		closers[i] = io.NopCloser(readers[i])
+		total += len(body)
+	}
+	w := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodPost, "/v1/score", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(bodies)
+		readers[k].Reset(bodies[k])
+		r.Body = closers[k]
+		var req ScoreRequest
+		if !decodeBody(w, r, &req) {
+			b.Fatalf("decoding body %d: %s", k, w.Body.String())
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(total)/float64(len(bodies)), "body_bytes")
+}
+
 // BenchmarkBatchScore fans a full batch through the worker pool; the
 // constant jobs/op metric lets bench.sh derive per-job throughput.
 func BenchmarkBatchScore(b *testing.B) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -79,20 +78,9 @@ type gate struct {
 	shedGone      *obs.Counter
 }
 
-// newGate builds a gate and registers its metrics.
+// newGate builds a gate over settings the server has validated and
+// registers its metrics.
 func newGate(limit, maxQueue int, maxWait, retryAfter time.Duration, reg *obs.Registry) *gate {
-	if limit < 1 {
-		limit = 1
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
-	if maxWait <= 0 {
-		maxWait = DefaultQueueWait
-	}
-	if retryAfter <= 0 {
-		retryAfter = DefaultRetryAfter
-	}
 	reg.SetHelp(obs.MetricShedTotal, "Scoring requests refused by the admission gate, by reason (queue_full, deadline, draining, client_gone).")
 	reg.SetHelp(obs.MetricQueueDepth, "Scoring requests waiting in the admission queue.")
 	reg.SetHelp(obs.MetricAdmissionInFlight, "Scoring requests holding an admission slot.")
@@ -234,12 +222,9 @@ func (s *Server) gated(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		release, shed := s.gate.admit(r.Context())
 		if shed != nil {
-			// Read the body out before refusing (the refusal stands
-			// whatever the read returns). A Connection: close client may
-			// still be writing it, and closing on unread bytes resets the
-			// connection: the client would see a broken pipe, not this
-			// status, and could not tell a refused batch from one that ran.
-			_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, maxBodyBytes))
+			// Read the body out before refusing; the refusal stands
+			// whatever the read returns.
+			discardBody(r)
 			shed.write(w)
 			return
 		}

@@ -301,12 +301,13 @@ type Server struct {
 	retryAfter  time.Duration
 
 	// shadowEvery samples every Nth scoring request into the shadow
-	// model; 0 disables shadow scoring.
+	// model, from shadowRate; 0 disables shadow scoring.
+	shadowRate  float64
 	shadowEvery int64
 	shadowSeq   atomic.Int64
 
-	// cacheCap bounds each generation's memoized-curve cache; ≤ 0
-	// disables memoization entirely. cacheMet holds the obs handles the
+	// cacheCap bounds each generation's memoized-curve cache; 0 disables
+	// memoization entirely. cacheMet holds the obs handles the
 	// per-generation caches share.
 	cacheCap int
 	cacheMet *cacheMetrics
@@ -340,75 +341,42 @@ type Server struct {
 	shadowVersion *obs.Gauge
 }
 
-// Option customizes a Server.
+// Option customizes a Server. Each option applies the value it is given;
+// NewServer and NewUnloadedServer refuse a value that means nothing.
 type Option func(*Server)
-
-// WithRegistry shares an external metrics registry (e.g. with the process
-// hosting the server). By default each Server gets its own.
-func WithRegistry(reg *obs.Registry) Option {
-	return func(s *Server) {
-		if reg != nil {
-			s.reg = reg
-		}
-	}
-}
 
 // WithLogger enables structured request logging.
 func WithLogger(l *obs.Logger) Option {
 	return func(s *Server) { s.logger = l }
 }
 
-// WithWorkers bounds the batch-scoring worker pool (default
-// runtime.NumCPU()).
+// WithWorkers bounds the batch-scoring and plan-resolution worker pool
+// (default runtime.NumCPU(); at least 1).
 func WithWorkers(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.workers = n
-		}
-	}
+	return func(s *Server) { s.workers = n }
 }
 
-// WithMaxBatch caps the number of items accepted per batch request
-// (default DefaultMaxBatch).
-func WithMaxBatch(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxBatch = n
-		}
-	}
-}
-
-// DefaultMaxBatch is the default per-request batch item cap.
+// DefaultMaxBatch is the per-request batch item cap.
 const DefaultMaxBatch = 1024
 
 // WithAdmission bounds the scoring endpoints: at most limit requests
-// execute concurrently, at most queue wait behind them (FIFO), and no
-// request waits longer than wait before being shed with 504. Arrivals
-// beyond the queue bound are shed immediately with 429 + Retry-After.
-// Zero/negative arguments keep the defaults (DefaultMaxInFlight,
-// DefaultMaxQueue, DefaultQueueWait).
+// execute concurrently (default DefaultMaxInFlight; at least 1), at most
+// queue wait behind them in FIFO order (default DefaultMaxQueue; 0 sheds
+// every arrival beyond the limit), and no request waits longer than wait
+// (default DefaultQueueWait; positive) before being shed with 504.
+// Arrivals beyond the queue bound are shed immediately with 429 +
+// Retry-After.
 func WithAdmission(limit, queue int, wait time.Duration) Option {
 	return func(s *Server) {
-		if limit > 0 {
-			s.maxInFlight = limit
-		}
-		if queue >= 0 {
-			s.maxQueue = queue
-		}
-		if wait > 0 {
-			s.queueWait = wait
-		}
+		s.maxInFlight, s.maxQueue, s.queueWait = limit, queue, wait
 	}
 }
 
 // WithAdmissionRetryAfter sets the Retry-After hint on shed responses
-// (default DefaultRetryAfter; the header rounds up to whole seconds).
+// (default DefaultRetryAfter; positive; the header rounds up to whole
+// seconds).
 func WithAdmissionRetryAfter(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.retryAfter = d
-		}
-	}
+	return func(s *Server) { s.retryAfter = d }
 }
 
 // WithFaultInjector threads a deterministic fault injector into the
@@ -419,29 +387,48 @@ func WithFaultInjector(in *faults.Injector) Option {
 	return func(s *Server) { s.inj = in }
 }
 
-// WithShadowSampleRate sets the fraction of scoring requests that are
-// also scored by the shadow (candidate) model when one is loaded: 1
-// shadows every request, 0.1 every tenth, 0 disables shadow scoring.
-// The default is 1 — with the cheap PCC models, full mirroring is
+// WithShadowSampleRate sets the fraction of scoring requests, in [0, 1],
+// that are also scored by the shadow (candidate) model when one is
+// loaded: 1 shadows every request, 0.1 every tenth, 0 disables shadow
+// scoring. The default is 1 — with the cheap PCC models, full mirroring is
 // affordable and gives the fastest divergence signal.
 func WithShadowSampleRate(rate float64) Option {
-	return func(s *Server) {
-		switch {
-		case rate <= 0:
-			s.shadowEvery = 0
-		case rate >= 1:
-			s.shadowEvery = 1
-		default:
-			s.shadowEvery = int64(math.Round(1 / rate))
-		}
-	}
+	return func(s *Server) { s.shadowRate = rate }
 }
 
 // WithCurveCache bounds the per-generation memoized-curve cache to
-// roughly capacity entries (default DefaultCurveCacheCap); capacity <= 0
-// disables memoization, so every request runs the full predictor.
+// roughly capacity entries (default DefaultCurveCacheCap); 0 disables
+// memoization, so every request runs the full predictor.
 func WithCurveCache(capacity int) Option {
 	return func(s *Server) { s.cacheCap = capacity }
+}
+
+// validate refuses settings that mean nothing instead of coercing them to
+// a default nobody asked for. Each setting is named after its tasqd flag,
+// where it has one.
+func (s *Server) validate() error {
+	bad := func(name string, v any, want string) error {
+		return fmt.Errorf("serve: %s %v: must be %s", name, v, want)
+	}
+	switch {
+	case s.workers < 1:
+		return bad("workers", s.workers, "at least 1")
+	case s.maxInFlight < 1:
+		return bad("max-inflight", s.maxInFlight, "at least 1")
+	case s.maxQueue < 0:
+		return bad("max-queue", s.maxQueue, "at least 0")
+	case s.queueWait <= 0:
+		return bad("queue-wait", s.queueWait, "positive")
+	case s.retryAfter <= 0:
+		return bad("retry-after", s.retryAfter, "positive")
+	case !(s.shadowRate >= 0 && s.shadowRate <= 1):
+		return bad("shadow-sample", s.shadowRate, "in [0, 1]")
+	case s.cacheCap < 0:
+		return bad("curve-cache", s.cacheCap, "at least 0 (0 disables)")
+	case s.maxPlanJobs < 1:
+		return bad("max-plan-jobs", s.maxPlanJobs, "at least 1")
+	}
+	return nil
 }
 
 // NewServer wraps a trained pipeline.
@@ -468,7 +455,7 @@ func newServer(p scorer, opts ...Option) (*Server, error) {
 		reg:         obs.NewRegistry(),
 		workers:     runtime.NumCPU(),
 		maxBatch:    DefaultMaxBatch,
-		shadowEvery: 1,
+		shadowRate:  1,
 		maxInFlight: DefaultMaxInFlight,
 		maxQueue:    DefaultMaxQueue,
 		queueWait:   DefaultQueueWait,
@@ -478,6 +465,12 @@ func newServer(p scorer, opts ...Option) (*Server, error) {
 	}
 	for _, opt := range opts {
 		opt(s)
+	}
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	if s.shadowRate > 0 {
+		s.shadowEvery = int64(math.Round(1 / s.shadowRate))
 	}
 	s.gate = newGate(s.maxInFlight, s.maxQueue, s.queueWait, s.retryAfter, s.reg)
 	s.cacheMet = newCacheMetrics(s.reg)
@@ -637,17 +630,35 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 
 // decodeBody reads and unmarshals a bounded request body into v through a
 // pooled buffer (json.Unmarshal copies what it keeps, so recycling the
-// raw bytes is safe).
-func decodeBody(r *http.Request, v any) error {
+// raw bytes is safe). On failure it answers the request itself and
+// returns false: 413 for a body over maxBodyBytes (never a parse of its
+// truncated prefix), 400 for one that does not read or decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := getJSONBuf()
 	defer putJSONBuf(buf)
-	if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxBodyBytes)); err != nil {
-		return fmt.Errorf("reading request: %w", err)
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxBodyBytes+1)); err != nil {
+		http.Error(w, fmt.Sprintf("reading request: %v", err), http.StatusBadRequest)
+		return false
+	}
+	if buf.Len() > maxBodyBytes {
+		discardBody(r)
+		http.Error(w, fmt.Sprintf("serve: request body exceeds the %d-byte limit", maxBodyBytes), http.StatusRequestEntityTooLarge)
+		return false
 	}
 	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
+		http.Error(w, fmt.Sprintf("decoding request: %v", err), http.StatusBadRequest)
+		return false
 	}
-	return nil
+	return true
+}
+
+// discardBody reads out what is left of a refused request's body, up to
+// maxBodyBytes more. A Connection: close client may still be writing it,
+// and closing on unread bytes resets the connection: the client would see
+// a broken pipe, not the refusal, and could not tell a refused request
+// from one that ran.
+func discardBody(r *http.Request) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, maxBodyBytes))
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
@@ -656,8 +667,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ScoreRequest
-	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	resp, err := s.scoreSingle(&req)
@@ -877,29 +887,6 @@ func (s *Server) shadowScore(req *ScoreRequest, activeCurve pcc.Curve, activeOpt
 	if activeRT > 0 {
 		sh.delta.Observe(math.Abs(curve.Runtime(float64(maxTokens))-activeRT) / activeRT)
 	}
-}
-
-// defaultCandidates spreads ten deduplicated points over [1, max]; tok is
-// non-decreasing in i, so deduping against the previous point suffices.
-// The scoring hot path inlines this loop to append into the pooled
-// response; this form backs tests and other callers.
-func defaultCandidates(max int) []int {
-	if max < 1 {
-		max = 1
-	}
-	var out []int
-	last := 0
-	for i := 1; i <= 10; i++ {
-		tok := max * i / 10
-		if tok < 1 {
-			tok = 1
-		}
-		if tok != last {
-			last = tok
-			out = append(out, tok)
-		}
-	}
-	return out
 }
 
 // writeJSON encodes v through a pooled buffer, then writes it in one

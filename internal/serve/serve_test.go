@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -163,17 +167,62 @@ func TestClientAgainstDeadServer(t *testing.T) {
 	}
 }
 
+// TestDefaultCandidates pins the ten-point sweep a request without
+// candidate_tokens is answered with: deduplicated points over [1, max],
+// where max is max_tokens, else the job's requested tokens, else 1.
 func TestDefaultCandidates(t *testing.T) {
-	c := defaultCandidates(100)
-	if c[0] != 10 || c[len(c)-1] != 100 {
-		t.Fatalf("candidates %v", c)
+	srv, _ := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
+	noRequest := validJob("no-request")
+	noRequest.RequestedTokens = 0
+	for _, tc := range []struct {
+		name string
+		req  ScoreRequest
+		want []int
+	}{
+		{"max tokens 100", ScoreRequest{Job: validJob("j"), MaxTokens: 100},
+			[]int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}},
+		{"max tokens 1", ScoreRequest{Job: validJob("j"), MaxTokens: 1}, []int{1}},
+		{"no requested tokens", ScoreRequest{Job: noRequest}, []int{1}},
+	} {
+		resp, err := srv.ScoreLocal(&tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []int
+		for _, p := range resp.Predictions {
+			got = append(got, p.Tokens)
+		}
+		resp.Release()
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Fatalf("%s: served tokens %v, want %v", tc.name, got, tc.want)
+		}
 	}
-	tiny := defaultCandidates(1)
-	if len(tiny) != 1 || tiny[0] != 1 {
-		t.Fatalf("tiny candidates %v", tiny)
+}
+
+// TestOversizedBodyIs413 posts one byte over the body bound to every
+// route that decodes a body: each must answer 413 naming the limit, not
+// parse the truncated prefix into a 400. A body at the bound is still
+// read and decoded whole.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, WithTelemetry(acceptSink{}))
+	post := func(route string, n int) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+route, "application/json", bytes.NewReader(bytes.Repeat([]byte(" "), n)))
+		if err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
 	}
-	if got := defaultCandidates(0); len(got) != 1 {
-		t.Fatalf("zero-max candidates %v", got)
+	for _, route := range []string{"/v1/score", "/v1/score/batch", "/v1/plan", "/v1/telemetry"} {
+		code, msg := post(route, maxBodyBytes+1)
+		if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, strconv.Itoa(maxBodyBytes)) {
+			t.Fatalf("%s with %d bytes: %d %q, want 413 naming the limit", route, maxBodyBytes+1, code, msg)
+		}
+	}
+	if code, msg := post("/v1/score", maxBodyBytes); code != http.StatusBadRequest || !strings.Contains(msg, "decoding request") {
+		t.Fatalf("/v1/score with %d bytes: %d %q, want the decoder's 400", maxBodyBytes, code, msg)
 	}
 }
 

@@ -1,13 +1,11 @@
 package tasq
 
 import (
-	"math/rand"
 	"time"
 
 	"tasq/internal/arepas"
 	"tasq/internal/flight"
 	"tasq/internal/jobrepo"
-	"tasq/internal/model"
 	"tasq/internal/pcc"
 	"tasq/internal/plan"
 	"tasq/internal/registry"
@@ -23,15 +21,6 @@ import (
 
 // Core domain types.
 type (
-	// Job is a SCOPE-like analytical job: a DAG of physical operators
-	// grouped into stages, plus submission metadata.
-	Job = scopesim.Job
-	// Operator is one node of a job's physical plan.
-	Operator = scopesim.Operator
-	// Stage is a unit of scheduling within a job.
-	Stage = scopesim.Stage
-	// OpMetrics carries the Table 1 per-operator quantities.
-	OpMetrics = scopesim.OpMetrics
 	// Skyline is a job's per-second token usage.
 	Skyline = skyline.Skyline
 	// PCC is the power-law performance characteristic curve R = b·Aᵃ.
@@ -40,20 +29,14 @@ type (
 	PCCSample = pcc.Sample
 	// Executor runs jobs on the simulated token-based cluster.
 	Executor = scopesim.Executor
-	// ExecutionNoise configures stochastic flighting runs.
-	ExecutionNoise = scopesim.Noise
 	// Record pairs a job with its observed production telemetry.
 	Record = jobrepo.Record
 	// Repository stores historical records.
 	Repository = jobrepo.Repository
-	// RepositoryFilter restricts repository queries.
-	RepositoryFilter = jobrepo.Filter
 	// Pipeline is a trained TASQ model suite.
 	Pipeline = trainer.Pipeline
 	// TrainConfig controls pipeline training.
 	TrainConfig = trainer.Config
-	// ModelEval is one model-comparison row (Tables 4–6/8 of the paper).
-	ModelEval = trainer.ModelEval
 	// WorkloadGenerator synthesizes SCOPE-like workloads.
 	WorkloadGenerator = workload.Generator
 	// WorkloadConfig controls workload synthesis.
@@ -72,8 +55,6 @@ type (
 	// TokenPool is the shared all-or-nothing token ledger both the
 	// scheduler and the scopesim executor draw from.
 	TokenPool = plan.Pool
-	// AllocationPolicy selects a Figure-1 allocation strategy.
-	AllocationPolicy = plan.PolicyKind
 	// PlanJobSpec is one job's planning input: identity, arrival, the
 	// requested and peak token counts, and its predicted PCC.
 	PlanJobSpec = plan.JobSpec
@@ -89,32 +70,17 @@ type (
 	// ClusterPlan is a built plan: per-job allocations, the simulated
 	// FCFS schedule, and aggregate queueing statistics.
 	ClusterPlan = plan.Plan
-	// PlanRequest is the POST /v1/plan input: a job batch, a pool
-	// capacity, and the policy/model/threshold driving allocation.
-	PlanRequest = serve.PlanRequest
-	// PlanResponse is the planner's answer, including the Peak-baseline
-	// cost and saved token-seconds.
-	PlanResponse = serve.PlanResponse
 	// ScoringServer serves PCC predictions over HTTP (Figure 4).
 	ScoringServer = serve.Server
 	// ScoringClient calls a scoring service.
 	ScoringClient = serve.Client
 	// ScoreRequest is the scoring-endpoint input.
 	ScoreRequest = serve.ScoreRequest
-	// ScoreResponse is the scoring-endpoint output.
-	ScoreResponse = serve.ScoreResponse
 	// BatchScoreRequest scores several jobs in one concurrent call.
 	BatchScoreRequest = serve.BatchScoreRequest
-	// BatchScoreResponse reports per-item batch outcomes in input order.
-	BatchScoreResponse = serve.BatchScoreResponse
-	// BatchItemResult is one batch item's outcome (response or error).
-	BatchItemResult = serve.BatchItemResult
-	// ScoringOption customizes a ScoringServer (worker-pool size, shared
-	// metrics registry, request logging).
+	// ScoringOption customizes a ScoringServer (worker-pool size,
+	// admission bounds, curve cache, request logging).
 	ScoringOption = serve.Option
-	// ScoringStatusError carries the HTTP status of a failed scoring call,
-	// distinguishing invalid requests (400) from service failures (500).
-	ScoringStatusError = serve.StatusError
 	// ModelRegistry is the versioned model store of Figure 4: atomic
 	// publish, checksum-verified load, pinning and GC.
 	ModelRegistry = registry.Registry
@@ -122,16 +88,6 @@ type (
 	ModelManifest = registry.Manifest
 	// ModelReloader hot-swaps a ScoringServer against a ModelRegistry.
 	ModelReloader = serve.Reloader
-	// Predictor is one registered curve model: a trained model or a
-	// prior-art baseline, addressable by name.
-	Predictor = model.Predictor
-	// PredictorInfo describes one registered predictor (name, kind,
-	// trained state) — what GET /v1/models returns per entry.
-	PredictorInfo = model.Info
-	// PredictorPolicy is an ordered fallback chain of predictor names;
-	// assign one to Pipeline.ScorePolicy to override the default
-	// NN → GNN → XGBoost-PL order.
-	PredictorPolicy = model.Policy
 )
 
 // Cluster is a fixed-capacity token pool with FCFS admission: a job is
@@ -147,21 +103,11 @@ func (c *Cluster) Run(subs []Submission) ([]plan.Outcome, error) {
 	return plan.SimulateFCFS(c.Capacity, subs)
 }
 
-// Loss kinds for the constrained neural models (§4.5 of the paper).
-const (
-	LF1 = trainer.LF1
-	LF2 = trainer.LF2
-	LF3 = trainer.LF3
-)
-
 // NewExecutor returns a deterministic cluster executor.
 func NewExecutor() *Executor { return &Executor{} }
 
 // NewRepository returns an empty historical job repository.
 func NewRepository() *Repository { return jobrepo.New() }
-
-// LoadRepository reads a repository from a JSON-Lines file.
-func LoadRepository(path string) (*Repository, error) { return jobrepo.LoadFile(path) }
 
 // NewWorkloadGenerator builds a synthetic workload generator.
 func NewWorkloadGenerator(cfg WorkloadConfig) *WorkloadGenerator { return workload.New(cfg) }
@@ -181,22 +127,10 @@ func TrainPipeline(recs []*Record, cfg TrainConfig) (*Pipeline, error) {
 // DefaultTrainConfig returns the paper's preferred (LF2) configuration.
 func DefaultTrainConfig(seed int64) TrainConfig { return trainer.DefaultConfig(seed) }
 
-// SavePipeline writes a trained pipeline to a file (the "model binary" of
-// the paper's model store).
-func SavePipeline(p *Pipeline, path string) error { return trainer.SavePipelineFile(p, path) }
-
-// LoadPipeline reads a trained pipeline from a file.
-func LoadPipeline(path string) (*Pipeline, error) { return trainer.LoadPipelineFile(path) }
-
 // SimulateSkyline runs AREPAS (Algorithm 1): the skyline the same job
 // would produce at a different token allocation, under area preservation.
 func SimulateSkyline(orig Skyline, tokens int) (Skyline, error) {
 	return arepas.Simulate(orig, tokens)
-}
-
-// SimulateRuntime returns only AREPAS's simulated run time.
-func SimulateRuntime(orig Skyline, tokens int) (int, error) {
-	return arepas.SimulateRuntime(orig, tokens)
 }
 
 // FitPCC fits the power-law curve to samples in log–log space.
@@ -206,9 +140,6 @@ func FitPCC(samples []PCCSample) (PCC, error) { return pcc.Fit(samples) }
 func SelectJobs(population, pool []*Record, cfg SelectionConfig) (*SelectionResult, error) {
 	return selection.Select(population, pool, cfg)
 }
-
-// DefaultSelectionConfig mirrors the paper's selection setup.
-func DefaultSelectionConfig(seed int64) SelectionConfig { return selection.DefaultConfig(seed) }
 
 // FlightJobs re-executes selected jobs at several token counts with
 // redundancy and anomaly filtering (§5.1).
@@ -244,13 +175,9 @@ func NewModelReloader(reg *ModelRegistry, srv *ScoringServer, interval time.Dura
 	return serve.NewReloader(reg, srv, interval, nil)
 }
 
-// Figure-1 allocation policies, usable in PlanConfig.Policy.
-const (
-	DefaultAllocation      = plan.PolicyDefault
-	PeakAllocation         = plan.PolicyPeak
-	AdaptivePeakAllocation = plan.PolicyAdaptivePeak
-	OptimalAllocation      = plan.PolicyOptimal
-)
+// OptimalAllocation is TASQ's Figure-1 policy, usable in
+// PlanConfig.Policy.
+const OptimalAllocation = plan.PolicyOptimal
 
 // Scheduling strategies, usable in PlanConfig.Strategy.
 const (
@@ -265,9 +192,6 @@ const (
 	RetryStrategy = plan.StrategyRetry
 )
 
-// NewTokenPool returns a token ledger of the given capacity.
-func NewTokenPool(capacity int) (*TokenPool, error) { return plan.NewPool(capacity) }
-
 // NewQuotaTokenPool returns a token ledger of the given capacity with
 // per-tenant concurrent-hold caps.
 func NewQuotaTokenPool(capacity int, quota TenantQuota) (*TokenPool, error) {
@@ -281,27 +205,14 @@ func BuildPlan(specs []PlanJobSpec, cfg PlanConfig) (*ClusterPlan, error) {
 	return plan.Build(specs, cfg)
 }
 
-// ParseAllocationPolicy parses a policy name ("default", "peak",
-// "adaptive-peak", "optimal", or a Figure-1 display name); the empty
-// string selects OptimalAllocation.
-func ParseAllocationPolicy(s string) (AllocationPolicy, error) { return plan.ParsePolicyKind(s) }
-
 // ParsePlanStrategy parses a scheduling-strategy name ("fcfs",
 // "backfill" or "retry", case- and whitespace-insensitive); the empty
 // string selects FCFSStrategy.
 func ParsePlanStrategy(s string) (PlanStrategy, error) { return plan.ParseStrategy(s) }
 
-// ParsePredictorPolicy parses a comma-separated fallback chain such as
-// "GNN,NN" (names are case- and punctuation-insensitive); the empty
-// string selects the built-in default.
-func ParsePredictorPolicy(s string) PredictorPolicy { return model.ParsePolicy(s) }
-
 // MedianAPE returns the median absolute percentage error (as a fraction)
 // between predictions and ground truth.
 func MedianAPE(pred, truth []float64) float64 { return stats.MedianAPE(pred, truth) }
-
-// NewRand returns a seeded random source, for deterministic examples.
-func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Spark SQL adaptation (§2.3 of the paper: applicability to other
 // platforms, in the style of the companion AutoExecutor work).
@@ -312,9 +223,6 @@ type (
 	// SparkModel predicts query run time per executor count and fits
 	// scaled-Amdahl curves R(E) = S + P/E.
 	SparkModel = sparkadapt.Model
-	// SparkCurve is the Spark adaptation's performance characteristic
-	// curve.
-	SparkCurve = sparkadapt.Curve
 )
 
 // TrainSparkModel fits the Spark SQL adaptation on historical records.
