@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"tasq/internal/eventq"
 )
 
 // SimulateFCFS runs the allocations through a fixed-capacity token pool
@@ -177,19 +179,19 @@ func simulate(capacity int, quota Quota, allocs []Allocation, d discipline) ([]O
 	slices.SortStableFunc(arrivals, func(x, y event) int { return cmp.Compare(x.at, y.at) })
 
 	s := &sim{allocs: allocs, out: make([]Outcome, n)}
-	waiting := make([]int, 0, n)        // arrived legs, in d's order
-	running := make(releaseHeap, 0, 16) // started legs; sized past append's first regrowths
-	for next, now := 0, 0; next < n || len(waiting) > 0 || len(running) > 0; {
+	waiting := make([]int, 0, n)   // arrived legs, in d's order
+	running := eventq.New[int](16) // started legs at their release; sized past append's first regrowths
+	for next, now := 0, 0; next < n || len(waiting) > 0 || running.Len() > 0; {
 		switch {
-		case next < n && (len(running) == 0 || arrivals[next].at < running[0].at):
+		case next < n && (running.Len() == 0 || arrivals[next].at < running.At()):
 			now = arrivals[next].at
-		case len(running) > 0:
-			now = running[0].at
+		case running.Len() > 0:
+			now = running.At()
 		default:
 			return nil, fmt.Errorf("%w: %d legs waiting with %d free tokens and no future event", ErrStarved, len(waiting), pool.Free())
 		}
-		for len(running) > 0 && running[0].at <= now {
-			id := running.pop().leg
+		for running.Len() > 0 && running.At() <= now {
+			_, id := running.Pop()
 			a, tokens, _ := s.claim(id)
 			if err := pool.ReleaseTenant(a.Tenant, tokens); err != nil {
 				return nil, err
@@ -225,7 +227,7 @@ func simulate(capacity int, quota Quota, allocs []Allocation, d discipline) ([]O
 				continue
 			}
 			i++
-			running.push(event{at: now + seconds, leg: id})
+			running.Push(now+seconds, id)
 			if id < n {
 				s.out[id] = Outcome{ID: a.ID, StartSecond: now, WaitSeconds: now - a.ArrivalSecond, EndSecond: now + seconds}
 				continue
@@ -243,52 +245,7 @@ func simulate(capacity int, quota Quota, allocs []Allocation, d discipline) ([]O
 	return s.out, nil
 }
 
-// event is a leg arriving, or a started leg handing its tokens back, at
-// second at.
+// event is a leg arriving at second at.
 type event struct {
 	at, leg int
-}
-
-// releaseHeap is a min-heap on event.at with direct push/pop — the
-// simulator sits on the plan hot path and container/heap's interface
-// boxing costs one allocation per event.
-type releaseHeap []event
-
-func (h *releaseHeap) push(r event) {
-	s := append(*h, r)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p].at <= s[i].at {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-	*h = s
-}
-
-func (h *releaseHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && s[r].at < s[c].at {
-			c = r
-		}
-		if s[i].at <= s[c].at {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
-	}
-	*h = s
-	return top
 }

@@ -1,11 +1,11 @@
 package scopesim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
 
+	"tasq/internal/eventq"
 	"tasq/internal/plan"
 	"tasq/internal/skyline"
 )
@@ -65,33 +65,23 @@ func (e *Executor) Run(job *Job, tokens int) (*Execution, error) {
 }
 
 // RunNoisy executes the job with environmental noise drawn from rng,
-// modeling a flight in a busy pre-production cluster.
+// modeling a flight in a busy pre-production cluster. A slowdown that can
+// happen (SlowdownProb > 0) must slow down: SlowdownFactor ≥ 1.
 func (e *Executor) RunNoisy(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Execution, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("scopesim: RunNoisy requires a rand source")
 	}
+	if noise.SlowdownProb > 0 && !(noise.SlowdownFactor >= 1) {
+		return nil, fmt.Errorf("scopesim: slowdown factor %v with probability %v must be at least 1", noise.SlowdownFactor, noise.SlowdownProb)
+	}
 	return e.run(job, tokens, rng, noise)
 }
 
-// taskEvent is a batch of same-stage tasks finishing at the same second.
+// taskEvent is a batch of same-stage tasks finishing at the same second,
+// queued at its finish time.
 type taskEvent struct {
-	at    int // finish time in seconds
 	stage int
 	count int
-}
-
-type eventHeap []taskEvent
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(taskEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
 }
 
 func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Execution, error) {
@@ -119,9 +109,6 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 	if rng != nil && noise.SlowdownProb > 0 && rng.Float64() < noise.SlowdownProb {
 		slowStage = rng.Intn(n)
 		slowFactor = noise.SlowdownFactor
-		if slowFactor < 1 {
-			slowFactor = 2
-		}
 	}
 	// Per-execution environmental drift scaling all durations.
 	global := 1.0
@@ -145,14 +132,15 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 	// ready holds stage IDs with no pending deps and unstarted tasks,
 	// served in ascending stage-ID order (generation emits stages in
 	// topological order, so this is FIFO by readiness).
-	ready := &intHeap{}
+	// Keyed on the stage ID itself.
+	var ready eventq.Queue[struct{}]
 	for i := 0; i < n; i++ {
 		if pendingDeps[i] == 0 {
-			heap.Push(ready, i)
+			ready.Push(i, struct{}{})
 		}
 	}
 
-	events := &eventHeap{}
+	var events eventq.Queue[taskEvent]
 	sky := make(skyline.Skyline, 0, 256)
 	// The free-token ledger is the shared allocation core's Pool — the
 	// same accounting the FCFS cluster simulator admits jobs with.
@@ -180,20 +168,20 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 	for events.Len() > 0 || ready.Len() > 0 {
 		// Start as many tasks as free tokens allow, lowest stage ID first.
 		for pool.Free() > 0 && ready.Len() > 0 {
-			s := (*ready)[0]
+			s := ready.At()
 			k := pool.AcquireUpTo(unstarted[s])
 			unstarted[s] -= k
 			if unstarted[s] == 0 {
-				heap.Pop(ready)
+				ready.Pop()
 			}
-			heap.Push(events, taskEvent{at: t + duration(s), stage: s, count: k})
+			events.Push(t+duration(s), taskEvent{stage: s, count: k})
 		}
 		if events.Len() == 0 {
 			// No running tasks and nothing startable: the stage graph has
 			// unreachable work (Validate should have caught cycles).
 			return nil, fmt.Errorf("scopesim: job %s deadlocked at t=%d", job.ID, t)
 		}
-		next := (*events)[0].at
+		next := events.At()
 		if next > maxRuntime {
 			return nil, fmt.Errorf("scopesim: job %s exceeded max runtime %ds", job.ID, maxRuntime)
 		}
@@ -203,8 +191,8 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 			sky = append(sky, used)
 		}
 		// Process all completions at this instant.
-		for events.Len() > 0 && (*events)[0].at == next {
-			ev := heap.Pop(events).(taskEvent)
+		for events.Len() > 0 && events.At() == next {
+			_, ev := events.Pop()
 			if err := pool.Release(ev.count); err != nil {
 				return nil, fmt.Errorf("scopesim: job %s ledger corrupt at t=%d: %w", job.ID, t, err)
 			}
@@ -213,7 +201,7 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 				for _, dep := range dependents[ev.stage] {
 					pendingDeps[dep]--
 					if pendingDeps[dep] == 0 {
-						heap.Push(ready, dep)
+						ready.Push(dep, struct{}{})
 					}
 				}
 			}
@@ -226,18 +214,4 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 		Skyline:         sky,
 		RuntimeSeconds:  sky.Runtime(),
 	}, nil
-}
-
-type intHeap []int
-
-func (h intHeap) Len() int           { return len(h) }
-func (h intHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
 }
