@@ -37,6 +37,8 @@ import (
 	"tasq/internal/flight"
 	"tasq/internal/jobrepo"
 	"tasq/internal/model"
+	"tasq/internal/pcc"
+	"tasq/internal/plan"
 	"tasq/internal/registry"
 	"tasq/internal/scopesim"
 	"tasq/internal/selection"
@@ -505,7 +507,7 @@ func cmdScore(args []string) error {
 	data := fs.String("data", "repo.jsonl", "repository JSONL")
 	modelPath := fs.String("model", "model.gob", "trained model path")
 	jobID := fs.String("job", "", "job ID (defaults to the first job)")
-	threshold := fs.Float64("threshold", 0.01, "optimal-allocation threshold (marginal gain per token)")
+	threshold := fs.Float64("threshold", pcc.DefaultThreshold, "optimal-allocation threshold (marginal gain per token)")
 	predictor := fs.String("predictor", "", "score with this predictor (e.g. NN, 'XGBoost PL', Jockey); empty follows the fallback policy")
 	policyFlag := fs.String("policy", "", "comma-separated predictor fallback chain (e.g. 'GNN,NN'); ignored when -predictor is set")
 	if err := fs.Parse(args); err != nil {
@@ -563,7 +565,7 @@ func cmdPlan(args []string) error {
 	capacity := fs.Int("capacity", 400, "pool capacity in guaranteed tokens")
 	alloc := fs.String("alloc", "optimal", "allocation policy: default, peak, adaptive-peak or optimal")
 	strategy := fs.String("strategy", "fcfs", "scheduling strategy: fcfs, backfill or retry")
-	threshold := fs.Float64("threshold", 0.01, "optimal-allocation threshold (marginal gain per token)")
+	threshold := fs.Float64("threshold", pcc.DefaultThreshold, "optimal-allocation threshold (marginal gain per token)")
 	predictor := fs.String("predictor", "", "score with this predictor (e.g. NN, AutoToken); empty follows the fallback policy")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -642,10 +644,7 @@ func printPlan(resp *serve.PlanResponse) {
 	}
 	fmt.Printf("makespan %ds, queue wait mean %.1fs max %ds\n",
 		resp.MakespanSeconds, resp.MeanWaitSeconds, resp.MaxWaitSeconds)
-	savedPct := 0.0
-	if resp.PeakBaselineTokenSeconds > 0 {
-		savedPct = 100 * float64(resp.SavedTokenSeconds) / float64(resp.PeakBaselineTokenSeconds)
-	}
+	savedPct := 100 * plan.SavedVsPeak(int64(resp.TotalTokenSeconds), int64(resp.PeakBaselineTokenSeconds))
 	fmt.Printf("cost %d token-seconds vs %d peak baseline: saved %d (%.1f%%)\n",
 		resp.TotalTokenSeconds, resp.PeakBaselineTokenSeconds, resp.SavedTokenSeconds, savedPct)
 	if resp.Retries > 0 {

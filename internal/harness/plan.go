@@ -387,8 +387,8 @@ func RunPlanSoak(cfg PlanSoakConfig) (*PlanSoakResult, error) {
 		}
 	}
 	res.Fingerprint = fold.Sum64()
-	res.SavedVsPeakFraction = 1 - float64(res.OptimalTokenSeconds)/float64(res.PeakTokenSeconds)
-	res.SavedVsAutoFraction = 1 - float64(res.OptimalTokenSeconds)/float64(res.AutoTokenSeconds)
+	res.SavedVsPeakFraction = plan.SavedVsPeak(res.OptimalTokenSeconds, res.PeakTokenSeconds)
+	res.SavedVsAutoFraction = plan.SavedVsPeak(res.OptimalTokenSeconds, res.AutoTokenSeconds)
 
 	// ---- Wire proof: a few plans travel the real endpoint — one per
 	// scheduling strategy — and must match the in-process result event

@@ -298,3 +298,36 @@ func TestPredictedDurationFloors(t *testing.T) {
 		t.Fatalf("duration %d, want ceil(600/2)=300", d)
 	}
 }
+
+// TestSavedVsPeak pins the savings figure's arithmetic to the bits of
+// 1 − cost/baseline in float64, which the plan soak's digests hold (the
+// algebraically equal (baseline − cost)/baseline differs in the last bit on
+// two rows), and the batch that makes a caller's Peak pricing fail: a
+// flat curve whose Optimal plan fits the planner's range while the Peak
+// baseline of the same specs overflows it with ErrCostRange, which a
+// caller must return rather than price as nothing saved.
+func TestSavedVsPeak(t *testing.T) {
+	for _, tc := range []struct {
+		cost, baseline int64
+		want           float64
+	}{
+		{4250, 8600, 0.5058139534883721},
+		{8600, 8600, 0},
+		{9000, 8600, -0.04651162790697683},
+		{5, 0, 0},
+		{1 << 60, 3 << 59, 0.33333333333333337},
+	} {
+		if got := SavedVsPeak(tc.cost, tc.baseline); got != tc.want {
+			t.Errorf("SavedVsPeak(%d, %d) = %v, want %v", tc.cost, tc.baseline, got, tc.want)
+		}
+	}
+
+	specs := []JobSpec{{ID: "flat", RequestedTokens: 100, PeakTokens: 200, Curve: pcc.Curve{A: 0, B: 1e14}}}
+	opt, err := Build(specs, Config{Capacity: 400, Policy: PolicyOptimal})
+	if err != nil {
+		t.Fatalf("optimal plan: %v", err)
+	}
+	if _, err := Allocate(specs, Config{Capacity: 400, Policy: PolicyPeak}); !errors.Is(err, ErrCostRange) {
+		t.Fatalf("peak baseline of a %d token-second optimal plan: %v, want ErrCostRange", opt.Stats.TotalTokenSeconds, err)
+	}
+}

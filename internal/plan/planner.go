@@ -80,7 +80,7 @@ type Config struct {
 	// Policy selects the per-job allocation strategy.
 	Policy PolicyKind
 	// Threshold is the §2.1 optimal-allocation termination threshold
-	// (≤ 0 selects the 0.01 default: demand ≥1% improvement per token).
+	// (≤ 0 selects pcc.DefaultThreshold).
 	Threshold float64
 	// Strategy selects how allocations are scheduled onto the pool
 	// (zero value = StrategyFCFS).
@@ -134,7 +134,7 @@ func Allocate(specs []JobSpec, cfg Config) ([]Allocation, error) {
 	}
 	threshold := cfg.Threshold
 	if threshold <= 0 {
-		threshold = 0.01
+		threshold = pcc.DefaultThreshold
 	}
 	allocs := make([]Allocation, len(specs))
 	cost := 0
@@ -216,6 +216,19 @@ func Build(specs []JobSpec, cfg Config) (*Plan, error) {
 	p.Outcomes = outs
 	p.Stats = Summarize(allocs, outs)
 	return p, nil
+}
+
+// SavedVsPeak is the share of a baseline's token-seconds that a plan
+// costing cost saves, 1 − cost/baseline, or 0 for an empty baseline. It is
+// TASQ's "saved vs Peak" figure: the baseline is what PolicyPeak provisions
+// for the same jobs and curves (Allocate prices it, Build's simulation adds
+// nothing to it), and the plan soak applies the same share to its AutoToken
+// lane.
+func SavedVsPeak(cost, baseline int64) float64 {
+	if baseline <= 0 {
+		return 0
+	}
+	return 1 - float64(cost)/float64(baseline)
 }
 
 // buildBackfill simulates both the packed and the FCFS schedules and

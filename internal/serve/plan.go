@@ -6,6 +6,7 @@ import (
 
 	"tasq/internal/obs"
 	"tasq/internal/parallel"
+	"tasq/internal/pcc"
 	"tasq/internal/plan"
 	"tasq/internal/scopesim"
 )
@@ -54,7 +55,7 @@ type PlanRequest struct {
 	// with 400, known-but-untrained predictors with 409.
 	Model string `json:"model,omitempty"`
 	// Threshold is the §2.1 optimal-allocation termination threshold
-	// (default 0.01). Negative values are rejected.
+	// (default pcc.DefaultThreshold). Negative values are rejected.
 	Threshold float64 `json:"threshold,omitempty"`
 	// ArrivalSeconds optionally gives each job's queue-arrival time, one
 	// entry per job; omitted means every job arrives at second 0.
@@ -227,7 +228,7 @@ func (s *Server) plan(req *PlanRequest) (*PlanResponse, error) {
 	}
 	if req.Threshold < 0 {
 		met.rejected.Inc()
-		return nil, reqErrf("serve: negative threshold %v: the §2.1 termination threshold must be positive (0 selects the 0.01 default)", req.Threshold)
+		return nil, reqErrf("serve: negative threshold %v: the §2.1 termination threshold must be positive (0 selects the %v default)", req.Threshold, pcc.DefaultThreshold)
 	}
 	if len(req.ArrivalSeconds) != 0 && len(req.ArrivalSeconds) != len(req.Jobs) {
 		met.rejected.Inc()
@@ -315,6 +316,19 @@ func (s *Server) plan(req *PlanRequest) (*PlanResponse, error) {
 		Quota:     plan.Quota(req.Quotas),
 	}
 	built, err := plan.Build(specs, cfg)
+	// The Peak-allocation baseline over the same specs and quotas prices
+	// the savings; no extra scoring happens — the curves are already in
+	// hand — and no schedule is simulated either: provisioned cost depends
+	// on the allocations alone. A baseline the planner cannot price fails
+	// the plan as a Build error does, rather than reporting nothing saved.
+	var base []plan.Allocation
+	if err == nil {
+		base, err = plan.Allocate(specs, plan.Config{
+			Capacity: req.CapacityTokens,
+			Policy:   plan.PolicyPeak,
+			Quota:    plan.Quota(req.Quotas),
+		})
+	}
 	if err != nil {
 		if httpStatus(err) == http.StatusBadRequest {
 			met.rejected.Inc()
@@ -323,20 +337,9 @@ func (s *Server) plan(req *PlanRequest) (*PlanResponse, error) {
 		}
 		return nil, err
 	}
-	// The Peak-allocation baseline over the same specs and quotas prices
-	// the savings; no extra scoring happens — the curves are already in
-	// hand — and no schedule is simulated either: provisioned cost depends
-	// on the allocations alone.
-	baselineCost := built.Stats.TotalTokenSeconds
-	if base, err := plan.Allocate(specs, plan.Config{
-		Capacity: req.CapacityTokens,
-		Policy:   plan.PolicyPeak,
-		Quota:    plan.Quota(req.Quotas),
-	}); err == nil {
-		baselineCost = 0
-		for i := range base {
-			baselineCost += base[i].TokenSeconds()
-		}
+	baselineCost := 0
+	for i := range base {
+		baselineCost += base[i].TokenSeconds()
 	}
 
 	resp := &PlanResponse{

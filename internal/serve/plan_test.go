@@ -446,3 +446,33 @@ func TestHTTPStatusPlanCostRange(t *testing.T) {
 		t.Fatalf("httpStatus(ErrCostRange) = %d, want 400", got)
 	}
 }
+
+// A flat curve with a huge constant run time: Optimal gives each job one
+// token, Peak its 200-wide stage. The Optimal plan stays inside the
+// planner's integer range while the Peak baseline leaves it, so the plan
+// must fail as a Build error would — 400 and a rejected count — rather than
+// report a baseline equal to its own cost and nothing saved.
+func TestPlanRefusesUnpricedPeakBaseline(t *testing.T) {
+	srv, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: 0, B: 1e14}})
+	req := &PlanRequest{Jobs: []*scopesim.Job{planJob("a")}, CapacityTokens: 400}
+	if _, err := srv.PlanLocal(req); !errors.Is(err, plan.ErrCostRange) {
+		t.Fatalf("PlanLocal: %v, want ErrCostRange", err)
+	}
+	client := NewClient(ts.URL)
+	var se *StatusError
+	if _, err := client.Plan(req); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("HTTP plan: %v, want 400", err)
+	}
+	metrics, err := client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`tasq_plan_requests_total{outcome="rejected",strategy="fcfs"} 2`,
+		`tasq_plan_requests_total{outcome="ok",strategy="fcfs"} 0`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+}
