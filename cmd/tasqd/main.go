@@ -249,7 +249,10 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		reloader := serve.NewReloader(reg, srv, *poll, log.Printf)
+		reloader, err := serve.NewReloader(reg, srv, *poll, log.Printf)
+		if err != nil {
+			return err
+		}
 		if len(policy) > 0 {
 			// Every hot-swapped generation scores with the same override.
 			reloader.OnLoad(func(p *trainer.Pipeline) { p.ScorePolicy = policy })

@@ -48,7 +48,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reloader := tasq.NewModelReloader(reg, srv, time.Hour) // reloads are explicit below
+	reloader, err := tasq.NewModelReloader(reg, srv, time.Hour) // reloads are explicit below
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := reloader.Sync(); err != nil {
 		log.Fatal(err)
 	}

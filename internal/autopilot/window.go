@@ -35,10 +35,10 @@ type Window struct {
 }
 
 // OpenWindow opens (creating if needed) a window at path holding at most
-// capacity records (≤ 0 = DefaultWindowCap).
+// capacity (≥ 1) records.
 func OpenWindow(path string, capacity int) (*Window, error) {
 	if capacity <= 0 {
-		capacity = DefaultWindowCap
+		return nil, fmt.Errorf("autopilot: window capacity %d must be positive", capacity)
 	}
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -5,12 +5,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"tasq/internal/obs"
 	"tasq/internal/registry"
 	"tasq/internal/serve"
 )
@@ -83,7 +83,10 @@ func (r *Replica) start() error {
 	// The poll interval is effectively infinite: Run is never called, so
 	// the replica adopts registry changes only on explicit Sync — the
 	// determinism the chaos schedule relies on.
-	rl := serve.NewReloader(r.reg, srv, time.Hour, r.logf)
+	rl, err := serve.NewReloader(r.reg, srv, time.Hour, r.logf)
+	if err != nil {
+		return err
+	}
 	if err := rl.Sync(); err != nil {
 		return err
 	}
@@ -267,7 +270,7 @@ func (r *Replica) MetricsNow() (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseSamples(exp), nil
+	return obs.ParseSamples(exp), nil
 }
 
 // MetricsTotal returns cumulative samples (counters, histograms) summed
@@ -316,27 +319,6 @@ func scrape(srv *serve.Server) (string, error) {
 	return b.String(), nil
 }
 
-// parseSamples reads a Prometheus text exposition into "name{labels}" →
-// value.
-func parseSamples(text string) map[string]float64 {
-	out := map[string]float64{}
-	for _, line := range strings.Split(text, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[line[:i]] = v
-	}
-	return out
-}
-
 // cumulativeSamples parses an exposition keeping only samples of
 // cumulative families — counters and histograms — using the # TYPE lines
 // to drop gauges, whose values must not be summed across incarnations.
@@ -348,7 +330,7 @@ func cumulativeSamples(text string) map[string]float64 {
 			gauges[name] = struct{}{}
 		}
 	}
-	out := parseSamples(text)
+	out := obs.ParseSamples(text)
 	for k := range out {
 		name := k
 		if i := strings.IndexByte(name, '{'); i >= 0 {

@@ -138,15 +138,19 @@ func allowedFleetFailure(err error) bool {
 // off so every attempt is a fresh connection that either reaches a live
 // listener or is cleanly refused — never a half-dead pooled connection —
 // and a fast breaker so dead members eject within two attempts.
-func newFleetMemberClient(url, id string, led *ledger) *serve.Client {
+func newFleetMemberClient(url, id string, led *ledger) (*serve.Client, error) {
+	b, err := serve.NewBreaker(2, 10*time.Millisecond)
+	if err != nil {
+		return nil, err
+	}
 	c := serve.NewClient(url)
 	c.HTTP = &http.Client{
 		Timeout:   30 * time.Second,
 		Transport: &http.Transport{DisableKeepAlives: true},
 	}
-	c.Breaker = serve.NewBreaker(2, 10*time.Millisecond)
+	c.Breaker = b
 	c.OnAttempt = led.hook(id)
-	return c
+	return c, nil
 }
 
 // fleetSchedule is the per-replica disruption bookkeeping; all values
@@ -240,7 +244,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	ring := cluster.NewRing(0)
 	cc := serve.NewClusterClient(ring)
 	for _, r := range fleet.Replicas() {
-		if err := cc.AddMember(r.ID(), newFleetMemberClient(r.URL(), r.ID(), led)); err != nil {
+		c, err := newFleetMemberClient(r.URL(), r.ID(), led)
+		if err != nil {
+			return nil, err
+		}
+		if err := cc.AddMember(r.ID(), c); err != nil {
 			return nil, err
 		}
 	}
@@ -288,7 +296,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		event(step, "restart", r.ID())
 		// The new incarnation listens on a fresh port; re-point the
 		// balancer. Health state is preserved — a probe re-admits it.
-		return cc.SetMemberClient(r.ID(), newFleetMemberClient(r.URL(), r.ID(), led))
+		c, err := newFleetMemberClient(r.URL(), r.ID(), led)
+		if err != nil {
+			return err
+		}
+		return cc.SetMemberClient(r.ID(), c)
 	}
 	heal := func(i, step int) error {
 		sched.partAt[i] = -1

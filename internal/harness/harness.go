@@ -204,7 +204,11 @@ func Run(cfg Config) (*Result, error) {
 			// stalling the storm — recovery proves retries work.
 			Budget: 30 * time.Millisecond,
 		}
-		client.Breaker = serve.NewBreaker(8, 10*time.Millisecond)
+		var err error
+		if client.Breaker, err = serve.NewBreaker(8, 10*time.Millisecond); err != nil {
+			errs.set(err)
+			return
+		}
 		client.OnAttempt = led.hook("")
 		for op := 0; op < cfg.OpsPerWorker; op++ {
 			runOp(rng, client, recs, cnt, errs, oracle)
@@ -252,7 +256,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := parseMetrics(text)
+	m := obs.ParseSamples(text)
 	if err := reconcileMember("", led, m, m); err != nil {
 		return nil, err
 	}
@@ -355,7 +359,7 @@ func saturate(addr, url string, cfg Config, recs []*jobrepo.Record, led *ledger,
 		if err != nil {
 			return err
 		}
-		if parseMetrics(text)[obs.MetricAdmissionInFlight] == float64(cfg.MaxInFlight) {
+		if obs.ParseSamples(text)[obs.MetricAdmissionInFlight] == float64(cfg.MaxInFlight) {
 			break
 		}
 		if time.Now().After(deadline) {

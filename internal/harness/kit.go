@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -157,7 +156,10 @@ func serveRegistry(reg *registry.Registry, poll time.Duration, logf func(string,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rl := serve.NewReloader(reg, srv, poll, logf)
+	rl, err := serve.NewReloader(reg, srv, poll, logf)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	if err := rl.Sync(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -388,27 +390,6 @@ func rateOf(p faults.Profile, site string) float64 {
 		return p.ReplicaPartitionRate
 	}
 	return 0
-}
-
-// parseMetrics reads a Prometheus text exposition into sample-line →
-// value ("name{labels}" keys, label names sorted as obs renders them).
-func parseMetrics(text string) map[string]float64 {
-	out := map[string]float64{}
-	for _, line := range strings.Split(text, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[line[:i]] = v
-	}
-	return out
 }
 
 // statusOf extracts the wire status of a failed call: (status, true) for

@@ -93,7 +93,7 @@ func (cc *ClusterClient) AddMember(id string, c *Client) error {
 		return errors.New("serve: cluster member without a client")
 	}
 	if c.Breaker == nil {
-		c.Breaker = NewBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown)
+		c.Breaker = newBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown)
 	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -126,7 +126,7 @@ func (cc *ClusterClient) SetMemberClient(id string, c *Client) error {
 		return errors.New("serve: cluster member without a client")
 	}
 	if c.Breaker == nil {
-		c.Breaker = NewBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown)
+		c.Breaker = newBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown)
 	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()

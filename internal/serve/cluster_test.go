@@ -85,7 +85,7 @@ func clusterFixture(t *testing.T, n int) (*ClusterClient, []*httptest.Server, *f
 		_, ts := pipelineServer(t, p)
 		servers = append(servers, ts)
 		c := NewClient(ts.URL)
-		c.Breaker = NewBreaker(2, 10*time.Millisecond)
+		c.Breaker = newBreaker(2, 10*time.Millisecond)
 		if err := cc.AddMember(memberID(i), c); err != nil {
 			t.Fatal(err)
 		}

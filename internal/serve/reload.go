@@ -34,10 +34,11 @@ type Reloader struct {
 const DefaultPollInterval = 10 * time.Second
 
 // NewReloader wires a server to a registry and registers itself as the
-// server's admin-reload hook. logf (optional) receives one line per swap.
-func NewReloader(reg *registry.Registry, srv *Server, interval time.Duration, logf func(string, ...any)) *Reloader {
+// server's admin-reload hook. interval must be positive. logf (optional)
+// receives one line per swap.
+func NewReloader(reg *registry.Registry, srv *Server, interval time.Duration, logf func(string, ...any)) (*Reloader, error) {
 	if interval <= 0 {
-		interval = DefaultPollInterval
+		return nil, fmt.Errorf("serve: reload interval %v must be positive", interval)
 	}
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -46,7 +47,7 @@ func NewReloader(reg *registry.Registry, srv *Server, interval time.Duration, lo
 	srv.reg.SetHelp(obs.MetricReloadFailures, "Registry sync passes that failed (corrupt artifact, unreadable manifest, …); the previous generation keeps serving.")
 	r.failures = srv.reg.Counter(obs.MetricReloadFailures)
 	srv.setReloadFunc(r.Sync)
-	return r
+	return r, nil
 }
 
 // OnLoad registers a hook applied to every pipeline the reloader loads —

@@ -55,7 +55,10 @@ func registryServer(t *testing.T, opts ...Option) (*registry.Registry, *Server, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl := NewReloader(reg, srv, time.Millisecond, t.Logf)
+	rl, err := NewReloader(reg, srv, time.Millisecond, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := rl.Sync(); err != nil {
 		t.Fatal(err)
 	}

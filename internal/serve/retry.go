@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -132,15 +133,20 @@ type Breaker struct {
 	probing  bool
 }
 
-// NewBreaker builds a closed breaker; non-positive arguments take the
-// defaults.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
+// NewBreaker builds a closed breaker that opens after threshold (≥ 1)
+// consecutive failures and probes again after cooldown (> 0).
+func NewBreaker(threshold int, cooldown time.Duration) (*Breaker, error) {
 	if threshold < 1 {
-		threshold = DefaultBreakerThreshold
+		return nil, fmt.Errorf("serve: breaker threshold %d must be at least 1", threshold)
 	}
 	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
+		return nil, fmt.Errorf("serve: breaker cooldown %v must be positive", cooldown)
 	}
+	return newBreaker(threshold, cooldown), nil
+}
+
+// newBreaker is NewBreaker for arguments known to be valid.
+func newBreaker(threshold int, cooldown time.Duration) *Breaker {
 	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
 }
 

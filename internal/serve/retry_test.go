@@ -258,7 +258,10 @@ func TestSingleScoreRetriesTransportErrors(t *testing.T) {
 // the re-open path on a fake clock, pinning every transition.
 func TestBreakerStateMachine(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := NewBreaker(2, time.Second)
+	b, err := NewBreaker(2, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b.now = func() time.Time { return now }
 
 	if b.State() != BreakerClosed || !b.Allow() {
@@ -330,7 +333,7 @@ func TestClientBreakerIntegration(t *testing.T) {
 	h := newRetryHarness(t, "", http.StatusInternalServerError)
 	c, _, attempts := resilientClient(h.ts.URL, 7)
 	c.Retry = nil // isolate the breaker from the retry loop
-	c.Breaker = NewBreaker(2, time.Hour)
+	c.Breaker = newBreaker(2, time.Hour)
 
 	for i := 0; i < 2; i++ {
 		if _, err := c.Score(&ScoreRequest{Job: validJob("r")}); err == nil {
@@ -363,7 +366,7 @@ func TestClientBreakerIntegration(t *testing.T) {
 	h2 := newRetryHarness(t, "1", http.StatusTooManyRequests)
 	c2, _, _ := resilientClient(h2.ts.URL, 7)
 	c2.Retry = nil
-	c2.Breaker = NewBreaker(1, time.Hour)
+	c2.Breaker = newBreaker(1, time.Hour)
 	if _, err := c2.Score(&ScoreRequest{Job: validJob("r")}); err == nil {
 		t.Fatal("429 reported as success")
 	}

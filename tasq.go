@@ -171,7 +171,7 @@ func OpenModelRegistry(dir string) (*ModelRegistry, error) { return registry.Ope
 
 // NewModelReloader wires a ScoringServer to a ModelRegistry: Sync once
 // before serving, then Run in a goroutine for hot reload.
-func NewModelReloader(reg *ModelRegistry, srv *ScoringServer, interval time.Duration) *ModelReloader {
+func NewModelReloader(reg *ModelRegistry, srv *ScoringServer, interval time.Duration) (*ModelReloader, error) {
 	return serve.NewReloader(reg, srv, interval, nil)
 }
 

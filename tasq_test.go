@@ -1,10 +1,17 @@
 package tasq_test
 
 import (
+	"math"
+	"math/rand"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"tasq"
+	"tasq/internal/autopilot"
+	"tasq/internal/scopesim"
+	"tasq/internal/serve"
 )
 
 // TestPublicAPIEndToEnd drives the whole system through the façade: build
@@ -43,7 +50,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// AREPAS on an observed skyline.
 	rec := repo.All()[0]
-	sim, err := tasq.SimulateSkyline(rec.Skyline, maxInt(1, rec.ObservedTokens/2))
+	sim, err := tasq.SimulateSkyline(rec.Skyline, max(1, rec.ObservedTokens/2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +103,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if got := tasq.MedianAPE([]float64{110}, []float64{100}); got != 0.1 {
 		t.Fatalf("MedianAPE = %v", got)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TestPublicAPIPlanning exercises the cluster-planner façade: strategy
@@ -164,3 +164,51 @@ func TestPublicAPIPlanning(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedSettings holds the constructors that once coerced a
+// meaningless setting to a default to refusing it instead, as NewServer
+// does: every row must fail.
+func TestRefusedSettings(t *testing.T) {
+	reg, err := tasq.OpenModelRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := tasq.NewUnloadedScoringServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &scopesim.Job{ID: "j", RequestedTokens: 4, Stages: []scopesim.Stage{{ID: 0, Tasks: 4, TaskSeconds: 3}}}
+	runNoisy := func(noise scopesim.Noise) error {
+		_, err := tasq.NewExecutor().RunNoisy(job, 4, rand.New(rand.NewSource(1)), noise)
+		return err
+	}
+	openWindow := func(capacity int) error {
+		w, err := autopilot.OpenWindow(filepath.Join(t.TempDir(), "window.jsonl"), capacity)
+		if err == nil {
+			w.Close()
+		}
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"reloader interval 0", second(tasq.NewModelReloader(reg, srv, 0))},
+		{"reloader interval -1s", second(tasq.NewModelReloader(reg, srv, -time.Second))},
+		{"breaker threshold 0", second(serve.NewBreaker(0, time.Second))},
+		{"breaker threshold -1", second(serve.NewBreaker(-1, time.Second))},
+		{"breaker cooldown 0", second(serve.NewBreaker(2, 0))},
+		{"breaker cooldown -1ms", second(serve.NewBreaker(2, -time.Millisecond))},
+		{"window capacity 0", openWindow(0)},
+		{"window capacity -5", openWindow(-5)},
+		{"slowdown factor 0.5", runNoisy(scopesim.Noise{SlowdownProb: 1, SlowdownFactor: 0.5})},
+		{"slowdown factor 0", runNoisy(scopesim.Noise{SlowdownProb: 0.04})},
+		{"slowdown factor NaN", runNoisy(scopesim.Noise{SlowdownProb: 1, SlowdownFactor: math.NaN()})},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+func second[T any](_ T, err error) error { return err }
