@@ -4,7 +4,8 @@
 #   make test      tier-1 verification (go build + go test)
 #   make race      race-detector pass over the concurrent paths
 #   make check     the one gate: fmt + vet + build + tests + race + soaks + bench
-#                  smoke (run before merging; scripts/check.sh and CI run it too)
+#                  smoke + no stray processes (run before merging; scripts/check.sh
+#                  and CI run it too)
 #   make coverage  coverage profile with the fail-below-baseline floor
 #   make chaos     deterministic chaos/soak harness under the race detector
 #   make autopilot-soak  continuous-learning loop under drift + faults (-race)
@@ -14,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt check coverage chaos autopilot-soak cluster-soak plan-soak bench bench-smoke
+.PHONY: build test race vet fmt check coverage chaos autopilot-soak cluster-soak plan-soak bench bench-smoke strays
 
 build:
 	$(GO) build ./...
@@ -84,17 +85,24 @@ bench:
 
 # One iteration of every serving and planner benchmark (the per-predictor
 # miss path, BenchmarkDecodeScoreRequest and BenchmarkPlanResolve1000 in
-# internal/serve included):
+# internal/serve included) and of BenchmarkExecutorRun:
 # catches bit-rot in the bench harness itself without paying for real
 # measurement (the pipeline benches train full models and stay out of the
 # per-merge gate).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^Benchmark(Score|Batch|Decode)' -benchtime=1x -count=1 ./internal/serve/ ./internal/cluster/
 	$(GO) test -run='^$$' -bench='^BenchmarkPlan' -benchtime=1x -count=1 ./internal/plan/ ./internal/serve/
+	$(GO) test -run='^$$' -bench='^BenchmarkExecutorRun$$' -benchtime=1x -count=1 ./internal/scopesim/
+
+# Fails if any tasqd, tasq-bench or Go test binary (fuzz workers included)
+# is still running: the last step of check, so a stage that leaks a
+# process fails the gate instead of the next run.
+strays:
+	scripts/strays.sh
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 
-check: fmt vet test race chaos autopilot-soak cluster-soak plan-soak bench-smoke
+check: fmt vet test race chaos autopilot-soak cluster-soak plan-soak bench-smoke strays
 	@echo "check: ok"

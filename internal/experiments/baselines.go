@@ -55,7 +55,7 @@ func AutoTokenComparison(s *Suite) (*AutoTokenComparisonResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		return float64(run.RuntimeSeconds)/float64(maxI(rec.RuntimeSeconds, 1)) - 1, nil
+		return float64(run.RuntimeSeconds)/float64(max(rec.RuntimeSeconds, 1)) - 1, nil
 	}
 
 	for _, rec := range s.Test {
@@ -116,11 +116,4 @@ func (r *AutoTokenComparisonResult) Render() string {
 	}
 	return textTable("Extension (§6.2) — AutoToken baseline vs TASQ on the test day:",
 		[]string{"Policy", "Coverage", "Tokens requested", "Savings vs users", "Median slowdown"}, rows)
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

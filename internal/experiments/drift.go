@@ -66,7 +66,7 @@ func AblationInputDrift(s *Suite) (*InputDriftResult, error) {
 		j.Anonymize(s.Config.TrainJobs + s.Config.TestJobs + i)
 	}
 
-	normalRow, err := s.driftEval("test day (no drift)", recordsAsJobs(s.Test), prior)
+	normalRow, err := s.driftEval("test day (no drift)", jobrepo.Jobs(s.Test), prior)
 	if err != nil {
 		return nil, err
 	}
@@ -112,14 +112,6 @@ func (s *Suite) driftEval(day string, jobs []*scopesim.Job, prior map[string]*jo
 	row.StaleSkylineMedAE = stale.MedianAPE()
 	row.ModelMedAE = model.MedianAPE()
 	return row, nil
-}
-
-func recordsAsJobs(recs []*jobrepo.Record) []*scopesim.Job {
-	out := make([]*scopesim.Job, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.Job
-	}
-	return out
 }
 
 // Render prints the drift comparison.

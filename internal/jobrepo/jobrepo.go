@@ -87,6 +87,15 @@ func (r *Repository) All() []*Record {
 	return out
 }
 
+// Jobs returns the job of each record, in order.
+func Jobs(recs []*Record) []*scopesim.Job {
+	out := make([]*scopesim.Job, len(recs))
+	for i, rec := range recs {
+		out[i] = rec.Job
+	}
+	return out
+}
+
 // Get returns the record for a job ID, or nil.
 func (r *Repository) Get(id string) *Record { return r.byID[id] }
 

@@ -13,6 +13,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -270,6 +271,28 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, nil
+}
+
+// ParseSamples reads a text exposition back into sample → value, keyed by
+// the sample line's "name{labels}" as WriteTo renders it (label names
+// sorted). Comment lines and lines without a numeric value are skipped.
+func ParseSamples(text string) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			continue
+		}
+		out[line[:i]] = v
+	}
+	return out
 }
 
 func (f *family) write(w io.Writer, help string) (int64, error) {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -114,6 +115,32 @@ func TestRenderFormat(t *testing.T) {
 	// Families render sorted by name.
 	if strings.Index(out, "in_flight") > strings.Index(out, "req_total") {
 		t.Fatalf("families not sorted by name:\n%s", out)
+	}
+}
+
+// TestParseSamplesRoundTrip reads WriteTo's exposition back: every sample
+// line keyed as rendered, comments and malformed lines skipped.
+func TestParseSamplesRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("req_total", "route", "/v1/score", "code", "2xx").Add(3)
+	r.SetHelp("req_total", "Requests served.")
+	r.Gauge("in_flight").Set(-2)
+	r.Histogram("lat_seconds", []float64{0.5}, "route", "/v1/score").Observe(0.7)
+	var b strings.Builder
+	if _, err := r.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	got := ParseSamples(b.String() + "no_value\nbad_value x\n")
+	want := map[string]float64{
+		`req_total{code="2xx",route="/v1/score"}`: 3,
+		`in_flight`: -2,
+		`lat_seconds_bucket{route="/v1/score",le="0.5"}`:  0,
+		`lat_seconds_bucket{route="/v1/score",le="+Inf"}`: 1,
+		`lat_seconds_sum{route="/v1/score"}`:              0.7,
+		`lat_seconds_count{route="/v1/score"}`:            1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseSamples = %v, want %v", got, want)
 	}
 }
 

@@ -163,6 +163,10 @@ func (c Curve) RSquared(samples []Sample) float64 {
 	return 1 - ssRes/ssTot
 }
 
+// DefaultThreshold is the §2.1 termination threshold a caller gets when
+// it names none: at least a 1% run-time improvement per extra token.
+const DefaultThreshold = 0.01
+
 // OptimalTokens returns the smallest allocation (within [minTokens,
 // maxTokens]) at which the marginal performance gain from one more token
 // drops below threshold — the §2.1 termination rule, e.g. threshold = 0.01

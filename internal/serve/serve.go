@@ -56,8 +56,8 @@ type ScoreRequest struct {
 	// for; defaults to a sweep up to the requested tokens.
 	CandidateTokens []int `json:"candidate_tokens,omitempty"`
 	// Threshold is the §2.1 optimal-allocation termination threshold
-	// (default 0.01: demand ≥1% improvement per extra token). Negative
-	// values are rejected.
+	// (default pcc.DefaultThreshold: demand ≥1% improvement per extra
+	// token). Negative values are rejected.
 	Threshold float64 `json:"threshold,omitempty"`
 	// MaxTokens caps the optimal-token search (default: requested
 	// tokens). Negative values are rejected.
@@ -741,7 +741,7 @@ func (s *Server) score(req *ScoreRequest) (*ScoreResponse, error) {
 	}
 	if req.Threshold < 0 {
 		s.scoreRejected.Inc()
-		return nil, reqErrf("serve: negative threshold %v: the §2.1 termination threshold must be positive (0 selects the 0.01 default)", req.Threshold)
+		return nil, reqErrf("serve: negative threshold %v: the §2.1 termination threshold must be positive (0 selects the %v default)", req.Threshold, pcc.DefaultThreshold)
 	}
 	if req.MaxTokens < 0 {
 		s.scoreRejected.Inc()
@@ -775,7 +775,7 @@ func (s *Server) score(req *ScoreRequest) (*ScoreResponse, error) {
 
 	threshold := req.Threshold
 	if threshold == 0 {
-		threshold = 0.01
+		threshold = pcc.DefaultThreshold
 	}
 	maxTokens := req.MaxTokens
 	if maxTokens == 0 {

@@ -227,7 +227,7 @@ func Train(recs []*jobrepo.Record, platform Platform, cfg TrainConfig) (*Model, 
 		cfg.GBT.Objective = gbt.Gamma
 	}
 
-	scaler := features.FitScaler(features.JobMatrix(jobsOf(recs)))
+	scaler := features.FitScaler(features.JobMatrix(jobrepo.Jobs(recs)))
 	var rows [][]float64
 	var y []float64
 	for _, rec := range recs {
@@ -249,14 +249,6 @@ func Train(recs []*jobrepo.Record, platform Platform, cfg TrainConfig) (*Model, 
 		return nil, err
 	}
 	return &Model{Platform: platform, GBT: m, Scaler: scaler}, nil
-}
-
-func jobsOf(recs []*jobrepo.Record) []*scopesim.Job {
-	out := make([]*scopesim.Job, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.Job
-	}
-	return out
 }
 
 // PredictRuntime returns the predicted run time at the given executor

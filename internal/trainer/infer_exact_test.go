@@ -9,6 +9,7 @@ import (
 	"tasq/internal/ml/autodiff"
 	"tasq/internal/ml/linalg"
 	"tasq/internal/ml/spline"
+	"tasq/internal/model"
 	"tasq/internal/pcc"
 	"tasq/internal/scopesim"
 	"tasq/internal/workload"
@@ -138,7 +139,7 @@ func TestInferenceBitExactAgainstTape(t *testing.T) {
 func checkXGBHoisted(t *testing.T, p *Pipeline, job *scopesim.Job) {
 	t.Helper()
 	ref := job.RequestedTokens
-	grid := CurveRegion(ref)
+	grid := model.CurveRegion(ref)
 	var samples []pcc.Sample
 	for _, tok := range grid {
 		rt := perPointRuntime(p.XGB, job, tok)

@@ -315,8 +315,8 @@ func buildLossInputs(recs []*jobrepo.Record, targets []Target, scaling ParamScal
 		za, zb := scaling.Scale(targets[i])
 		in.za.Data[i] = za
 		in.zb.Data[i] = zb
-		in.logTokens.Data[i] = math.Log(float64(maxInt(rec.ObservedTokens, 1)))
-		rt := float64(maxInt(rec.RuntimeSeconds, 1))
+		in.logTokens.Data[i] = math.Log(float64(max(rec.ObservedTokens, 1)))
+		rt := float64(max(rec.RuntimeSeconds, 1))
 		in.runtime.Data[i] = rt
 		in.invRuntime.Data[i] = 1 / rt
 		if in.xgbPred != nil {

@@ -32,7 +32,7 @@ func BuildTarget(rec *jobrepo.Record, fractions []float64) (Target, error) {
 	if len(grid) < 2 {
 		// Jobs observed at a single token (reference 1) have no sweep;
 		// fall back to a flat curve anchored at the observed run time.
-		return Target{A: 0, LogB: math.Log(float64(maxInt(rec.RuntimeSeconds, 1)))}, nil
+		return Target{A: 0, LogB: math.Log(float64(max(rec.RuntimeSeconds, 1)))}, nil
 	}
 	pts, err := arepas.Sweep(rec.Skyline, grid)
 	if err != nil {
@@ -98,11 +98,4 @@ func ParamMAE(s ParamScaling, preds, truths []Target) float64 {
 		sum += (math.Abs(pa-ta) + math.Abs(pb-tb)) / 2
 	}
 	return sum / float64(len(preds))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

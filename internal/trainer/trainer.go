@@ -114,7 +114,7 @@ func Train(recs []*jobrepo.Record, cfg Config) (*Pipeline, error) {
 	p.Scaling = FitParamScaling(p.TrainTargets)
 
 	// Feature scalers fitted on training data only.
-	p.JobScaler = features.FitScaler(features.JobMatrix(jobsOf(recs)))
+	p.JobScaler = features.FitScaler(features.JobMatrix(jobrepo.Jobs(recs)))
 	p.OpScaler = features.FitScaler(stackOperatorRows(recs))
 
 	// XGBoost (always trained: the PCC baselines and LF3 depend on it).
@@ -178,14 +178,6 @@ func pickSeed(own, fallback int64) int64 {
 		return own
 	}
 	return fallback
-}
-
-func jobsOf(recs []*jobrepo.Record) []*scopesim.Job {
-	out := make([]*scopesim.Job, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.Job
-	}
-	return out
 }
 
 // stackOperatorRows concatenates every training job's operator feature

@@ -200,7 +200,7 @@ func TestOptimalTokensNoBound(t *testing.T) {
 }
 
 func TestCurveRegion(t *testing.T) {
-	grid := CurveRegion(100)
+	grid := model.CurveRegion(100)
 	if grid[0] != 60 || grid[len(grid)-1] != 140 {
 		t.Fatalf("region = %v, want 60..140", grid)
 	}
@@ -209,7 +209,7 @@ func TestCurveRegion(t *testing.T) {
 			t.Fatalf("region not ascending: %v", grid)
 		}
 	}
-	tiny := CurveRegion(1)
+	tiny := model.CurveRegion(1)
 	for _, tok := range tiny {
 		if tok < 1 {
 			t.Fatalf("region below 1 token: %v", tiny)

@@ -112,19 +112,11 @@ func (m *XGBModel) PredictRuntime(job *scopesim.Job, tokens int) float64 {
 	return m.predictAt(&row, tokens)
 }
 
-// CurveRegion returns the paper's ±40%-of-reference token grid on which
-// XGBoost curves are constructed and the Pattern metric judged. The grid
-// lives in the model package (the simulator baselines fit over the same
-// region); this forwarder keeps the trainer's historical call sites.
-func CurveRegion(reference int) []int {
-	return model.CurveRegion(reference)
-}
-
 // PredictCurveSS implements XGBoost SS: point predictions over the ±40%
 // region smoothed with a cubic smoothing spline. It returns the grid and
 // the smoothed run times (the "curve" is tabulated, not parametric).
 func (m *XGBModel) PredictCurveSS(job *scopesim.Job, reference int, lambda float64) (grid []int, runtimes []float64, err error) {
-	grid = CurveRegion(reference)
+	grid = model.CurveRegion(reference)
 	xs := make([]float64, len(grid))
 	ys := make([]float64, len(grid))
 	var row xgbRowBuf
@@ -152,7 +144,7 @@ func (m *XGBModel) PredictCurveSS(job *scopesim.Job, reference int, lambda float
 // increasing — the paper finds ~27% of PL curves have consistent parameter
 // signs).
 func (m *XGBModel) PredictCurvePL(job *scopesim.Job, reference int) (pcc.Curve, error) {
-	grid := CurveRegion(reference)
+	grid := model.CurveRegion(reference)
 	samples := make([]pcc.Sample, 0, len(grid))
 	var row xgbRowBuf
 	m.fillJob(&row, job)
