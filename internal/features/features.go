@@ -80,9 +80,9 @@ func fillOperatorRow(row []float64, op *scopesim.Operator) {
 	row[4] = math.Log1p(nonNeg(e.SubtreeCost))
 	row[5] = math.Log1p(nonNeg(e.ExclusiveCost))
 	row[6] = math.Log1p(nonNeg(e.TotalCost))
-	row[7] = math.Log1p(float64(max0(e.NumPartitions)))
-	row[8] = float64(max0(e.NumPartitioningColumns))
-	row[9] = float64(max0(e.NumSortColumns))
+	row[7] = math.Log1p(float64(max(e.NumPartitions, 0)))
+	row[8] = float64(max(e.NumPartitioningColumns, 0))
+	row[9] = float64(max(e.NumSortColumns, 0))
 	base := numContinuous + numDiscrete
 	if op.Kind.Valid() {
 		row[base+int(op.Kind)] = 1
@@ -267,13 +267,6 @@ func (s *Scaler) Apply(row []float64) {
 
 func nonNeg(v float64) float64 {
 	if v < 0 || math.IsNaN(v) {
-		return 0
-	}
-	return v
-}
-
-func max0(v int) int {
-	if v < 0 {
 		return 0
 	}
 	return v

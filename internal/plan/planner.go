@@ -219,11 +219,11 @@ func Build(specs []JobSpec, cfg Config) (*Plan, error) {
 }
 
 // SavedVsPeak is the share of a baseline's token-seconds that a plan
-// costing cost saves, 1 − cost/baseline, or 0 for an empty baseline. It is
-// TASQ's "saved vs Peak" figure: the baseline is what PolicyPeak provisions
-// for the same jobs and curves (Allocate prices it, Build's simulation adds
-// nothing to it), and the plan soak applies the same share to its AutoToken
-// lane.
+// costing cost saves: 1 − cost/baseline, or 0 for an empty baseline. It is
+// the one statement of TASQ's "saved vs Peak" figure, whose baseline is
+// what PolicyPeak provisions for the same jobs and curves (Allocate prices
+// it; no schedule changes it). The plan soak also applies it to its
+// AutoToken lane.
 func SavedVsPeak(cost, baseline int64) float64 {
 	if baseline <= 0 {
 		return 0

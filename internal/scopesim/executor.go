@@ -33,7 +33,8 @@ type Noise struct {
 	Sigma float64
 	// SlowdownProb is the per-execution probability that one random stage
 	// suffers an anomalous slowdown of SlowdownFactor (a straggler or
-	// machine failure with retry). 0 disables it.
+	// machine failure with retry), which must then be at least 1. 0
+	// disables it.
 	SlowdownProb   float64
 	SlowdownFactor float64
 	// GlobalSigma is a log-normal factor applied once per execution to
@@ -130,9 +131,9 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 	}
 
 	// ready holds stage IDs with no pending deps and unstarted tasks,
-	// served in ascending stage-ID order (generation emits stages in
-	// topological order, so this is FIFO by readiness).
-	// Keyed on the stage ID itself.
+	// keyed on the ID itself so that they are served in ascending order
+	// (generation emits stages in topological order, so this is FIFO by
+	// readiness).
 	var ready eventq.Queue[struct{}]
 	for i := 0; i < n; i++ {
 		if pendingDeps[i] == 0 {
