@@ -165,10 +165,10 @@ func TestPublicAPIPlanning(t *testing.T) {
 	}
 }
 
-// TestRefusedSettings holds the constructors that once coerced a
+// TestConstructorsRefuse holds the constructors that once coerced a
 // meaningless setting to a default to refusing it instead, as NewServer
 // does: every row must fail.
-func TestRefusedSettings(t *testing.T) {
+func TestConstructorsRefuse(t *testing.T) {
 	reg, err := tasq.OpenModelRegistry(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
