@@ -169,8 +169,9 @@ func NewUnloadedScoringServer(opts ...ScoringOption) (*ScoringServer, error) {
 // rooted at dir.
 func OpenModelRegistry(dir string) (*ModelRegistry, error) { return registry.Open(dir) }
 
-// NewModelReloader wires a ScoringServer to a ModelRegistry: Sync once
-// before serving, then Run in a goroutine for hot reload.
+// NewModelReloader wires a ScoringServer to a ModelRegistry, polling every
+// interval (> 0): Sync once before serving, then Run in a goroutine for
+// hot reload.
 func NewModelReloader(reg *ModelRegistry, srv *ScoringServer, interval time.Duration) (*ModelReloader, error) {
 	return serve.NewReloader(reg, srv, interval, nil)
 }
