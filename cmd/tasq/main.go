@@ -172,8 +172,9 @@ func cmdTrain(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	lossName := fs.String("loss", "LF2", "NN/GNN loss: LF1, LF2 or LF3")
 	skipGNN := fs.Bool("skip-gnn", false, "skip the (slow) GNN")
-	nnEpochs := fs.Int("nn-epochs", 0, "override NN epochs")
-	gnnEpochs := fs.Int("gnn-epochs", 0, "override GNN epochs")
+	def := trainer.DefaultConfig(0)
+	nnEpochs := fs.Int("nn-epochs", def.NN.Epochs, "NN training epochs, at least 1")
+	gnnEpochs := fs.Int("gnn-epochs", def.GNN.Epochs, "GNN training epochs, at least 1")
 	registryDir := fs.String("registry", "", "also publish the model into this registry directory")
 	evalData := fs.String("eval-data", "", "held-out JSONL evaluated into the published manifest (requires -registry)")
 	notes := fs.String("notes", "", "free-form note recorded in the published manifest")
@@ -183,6 +184,12 @@ func cmdTrain(args []string) error {
 	}
 	if *registryDir == "" && (*evalData != "" || *notes != "") {
 		return fmt.Errorf("-eval-data and -notes only apply when publishing with -registry")
+	}
+	if *nnEpochs < 1 {
+		return fmt.Errorf("-nn-epochs %d: must be at least 1", *nnEpochs)
+	}
+	if *gnnEpochs < 1 {
+		return fmt.Errorf("-gnn-epochs %d: must be at least 1", *gnnEpochs)
 	}
 	loss, err := parseLoss(*lossName)
 	if err != nil {
@@ -197,12 +204,8 @@ func cmdTrain(args []string) error {
 	cfg.GNN.Loss = loss
 	cfg.SkipGNN = *skipGNN
 	cfg.Workers = *workers
-	if *nnEpochs > 0 {
-		cfg.NN.Epochs = *nnEpochs
-	}
-	if *gnnEpochs > 0 {
-		cfg.GNN.Epochs = *gnnEpochs
-	}
+	cfg.NN.Epochs = *nnEpochs
+	cfg.GNN.Epochs = *gnnEpochs
 	p, err := trainer.Train(repo.All(), cfg)
 	if err != nil {
 		return err

@@ -82,6 +82,14 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"train", "-loss", "LF9"}); err == nil {
 		t.Fatal("bad loss accepted")
 	}
+	// An epoch count below 1 is refused by name before the data is read,
+	// where 0 used to mean "keep the default".
+	for _, args := range [][]string{{"-nn-epochs", "0"}, {"-gnn-epochs", "0"}, {"-nn-epochs", "-3"}} {
+		err := run(append([]string{"train", "-data", "/nonexistent/repo.jsonl"}, args...))
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("train %v: err %v, want a refusal naming %s", args, err, args[0])
+		}
+	}
 	if err := run([]string{"help"}); err != nil {
 		t.Fatalf("help failed: %v", err)
 	}

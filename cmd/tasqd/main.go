@@ -190,9 +190,19 @@ func run(ctx context.Context, args []string) error {
 	if *clusterID != "" {
 		opts = append(opts, serve.WithClusterInfo(*clusterID, peers))
 	}
-	// The server refuses a meaningless setting; find out before the
-	// registry, the telemetry window or the listener is touched.
+	apCfg := autopilot.DefaultConfig(1)
+	apCfg.Drift.Threshold = *driftThreshold
+	apCfg.Machine.PromoteMinN = *promoteMinN
+	apCfg.Machine.GuardrailWindow = *guardrailWindow
+	if !*quiet {
+		apCfg.Logf = log.Printf
+	}
+	// The server and the autopilot refuse a meaningless setting; find out
+	// before the registry, the telemetry window or the listener is touched.
 	if _, err := serve.NewUnloadedServer(opts...); err != nil {
+		return err
+	}
+	if _, err := autopilot.New(nil, nil, apCfg); err != nil {
 		return err
 	}
 	logSettings(fs)
@@ -235,14 +245,9 @@ func run(ctx context.Context, args []string) error {
 				return err
 			}
 			defer win.Close()
-			apCfg := autopilot.DefaultConfig(1)
-			apCfg.Drift.Threshold = *driftThreshold
-			apCfg.Machine.PromoteMinN = *promoteMinN
-			apCfg.Machine.GuardrailWindow = *guardrailWindow
-			if !*quiet {
-				apCfg.Logf = log.Printf
+			if ap, err = autopilot.New(reg, win, apCfg); err != nil {
+				return err
 			}
-			ap = autopilot.New(reg, win, apCfg)
 			opts = append(opts, serve.WithTelemetry(ap))
 		}
 		srv, err = serve.NewUnloadedServer(opts...)

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"os"
 	"os/signal"
 	"path/filepath"
 	"reflect"
@@ -53,7 +54,9 @@ func TestRunBadAddr(t *testing.T) {
 // TestRefusedSettings pins that a setting meaning nothing is refused,
 // through the server constructors and through tasqd at startup, with an
 // error naming it, where it used to be coerced to a default silently.
-// Rows without a flag or an option have no second route.
+// Rows without a flag or an option have no second route. tasqd runs in
+// autopilot mode and must refuse before it opens the registry or creates
+// the telemetry window, so the registry directory stays empty.
 func TestRefusedSettings(t *testing.T) {
 	for _, tc := range []struct {
 		name, flag, value string
@@ -73,6 +76,11 @@ func TestRefusedSettings(t *testing.T) {
 		{"curve-cache", "curve-cache", "-5", serve.WithCurveCache(-5)},
 		{"max-plan-jobs", "max-plan-jobs", "0", serve.WithMaxPlanJobs(0)},
 		{"poll", "poll", "0s", nil},
+		{"drift-threshold", "drift-threshold", "0", nil},
+		{"drift-threshold", "drift-threshold", "-0.1", nil},
+		{"drift-threshold", "drift-threshold", "NaN", nil},
+		{"promote-min-n", "promote-min-n", "0", nil},
+		{"guardrail-window", "guardrail-window", "0", nil},
 	} {
 		row := tc.name + " " + tc.value
 		if tc.opt != nil {
@@ -88,10 +96,14 @@ func TestRefusedSettings(t *testing.T) {
 			// An empty registry would fail the first sync anyway; the
 			// refusal must come first and name the flag.
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			err := run(ctx, []string{"-registry", t.TempDir(), "-addr", "127.0.0.1:0", "-quiet", "-" + tc.flag, tc.value})
+			dir := t.TempDir()
+			err := run(ctx, []string{"-registry", dir, "-autopilot", "-addr", "127.0.0.1:0", "-quiet", "-" + tc.flag, tc.value})
 			cancel()
 			if err == nil || !strings.Contains(err.Error(), tc.flag) {
 				t.Errorf("%s via tasqd: err %v, want a refusal naming -%s", row, err, tc.flag)
+			}
+			if left, _ := os.ReadDir(dir); len(left) > 0 {
+				t.Errorf("%s via tasqd: refused after creating %s in the registry", row, left[0].Name())
 			}
 		}
 	}

@@ -16,8 +16,8 @@ type Syncer interface {
 
 // WaveConfig parameterizes a rolling promotion.
 type WaveConfig struct {
-	// Machine configures the promote/reject/guard decisions; zero fields
-	// take autopilot defaults.
+	// Machine configures the promote/reject/guard decisions; RunWave
+	// refuses it, before any side effect, if autopilot.NewMachine does.
 	Machine autopilot.MachineConfig
 	// OnEvent (optional) receives one call per wave step: "canary",
 	// "promote", "reject", "adopt", "skip", "guard-pass", "rollback".
@@ -81,6 +81,10 @@ func RunWave(reg *registry.Registry, members []Syncer, candidate int,
 	if observe == nil || guard == nil {
 		return nil, fmt.Errorf("cluster: wave needs observe and guard oracles")
 	}
+	m, err := autopilot.NewMachine(cfg.Machine)
+	if err != nil {
+		return nil, err
+	}
 	event := cfg.OnEvent
 	if event == nil {
 		event = func(string, string) {}
@@ -106,7 +110,6 @@ func RunWave(reg *registry.Registry, members []Syncer, candidate int,
 	}
 	event("canary", canary.ID())
 
-	m := autopilot.NewMachine(cfg.Machine)
 	m.StartCandidate(candidate)
 
 	// The machine decides at exactly the PromoteMinN-th non-NaN sample;

@@ -23,6 +23,7 @@
 package drift
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -42,12 +43,6 @@ func RelAbsError(predicted, observed float64) float64 {
 	return math.Abs(predicted-observed) / math.Abs(observed)
 }
 
-// DefaultAlpha is the default EWMA smoothing factor: each observation
-// contributes 10%, so the average spans roughly the last 10–20 samples —
-// fast enough to catch a workload shift within one telemetry batch, slow
-// enough that a single outlier run cannot fire an alarm.
-const DefaultAlpha = 0.1
-
 // Series is an exponentially weighted moving average over a stream of
 // non-negative error observations. The zero value is not usable; call
 // NewSeries. Series is not safe for concurrent use (Detector adds the
@@ -58,13 +53,13 @@ type Series struct {
 	n     int64
 }
 
-// NewSeries returns an EWMA with the given smoothing factor; alpha outside
-// (0, 1] falls back to DefaultAlpha.
-func NewSeries(alpha float64) *Series {
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultAlpha
+// NewSeries returns an EWMA with smoothing factor alpha, which must be in
+// (0, 1].
+func NewSeries(alpha float64) (*Series, error) {
+	if !(alpha > 0 && alpha <= 1) {
+		return nil, fmt.Errorf("drift: alpha %v: must be in (0, 1]", alpha)
 	}
-	return &Series{alpha: alpha}
+	return &Series{alpha: alpha}, nil
 }
 
 // Observe folds one value into the average and returns the updated value.
@@ -94,23 +89,28 @@ func (s *Series) N() int64 { return s.n }
 // drift starts from scratch.
 func (s *Series) Reset() { s.value, s.n = 0, 0 }
 
-// Config parameterizes a Detector.
+// Config parameterizes a Detector. NewDetector refuses a value that means
+// nothing rather than substituting one.
 type Config struct {
-	// Alpha is the EWMA smoothing factor (0 = DefaultAlpha).
+	// Alpha is the EWMA smoothing factor, in (0, 1].
 	Alpha float64
-	// Threshold is the smoothed relative error at which a key alarms.
-	// With the PCC models' typical ~10–30% median error, 0.5 means "the
-	// model is now half wrong on average" — an unambiguous drift signal.
+	// Threshold is the positive, finite smoothed relative error at which a
+	// key alarms.
 	Threshold float64
 	// MinSamples is the number of observations a key needs before its
-	// alarm may fire; below it a hot EWMA is noise, not drift.
+	// alarm may fire, at least 1; below it a hot EWMA is noise, not drift.
 	MinSamples int
 }
 
 // DefaultConfig returns the detector configuration the autopilot defaults
-// to.
+// to. Each observation contributes 10% to the average, so it spans
+// roughly the last 10–20 samples: fast enough to catch a workload shift
+// within one telemetry batch, slow enough that a single outlier run cannot
+// fire an alarm. With the PCC models' typical ~10–30% median error, a
+// threshold of 0.5 means "the model is now half wrong on average", an
+// unambiguous drift signal, and 16 samples make it more than noise.
 func DefaultConfig() Config {
-	return Config{Alpha: DefaultAlpha, Threshold: 0.5, MinSamples: 16}
+	return Config{Alpha: 0.1, Threshold: 0.5, MinSamples: 16}
 }
 
 // Observation reports the outcome of one Detector.Observe call.
@@ -142,23 +142,22 @@ type Detector struct {
 	series map[string]*Series
 }
 
-// NewDetector builds a detector; zero config fields take DefaultConfig
-// values.
-func NewDetector(cfg Config) *Detector {
-	def := DefaultConfig()
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = def.Alpha
+// NewDetector builds a detector, refusing a config value that means
+// nothing. The threshold is named after its tasqd flag.
+func NewDetector(cfg Config) (*Detector, error) {
+	if _, err := NewSeries(cfg.Alpha); err != nil {
+		return nil, err
 	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = def.Threshold
+	if !(cfg.Threshold > 0) || math.IsInf(cfg.Threshold, 1) {
+		return nil, fmt.Errorf("drift: drift-threshold %v: must be positive and finite", cfg.Threshold)
 	}
 	if cfg.MinSamples < 1 {
-		cfg.MinSamples = def.MinSamples
+		return nil, fmt.Errorf("drift: min samples %d: must be at least 1", cfg.MinSamples)
 	}
-	return &Detector{cfg: cfg, series: make(map[string]*Series)}
+	return &Detector{cfg: cfg, series: make(map[string]*Series)}, nil
 }
 
-// Config returns the detector's effective configuration.
+// Config returns the detector's configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
 // Observe folds one (predicted, observed) pair into the key's series and
@@ -173,7 +172,7 @@ func (d *Detector) Observe(key string, predicted, observed float64) Observation 
 	defer d.mu.Unlock()
 	s, ok := d.series[key]
 	if !ok {
-		s = NewSeries(d.cfg.Alpha)
+		s = &Series{alpha: d.cfg.Alpha}
 		d.series[key] = s
 	}
 	ewma := s.Observe(rel)

@@ -27,8 +27,21 @@ func TestRelAbsError(t *testing.T) {
 	}
 }
 
+// detector is NewDetector for a config the test knows is valid.
+func detector(t *testing.T, cfg Config) *Detector {
+	t.Helper()
+	d, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestSeriesFold(t *testing.T) {
-	s := NewSeries(0.5)
+	s, err := NewSeries(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Value() != 0 || s.N() != 0 {
 		t.Fatal("fresh series not zero")
 	}
@@ -56,17 +69,24 @@ func TestSeriesFold(t *testing.T) {
 	}
 }
 
+// TestSeriesDefaultAlpha pins that an alpha outside (0, 1], which used to
+// fall back to the default 0.1 silently, is refused, and that the default
+// and the bounds are accepted.
 func TestSeriesDefaultAlpha(t *testing.T) {
-	for _, bad := range []float64{0, -0.2, 1.5} {
-		s := NewSeries(bad)
-		if s.alpha != DefaultAlpha {
-			t.Errorf("alpha %v accepted, want fallback to %v", bad, DefaultAlpha)
+	for _, bad := range []float64{0, -0.2, 1.5, math.NaN()} {
+		if _, err := NewSeries(bad); err == nil {
+			t.Errorf("alpha %v accepted", bad)
+		}
+	}
+	for _, ok := range []float64{DefaultConfig().Alpha, 1, math.SmallestNonzeroFloat64} {
+		if s, err := NewSeries(ok); err != nil || s.alpha != ok {
+			t.Errorf("alpha %v: %v", ok, err)
 		}
 	}
 }
 
 func TestDetectorAlarm(t *testing.T) {
-	d := NewDetector(Config{Alpha: 1, Threshold: 0.3, MinSamples: 5})
+	d := detector(t, Config{Alpha: 1, Threshold: 0.3, MinSamples: 5})
 	// Four high-error observations: below MinSamples, never alarmed.
 	for i := 0; i < 4; i++ {
 		obs := d.Observe("xgboost-pl", 200, 100)
@@ -102,7 +122,7 @@ func TestDetectorAlarm(t *testing.T) {
 }
 
 func TestDetectorSkipsZeroObserved(t *testing.T) {
-	d := NewDetector(Config{})
+	d := detector(t, DefaultConfig())
 	obs := d.Observe("m", 10, 0)
 	if !obs.Skipped {
 		t.Fatal("zero observed not skipped")
@@ -112,16 +132,36 @@ func TestDetectorSkipsZeroObserved(t *testing.T) {
 	}
 }
 
+// TestDetectorDefaults pins DefaultConfig at the values a zero config used
+// to be filled in with, and that a zero or otherwise meaningless field is
+// now refused.
 func TestDetectorDefaults(t *testing.T) {
-	d := NewDetector(Config{})
 	def := DefaultConfig()
-	if d.Config() != def {
-		t.Fatalf("zero config → %+v, want %+v", d.Config(), def)
+	if want := (Config{Alpha: 0.1, Threshold: 0.5, MinSamples: 16}); def != want {
+		t.Fatalf("DefaultConfig() = %+v, want %+v", def, want)
+	}
+	if d := detector(t, def); d.Config() != def {
+		t.Fatalf("detector runs %+v, want %+v", d.Config(), def)
+	}
+	for name, cfg := range map[string]Config{
+		"zero":           {},
+		"alpha 0":        {Alpha: 0, Threshold: 0.5, MinSamples: 16},
+		"alpha 1.5":      {Alpha: 1.5, Threshold: 0.5, MinSamples: 16},
+		"threshold 0":    {Alpha: 0.1, Threshold: 0, MinSamples: 16},
+		"threshold -0.1": {Alpha: 0.1, Threshold: -0.1, MinSamples: 16},
+		"threshold NaN":  {Alpha: 0.1, Threshold: math.NaN(), MinSamples: 16},
+		"threshold +Inf": {Alpha: 0.1, Threshold: math.Inf(1), MinSamples: 16},
+		"min samples 0":  {Alpha: 0.1, Threshold: 0.5, MinSamples: 0},
+		"min samples -3": {Alpha: 0.1, Threshold: 0.5, MinSamples: -3},
+	} {
+		if _, err := NewDetector(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 func TestDetectorSnapshotAndKeys(t *testing.T) {
-	d := NewDetector(Config{Alpha: 1, Threshold: 0.5, MinSamples: 1})
+	d := detector(t, Config{Alpha: 1, Threshold: 0.5, MinSamples: 1})
 	d.Observe("b", 150, 100)
 	d.Observe("a", 100, 100)
 	keys := d.Keys()
@@ -139,7 +179,7 @@ func TestDetectorSnapshotAndKeys(t *testing.T) {
 // lean on.
 func TestDetectorDeterministic(t *testing.T) {
 	run := func() []Observation {
-		d := NewDetector(Config{Alpha: 0.2, Threshold: 0.4, MinSamples: 3})
+		d := detector(t, Config{Alpha: 0.2, Threshold: 0.4, MinSamples: 3})
 		var out []Observation
 		for i := 0; i < 50; i++ {
 			pred := 100 + float64(i%7)*13

@@ -139,28 +139,21 @@ func AblationXGBObjective(s *Suite) (*ObjectiveAblationResult, error) {
 	if len(s.Test) == 0 {
 		return nil, errors.New("experiments: empty test set")
 	}
-	evalWith := func(obj gbt.Objective) (float64, error) {
-		cfg := s.Config.Trainer
-		cfg.SkipNN = true
-		cfg.SkipGNN = true
-		cfg.XGB.Objective = obj
-		p, err := trainer.Train(s.Train, cfg)
-		if err != nil {
-			return 0, err
-		}
-		var preds, truth []float64
-		for _, rec := range s.Test {
-			preds = append(preds, p.XGB.PredictRuntime(rec.Job, rec.ObservedTokens))
-			truth = append(truth, float64(rec.RuntimeSeconds))
-		}
-		return stats.MedianAPE(preds, truth), nil
-	}
-	// Note: trainer.Train forces the Gamma objective for the pipeline's
-	// baseline role, so the squared variant trains the gbt model directly.
-	gamma, err := evalWith(gbt.Gamma)
+	cfg := s.Config.Trainer
+	cfg.SkipNN = true
+	cfg.SkipGNN = true
+	p, err := trainer.Train(s.Train, cfg)
 	if err != nil {
 		return nil, err
 	}
+	var preds, truth []float64
+	for _, rec := range s.Test {
+		preds = append(preds, p.XGB.PredictRuntime(rec.Job, rec.ObservedTokens))
+		truth = append(truth, float64(rec.RuntimeSeconds))
+	}
+	gamma := stats.MedianAPE(preds, truth)
+	// trainer.Train refuses any objective but Gamma, the pipeline's
+	// baseline role, so the squared variant trains the gbt model directly.
 	squared, err := evalSquaredXGB(s)
 	if err != nil {
 		return nil, err

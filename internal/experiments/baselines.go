@@ -40,7 +40,7 @@ func AutoTokenComparison(s *Suite) (*AutoTokenComparisonResult, error) {
 	if len(s.Test) == 0 {
 		return nil, errors.New("experiments: empty test set")
 	}
-	at, err := autotoken.Train(s.Train, autotoken.Config{})
+	at, err := autotoken.Train(s.Train, autotoken.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -42,10 +42,9 @@ type SuiteConfig struct {
 	Flight flight.Config
 	// Workers bounds the goroutines used by suite construction (ingest,
 	// training, flighting) and by RunAll's experiment fan-out; ≤ 0 means
-	// runtime.NumCPU, 1 the serial path. It is copied into the trainer and
-	// flight configs unless those set their own count. Results are
-	// identical at any worker count (aside from Table 7's wall-clock
-	// timings).
+	// runtime.NumCPU, 1 the serial path. NewSuite sets the trainer's and
+	// the flight's counts to it. Results are identical at any worker count
+	// (aside from Table 7's wall-clock timings).
 	Workers int
 }
 
@@ -123,13 +122,9 @@ func NewSuite(cfg SuiteConfig) (*Suite, error) {
 	if cfg.TrainJobs < 10 || cfg.TestJobs < 10 {
 		return nil, fmt.Errorf("experiments: suite needs at least 10 train and test jobs, got %d/%d", cfg.TrainJobs, cfg.TestJobs)
 	}
-	// One Workers knob drives every stage unless a sub-config overrides it.
-	if cfg.Trainer.Workers == 0 {
-		cfg.Trainer.Workers = cfg.Workers
-	}
-	if cfg.Flight.Workers == 0 {
-		cfg.Flight.Workers = cfg.Workers
-	}
+	// One Workers knob drives every stage.
+	cfg.Trainer.Workers = cfg.Workers
+	cfg.Flight.Workers = cfg.Workers
 	s := &Suite{Config: cfg, Executor: &scopesim.Executor{}}
 
 	gen := workload.New(cfg.Workload)

@@ -221,16 +221,14 @@ func measureGNN(s *Suite) (Table7Row, error) {
 	return row, nil
 }
 
-// nnClone builds an untrained NN with the pipeline's architecture for
-// timing (training mutates parameters; timing must not).
+// nnClone builds an untrained NN with the trained pipeline's layer widths
+// for timing (training mutates parameters; timing must not).
 func nnClone(s *Suite) *nn.MLP {
-	cfg := s.Config.Trainer.NN
-	hidden := cfg.Hidden
-	if len(hidden) == 0 {
-		hidden = []int{32, 32}
+	layers := s.Pipeline.NN.MLP.Layers
+	dims := []int{layers[0].W.Rows}
+	for _, l := range layers {
+		dims = append(dims, l.W.Cols)
 	}
-	dims := append([]int{features.JobDim}, hidden...)
-	dims = append(dims, 2)
 	return nn.NewMLP(newRand(s.Config.Seed), dims, nn.ActReLU)
 }
 

@@ -27,7 +27,7 @@ func BenchmarkTrain(b *testing.B) {
 	x, y := trainFixture()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(x, y, Config{NumTrees: 30, MaxDepth: 4, Seed: 2}); err != nil {
+		if _, err := Train(x, y, config(30, 4, 2)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +44,7 @@ func BenchmarkPredict(b *testing.B) {
 		}
 		y[i] = 100 + 10*x.At(i, 0)
 	}
-	m, err := Train(x, y, Config{NumTrees: 100, MaxDepth: 5, Seed: 4})
+	m, err := Train(x, y, config(100, 5, 4))
 	if err != nil {
 		b.Fatal(err)
 	}

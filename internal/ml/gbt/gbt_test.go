@@ -9,14 +9,23 @@ import (
 	"tasq/internal/stats"
 )
 
+// config is DefaultConfig with the given rounds, depth and seed.
+func config(trees, depth int, seed int64) Config {
+	c := DefaultConfig()
+	c.NumTrees, c.MaxDepth, c.Seed = trees, depth, seed
+	return c
+}
+
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(linalg.New(0, 0), nil, Config{}); err == nil {
+	if _, err := Train(linalg.New(0, 0), nil, DefaultConfig()); err == nil {
 		t.Fatal("empty matrix accepted")
 	}
-	if _, err := Train(linalg.New(3, 2), []float64{1, 2}, Config{}); err == nil {
+	if _, err := Train(linalg.New(3, 2), []float64{1, 2}, DefaultConfig()); err == nil {
 		t.Fatal("target length mismatch accepted")
 	}
-	if _, err := Train(linalg.New(2, 1), []float64{1, -1}, Config{Objective: Gamma}); err == nil {
+	gamma := DefaultConfig()
+	gamma.Objective = Gamma
+	if _, err := Train(linalg.New(2, 1), []float64{1, -1}, gamma); err == nil {
 		t.Fatal("gamma with non-positive target accepted")
 	}
 }
@@ -33,7 +42,7 @@ func TestConstantTarget(t *testing.T) {
 	for i := range y {
 		y[i] = 7
 	}
-	m, err := Train(x, y, Config{NumTrees: 5})
+	m, err := Train(x, y, config(5, 6, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +68,7 @@ func TestLearnsStepFunction(t *testing.T) {
 			y[i] = 2
 		}
 	}
-	m, err := Train(x, y, Config{NumTrees: 50, MaxDepth: 3, Seed: 2})
+	m, err := Train(x, y, config(50, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +90,7 @@ func TestLearnsNonlinearFunction(t *testing.T) {
 		}
 		y[i] = fn(x.Row(i))
 	}
-	m, err := Train(x, y, Config{NumTrees: 200, MaxDepth: 5, LearningRate: 0.1, Seed: 4})
+	m, err := Train(x, y, config(200, 5, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,9 @@ func TestGammaObjectivePositivePredictions(t *testing.T) {
 		x.Set(i, 1, rng.Float64())
 		y[i] = math.Exp(rng.NormFloat64()*0.3) * (10 + 200*x.At(i, 0))
 	}
-	m, err := Train(x, y, Config{NumTrees: 100, MaxDepth: 4, Objective: Gamma, Seed: 6})
+	cfg := config(100, 4, 6)
+	cfg.Objective = Gamma
+	m, err := Train(x, y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +147,7 @@ func TestGammaBeatsSquaredOnRelativeErrorForSkewedData(t *testing.T) {
 		x.Set(i, 0, v)
 		y[i] = math.Exp(v+1) * math.Exp(rng.NormFloat64()*0.2)
 	}
-	cfg := Config{NumTrees: 150, MaxDepth: 3, Seed: 8}
+	cfg := config(150, 3, 8)
 	sq, err := Train(x, y, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +174,8 @@ func TestSubsamplingAndDeterminism(t *testing.T) {
 		x.Set(i, 1, rng.Float64())
 		y[i] = x.At(i, 0)*5 + x.At(i, 1)
 	}
-	cfg := Config{NumTrees: 30, Subsample: 0.7, Seed: 10}
+	cfg := config(30, 6, 10)
+	cfg.Subsample = 0.7
 	a, err := Train(x, y, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +205,7 @@ func TestMonotoneFeatureDirection(t *testing.T) {
 		x.Set(i, 0, float64(i))
 		y[i] = float64(i) * 2
 	}
-	m, err := Train(x, y, Config{NumTrees: 80, MaxDepth: 4, Seed: 11})
+	m, err := Train(x, y, config(80, 4, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +230,7 @@ func TestDuplicateFeatureValues(t *testing.T) {
 			y[i] = 50
 		}
 	}
-	m, err := Train(x, y, Config{NumTrees: 30, MaxDepth: 2, Seed: 12})
+	m, err := Train(x, y, config(30, 2, 12))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,9 @@ func TestTrainMatchesParentGoldenDigest(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"all-rows", Config{NumTrees: 30, MaxDepth: 4, Seed: 2}, "335efc249d1b95aa53388e794b86ad08f0dfeb9757375842c1b3bec7fe4bed08"},
-		{"subsample", Config{NumTrees: 30, MaxDepth: 4, Seed: 2, Subsample: 0.7}, "ede0f169234970e86f048bf75d5c545b8a2d6634bde01facf9a4a095d5b5e8e2"},
-		{"gamma-deep", Config{NumTrees: 20, MaxDepth: 6, Seed: 5, Subsample: 0.5, Objective: Gamma, MaxBins: 16}, "e16d88c9b6cdcee668ba15c2923dfccd2f61401380984229762e19aaa019c936"},
+		{"all-rows", Config{NumTrees: 30, MaxDepth: 4, LearningRate: 0.1, Subsample: 1, MaxBins: 32, Seed: 2}, "335efc249d1b95aa53388e794b86ad08f0dfeb9757375842c1b3bec7fe4bed08"},
+		{"subsample", Config{NumTrees: 30, MaxDepth: 4, LearningRate: 0.1, Subsample: 0.7, MaxBins: 32, Seed: 2}, "ede0f169234970e86f048bf75d5c545b8a2d6634bde01facf9a4a095d5b5e8e2"},
+		{"gamma-deep", Config{NumTrees: 20, MaxDepth: 6, LearningRate: 0.1, Subsample: 0.5, MaxBins: 16, Objective: Gamma, Seed: 5}, "e16d88c9b6cdcee668ba15c2923dfccd2f61401380984229762e19aaa019c936"},
 	} {
 		m, err := Train(x, y, tc.cfg)
 		if err != nil {

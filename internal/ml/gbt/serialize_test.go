@@ -21,7 +21,9 @@ func trainedModel(t *testing.T, obj Objective) (*Model, *linalg.Matrix) {
 		}
 		y[i] = 5 + x.At(i, 0)*3 + x.At(i, 1)
 	}
-	m, err := Train(x, y, Config{NumTrees: 40, MaxDepth: 4, Objective: obj, Seed: 10})
+	cfg := config(40, 4, 10)
+	cfg.Objective = obj
+	m, err := Train(x, y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestGobDecodeRejectsCorruptTree(t *testing.T) {
 	// Build a DTO with an out-of-range child index and ensure decode
 	// refuses it rather than panicking later at prediction time.
 	dto := modelDTO{
-		Cfg:  Config{}.withDefaults(),
+		Cfg:  DefaultConfig(),
 		Base: 1,
 		Trees: []treeDTO{{Nodes: []nodeDTO{
 			{Feature: 0, Threshold: 1, Left: 5, Right: 6, Value: 0},

@@ -249,7 +249,7 @@ func TestAutoTokenAdapter(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := repo.All()
-	at, err := autotoken.Train(recs, autotoken.Config{})
+	at, err := autotoken.Train(recs, autotoken.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

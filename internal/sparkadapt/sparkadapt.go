@@ -28,30 +28,33 @@ import (
 	"tasq/internal/skyline"
 )
 
-// Platform describes the Spark deployment.
+// Platform describes the Spark deployment. Every method refuses a
+// platform whose settings mean nothing.
 type Platform struct {
 	// CoresPerExecutor is the number of concurrent task slots one
-	// executor provides. Default 4.
+	// executor provides, at least 1.
 	CoresPerExecutor int
 	// StartupSeconds is the fixed per-run executor fleet startup cost
-	// added to every execution. Default 0.
+	// added to every execution, at least 0.
 	StartupSeconds int
 }
 
-func (p Platform) withDefaults() Platform {
+func (p Platform) validate() error {
 	if p.CoresPerExecutor < 1 {
-		p.CoresPerExecutor = 4
+		return fmt.Errorf("sparkadapt: cores per executor %d: must be at least 1", p.CoresPerExecutor)
 	}
 	if p.StartupSeconds < 0 {
-		p.StartupSeconds = 0
+		return fmt.Errorf("sparkadapt: startup seconds %d: must be at least 0", p.StartupSeconds)
 	}
-	return p
+	return nil
 }
 
 // Run executes the job with the given executor count on the shared
 // ground-truth engine: E executors provide E·cores task slots.
 func (p Platform) Run(ex *scopesim.Executor, job *scopesim.Job, executors int) (int, error) {
-	p = p.withDefaults()
+	if err := p.validate(); err != nil {
+		return 0, err
+	}
 	if executors < 1 {
 		return 0, errors.New("sparkadapt: need at least one executor")
 	}
@@ -64,13 +67,15 @@ func (p Platform) Run(ex *scopesim.Executor, job *scopesim.Job, executors int) (
 
 // ExecutorSkyline converts a token-slot skyline into executor occupancy:
 // the number of executors needed at each second (ceil of slots/cores).
-func (p Platform) ExecutorSkyline(s skyline.Skyline) skyline.Skyline {
-	p = p.withDefaults()
+func (p Platform) ExecutorSkyline(s skyline.Skyline) (skyline.Skyline, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	out := make(skyline.Skyline, len(s))
 	for i, v := range s {
 		out[i] = (v + p.CoresPerExecutor - 1) / p.CoresPerExecutor
 	}
-	return out
+	return out, nil
 }
 
 // Curve is the scaled Amdahl performance characteristic curve for Spark:
@@ -176,7 +181,9 @@ func (c Curve) OptimalExecutors(min, max int, threshold float64) int {
 // way TASQ does for SCOPE: AREPAS simulates the observed token skyline at
 // each candidate executor count's slot capacity.
 func (p Platform) SweepExecutors(sky skyline.Skyline, executorCounts []int) ([]Sample, error) {
-	p = p.withDefaults()
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	out := make([]Sample, 0, len(executorCounts))
 	for _, e := range executorCounts {
 		if e < 1 {
@@ -203,28 +210,19 @@ type Model struct {
 	Scaler   *features.Scaler
 }
 
-// TrainConfig controls model training.
-type TrainConfig struct {
-	// ExecutorGrid lists the executor counts used for augmentation;
-	// defaults to {1, 2, 4, 8, 16, 32}.
-	ExecutorGrid []int
-	// GBT configures the boosted trees (defaults as gbt, Gamma objective).
-	GBT gbt.Config
-}
+// executorGrid lists the executor counts training augments every job at.
+var executorGrid = []int{1, 2, 4, 8, 16, 32}
 
 // Train fits the Spark adaptation on historical records (the same
 // repository format as the SCOPE pipeline; the adapter reinterprets the
-// telemetry in executor units).
-func Train(recs []*jobrepo.Record, platform Platform, cfg TrainConfig) (*Model, error) {
+// telemetry in executor units): gbt.DefaultConfig's trees under the Gamma
+// objective, over every job swept at executorGrid.
+func Train(recs []*jobrepo.Record, platform Platform) (*Model, error) {
+	if err := platform.validate(); err != nil {
+		return nil, err
+	}
 	if len(recs) == 0 {
 		return nil, errors.New("sparkadapt: empty training set")
-	}
-	platform = platform.withDefaults()
-	if len(cfg.ExecutorGrid) == 0 {
-		cfg.ExecutorGrid = []int{1, 2, 4, 8, 16, 32}
-	}
-	if cfg.GBT.Objective != gbt.Gamma {
-		cfg.GBT.Objective = gbt.Gamma
 	}
 
 	scaler := features.FitScaler(features.JobMatrix(jobrepo.Jobs(recs)))
@@ -232,7 +230,7 @@ func Train(recs []*jobrepo.Record, platform Platform, cfg TrainConfig) (*Model, 
 	var y []float64
 	for _, rec := range recs {
 		feat := scaler.TransformRow(features.JobVector(rec.Job))
-		samples, err := platform.SweepExecutors(rec.Skyline, cfg.ExecutorGrid)
+		samples, err := platform.SweepExecutors(rec.Skyline, executorGrid)
 		if err != nil {
 			return nil, fmt.Errorf("sparkadapt: augmenting %s: %w", rec.Job.ID, err)
 		}
@@ -244,7 +242,9 @@ func Train(recs []*jobrepo.Record, platform Platform, cfg TrainConfig) (*Model, 
 			y = append(y, s.Runtime)
 		}
 	}
-	m, err := gbt.Train(linalg.FromRows(rows), y, cfg.GBT)
+	cfg := gbt.DefaultConfig()
+	cfg.Objective = gbt.Gamma
+	m, err := gbt.Train(linalg.FromRows(rows), y, cfg)
 	if err != nil {
 		return nil, err
 	}

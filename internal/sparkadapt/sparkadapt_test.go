@@ -49,7 +49,10 @@ func TestPlatformRun(t *testing.T) {
 func TestExecutorSkyline(t *testing.T) {
 	p := Platform{CoresPerExecutor: 4}
 	s := skyline.Skyline{0, 1, 4, 5, 9}
-	got := p.ExecutorSkyline(s)
+	got, err := p.ExecutorSkyline(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := skyline.Skyline{0, 1, 1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -167,7 +170,7 @@ func TestTrainAndPredictEndToEnd(t *testing.T) {
 	recs := ingest(t, 200, 3)
 	train, test := recs[:150], recs[150:]
 	p := Platform{CoresPerExecutor: 4}
-	m, err := Train(train, p, TrainConfig{})
+	m, err := Train(train, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestTrainAndPredictEndToEnd(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(nil, Platform{}, TrainConfig{}); err == nil {
+	if _, err := Train(nil, Platform{CoresPerExecutor: 4}); err == nil {
 		t.Fatal("empty training accepted")
 	}
 }

@@ -24,9 +24,8 @@ import (
 
 func freshTapeNN(t *testing.T, recs []*jobrepo.Record, p *Pipeline, xgbPreds []float64, cfg NeuralConfig) []*linalg.Matrix {
 	t.Helper()
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	dims := append(append([]int{features.JobDim}, cfg.Hidden...), 2)
+	rng := rand.New(rand.NewSource(p.Config.Seed))
+	dims := []int{features.JobDim, nnHidden, nnHidden, 2}
 	mlp := nn.NewMLP(rng, dims, nn.ActReLU)
 	x := linalg.New(len(recs), features.JobDim)
 	for i, rec := range recs {
@@ -64,8 +63,7 @@ func freshRow(in lossInputs, i int) lossInputs {
 
 func freshTapeGNN(t *testing.T, recs []*jobrepo.Record, p *Pipeline, xgbPreds []float64, cfg NeuralConfig) (params []*linalg.Matrix, steps int) {
 	t.Helper()
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(p.Config.Seed))
 	net := gnn.New(rng, gnn.DefaultConfig(features.OperatorDim))
 	in, err := buildLossInputs(recs, p.TrainTargets, p.Scaling, xgbPreds, cfg.Loss)
 	if err != nil {

@@ -228,5 +228,5 @@ type (
 
 // TrainSparkModel fits the Spark SQL adaptation on historical records.
 func TrainSparkModel(recs []*Record, platform SparkPlatform) (*SparkModel, error) {
-	return sparkadapt.Train(recs, platform, sparkadapt.TrainConfig{})
+	return sparkadapt.Train(recs, platform)
 }
