@@ -94,9 +94,10 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkPlan' -benchtime=1x -count=1 ./internal/plan/ ./internal/serve/
 	$(GO) test -run='^$$' -bench='^BenchmarkExecutorRun$$' -benchtime=1x -count=1 ./internal/scopesim/
 
-# Fails if any tasqd, tasq-bench or Go test binary (fuzz workers included)
-# is still running: the last step of check, so a stage that leaks a
-# process fails the gate instead of the next run.
+# Fails if any tasqd, tasq, tasq-bench, experiments, Go test binary (fuzz
+# workers included) or `go run` executable is still running: the last step
+# of check, so a stage that leaks a process fails the gate instead of the
+# next run.
 strays:
 	scripts/strays.sh
 

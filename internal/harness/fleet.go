@@ -529,9 +529,8 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 // decision still lands exactly at the Nth sample, just with a small N.
 func fastWaveMachine() autopilot.MachineConfig {
 	return autopilot.MachineConfig{
-		PromoteMinN: 6, PromoteDelta: 0.02,
-		GuardrailWindow: 6, GuardrailFactor: 2,
-		GuardrailFloor: 0.05, GuardAlpha: 0.5, GuardMinSamples: 2,
+		PromoteMinN: 6, PromoteDelta: 0.02, GuardrailWindow: 6,
+		GuardAlpha: 0.5, GuardMinSamples: 2,
 	}
 }
 

@@ -163,8 +163,7 @@ func checkXGBHoisted(t *testing.T, p *Pipeline, job *scopesim.Job) {
 			t.Fatalf("XGBoost PL on %s: hoisted %+v, per-point %+v", job.ID, got, want)
 		}
 	}
-	lambda := p.Config.SplineLambda
-	gotGrid, smoothed, err := p.XGB.PredictCurveSS(job, ref, lambda)
+	gotGrid, smoothed, err := p.XGB.PredictCurveSS(job, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func checkXGBHoisted(t *testing.T, p *Pipeline, job *scopesim.Job) {
 		want[i] = perPointRuntime(p.XGB, job, tok)
 	}
 	if len(grid) >= 3 {
-		sp, err := spline.Fit(xs, want, lambda)
+		sp, err := spline.Fit(xs, want, splineLambda)
 		if err != nil {
 			t.Fatal(err)
 		}

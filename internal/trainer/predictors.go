@@ -81,7 +81,7 @@ func (p *Pipeline) predictCurveSSFit(job *scopesim.Job, reference int) (pcc.Curv
 	if p.XGB == nil {
 		return pcc.Curve{}, fmt.Errorf("%w: %s", model.ErrUntrained, model.NameXGBSS)
 	}
-	grid, runtimes, err := p.XGB.PredictCurveSS(job, reference, p.Config.SplineLambda)
+	grid, runtimes, err := p.XGB.PredictCurveSS(job, reference)
 	if err != nil {
 		return pcc.Curve{}, err
 	}

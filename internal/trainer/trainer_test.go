@@ -139,7 +139,7 @@ func TestPipelineTrainsAndPredicts(t *testing.T) {
 		if !plCurve.Valid() {
 			t.Fatalf("PL curve invalid: %+v", plCurve)
 		}
-		grid, runtimes, err := p.XGB.PredictCurveSS(rec.Job, rec.ObservedTokens, p.Config.SplineLambda)
+		grid, runtimes, err := p.XGB.PredictCurveSS(rec.Job, rec.ObservedTokens)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,10 +112,13 @@ func (m *XGBModel) PredictRuntime(job *scopesim.Job, tokens int) float64 {
 	return m.predictAt(&row, tokens)
 }
 
+// splineLambda is the smoothing parameter of every XGBoost SS curve.
+const splineLambda = 50
+
 // PredictCurveSS implements XGBoost SS: point predictions over the ±40%
 // region smoothed with a cubic smoothing spline. It returns the grid and
 // the smoothed run times (the "curve" is tabulated, not parametric).
-func (m *XGBModel) PredictCurveSS(job *scopesim.Job, reference int, lambda float64) (grid []int, runtimes []float64, err error) {
+func (m *XGBModel) PredictCurveSS(job *scopesim.Job, reference int) (grid []int, runtimes []float64, err error) {
 	grid = model.CurveRegion(reference)
 	xs := make([]float64, len(grid))
 	ys := make([]float64, len(grid))
@@ -128,7 +131,7 @@ func (m *XGBModel) PredictCurveSS(job *scopesim.Job, reference int, lambda float
 	if len(grid) < 3 {
 		return grid, ys, nil // too few points to smooth
 	}
-	sp, err := spline.Fit(xs, ys, lambda)
+	sp, err := spline.Fit(xs, ys, splineLambda)
 	if err != nil {
 		return nil, nil, fmt.Errorf("trainer: SS smoothing for %s: %w", job.ID, err)
 	}
