@@ -122,7 +122,9 @@ func runFullCycle(t *testing.T, seed int64) cycleResult {
 
 	// Phase A: inputs grow ×4 — v1 drifts, the alarm fires, a retrain
 	// publishes v2, the shadow sample accumulates, v2 wins promotion.
-	g.SetInputDrift(4)
+	if err := g.SetInputDrift(4); err != nil {
+		t.Fatal(err)
+	}
 	feed(250, func(s Status) bool { return s.Promotions == 1 })
 	if ap.Status().Promotions != 1 {
 		dump("first promotion")
@@ -130,7 +132,9 @@ func runFullCycle(t *testing.T, seed int64) cycleResult {
 
 	// Phase B: immediately inside v2's guard window the workload lurches
 	// again (×16) — observed error spikes, the guardrail rolls back to v1.
-	g.SetInputDrift(16)
+	if err := g.SetInputDrift(16); err != nil {
+		t.Fatal(err)
+	}
 	feed(120, func(s Status) bool { return s.Rollbacks == 1 })
 	if ap.Status().Rollbacks != 1 {
 		dump("guardrail rollback")

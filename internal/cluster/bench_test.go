@@ -46,7 +46,7 @@ func benchPipeline(b *testing.B) (*trainer.Pipeline, []*jobrepo.Record) {
 // cache — the steady state of a sharded tasqd fleet.
 func BenchmarkScoreFleetCached(b *testing.B) {
 	p, recs := benchPipeline(b)
-	ring := NewRing(0)
+	ring := newRing(b, DefaultVirtualNodes)
 	members := map[string]*serve.Server{}
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("r%d", i)

@@ -55,12 +55,13 @@ type Ring struct {
 	members map[string]struct{}
 }
 
-// NewRing builds an empty ring; vnodes < 1 takes DefaultVirtualNodes.
-func NewRing(vnodes int) *Ring {
+// NewRing builds an empty ring with vnodes points per member; vnodes < 1
+// is refused.
+func NewRing(vnodes int) (*Ring, error) {
 	if vnodes < 1 {
-		vnodes = DefaultVirtualNodes
+		return nil, fmt.Errorf("cluster: ring with %d virtual nodes per member: want at least 1", vnodes)
 	}
-	return &Ring{vnodes: vnodes, members: make(map[string]struct{})}
+	return &Ring{vnodes: vnodes, members: make(map[string]struct{})}, nil
 }
 
 // pointHash places vnode i of a member on the ring: FNV-1a over

@@ -26,8 +26,18 @@ func memberNames(n int) []string {
 	return out
 }
 
-func ringOf(members []string) *Ring {
-	r := NewRing(0)
+func newRing(t testing.TB, vnodes int) *Ring {
+	t.Helper()
+	r, err := NewRing(vnodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func ringOf(t testing.TB, members []string) *Ring {
+	t.Helper()
+	r := newRing(t, DefaultVirtualNodes)
 	for _, m := range members {
 		r.Add(m)
 	}
@@ -51,7 +61,7 @@ func TestRingBalance(t *testing.T) {
 		keys := synthKeys(seed, numKeys)
 		for _, n := range []int{2, 3, 5, 8} {
 			t.Run(fmt.Sprintf("seed=%d/n=%d", seed, n), func(t *testing.T) {
-				r := ringOf(memberNames(n))
+				r := ringOf(t, memberNames(n))
 				assign, err := r.Assign(keys)
 				if err != nil {
 					t.Fatal(err)
@@ -83,7 +93,7 @@ func TestRingMinimalMovement(t *testing.T) {
 		for _, n := range []int{2, 3, 5, 8} {
 			t.Run(fmt.Sprintf("seed=%d/n=%d", seed, n), func(t *testing.T) {
 				members := memberNames(n)
-				base := ringOf(members)
+				base := ringOf(t, members)
 				before, err := base.Assign(keys)
 				if err != nil {
 					t.Fatal(err)
@@ -95,7 +105,7 @@ func TestRingMinimalMovement(t *testing.T) {
 				bound := numKeys/n + eps
 
 				// Join: a new member takes over only its own keys.
-				joined := ringOf(members)
+				joined := ringOf(t, members)
 				joined.Add("tasqd-new")
 				after, err := joined.Assign(keys)
 				if err != nil {
@@ -117,7 +127,7 @@ func TestRingMinimalMovement(t *testing.T) {
 				// Leave: only the leaver's keys move (n ≥ 2 keeps the ring
 				// non-empty afterwards).
 				leaver := members[0]
-				left := ringOf(members)
+				left := ringOf(t, members)
 				left.Remove(leaver)
 				afterLeave, err := left.Assign(keys)
 				if err != nil {
@@ -151,8 +161,8 @@ func TestRingSetDeterminism(t *testing.T) {
 	keys := synthKeys(7, 500)
 	members := memberNames(5)
 
-	forward := ringOf(members)
-	reversed := NewRing(0)
+	forward := ringOf(t, members)
+	reversed := newRing(t, DefaultVirtualNodes)
 	for i := len(members) - 1; i >= 0; i-- {
 		reversed.Add(members[i])
 	}
@@ -183,7 +193,7 @@ func TestRingSetDeterminism(t *testing.T) {
 // TestRingSequence pins the failover order: it starts at the key's owner,
 // lists distinct members, honors n, and returns everyone for n ≤ 0.
 func TestRingSequence(t *testing.T) {
-	r := ringOf(memberNames(5))
+	r := ringOf(t, memberNames(5))
 	for _, key := range synthKeys(3, 50) {
 		owner, ok := r.Pick(key)
 		if !ok {
@@ -212,7 +222,12 @@ func TestRingSequence(t *testing.T) {
 // TestRingEmptyAndMembership covers the edge contract: empty-ring Pick /
 // Sequence / Assign, idempotent Add, unknown Remove, Members ordering.
 func TestRingEmptyAndMembership(t *testing.T) {
-	r := NewRing(4)
+	for _, bad := range []int{0, -1} {
+		if _, err := NewRing(bad); err == nil {
+			t.Fatalf("NewRing(%d) accepted", bad)
+		}
+	}
+	r := newRing(t, 4)
 	if _, ok := r.Pick([]byte("k")); ok {
 		t.Fatal("Pick on empty ring succeeded")
 	}

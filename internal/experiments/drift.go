@@ -57,7 +57,9 @@ func AblationInputDrift(s *Suite) (*InputDriftResult, error) {
 	// templates match, then grow inputs.
 	gen := workload.New(s.Config.Workload)
 	gen.Workload(s.Config.TrainJobs + s.Config.TestJobs) // consume day 1+2
-	gen.SetInputDrift(driftFactor)
+	if err := gen.SetInputDrift(driftFactor); err != nil {
+		return nil, err
+	}
 	drifted := gen.Workload(s.Config.TestJobs)
 	// The suite anonymized its jobs; anonymize the drifted day the same
 	// way so template signatures line up (anonymization is deterministic

@@ -213,7 +213,9 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 	logf("harness: autopilot soak start (seed=%d short=%v)", cfg.Seed, cfg.Short)
 
 	// Phase A: inputs grow ×4 — drift alarm, retrain, shadow win, promote.
-	g.SetInputDrift(4)
+	if err := g.SetInputDrift(4); err != nil {
+		return nil, err
+	}
 	ok, err := feed(250, func(s autopilot.Status) bool { return s.Promotions == 1 })
 	if err != nil {
 		return nil, err
@@ -224,7 +226,9 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 	if !cfg.Short {
 		// Phase B: a ×16 lurch inside the guard window — exactly one
 		// rollback to the seed generation.
-		g.SetInputDrift(16)
+		if err := g.SetInputDrift(16); err != nil {
+			return nil, err
+		}
 		if ok, err = feed(120, func(s autopilot.Status) bool { return s.Rollbacks == 1 }); err != nil {
 			return nil, err
 		}

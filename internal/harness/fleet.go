@@ -241,7 +241,10 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	defer fleet.Close()
 
 	led := newLedger()
-	ring := cluster.NewRing(0)
+	ring, err := cluster.NewRing(cluster.DefaultVirtualNodes)
+	if err != nil {
+		return nil, err
+	}
 	cc := serve.NewClusterClient(ring)
 	for _, r := range fleet.Replicas() {
 		c, err := newFleetMemberClient(r.URL(), r.ID(), led)
@@ -475,7 +478,10 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		}
 	}
 	// Pure post-pass: removing any single member moves only its own keys.
-	scratch := cluster.NewRing(0)
+	scratch, err := cluster.NewRing(cluster.DefaultVirtualNodes)
+	if err != nil {
+		return nil, err
+	}
 	for _, r := range fleet.Replicas() {
 		scratch.Add(r.ID())
 	}
