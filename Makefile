@@ -85,7 +85,7 @@ bench:
 
 # One iteration of every serving and planner benchmark (the per-predictor
 # miss path, BenchmarkDecodeScoreRequest and BenchmarkPlanResolve1000 in
-# internal/serve included) and of BenchmarkExecutorRun:
+# internal/serve included), of BenchmarkExecutorRun and of BenchmarkGenerate:
 # catches bit-rot in the bench harness itself without paying for real
 # measurement (the pipeline benches train full models and stay out of the
 # per-merge gate).
@@ -93,6 +93,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^Benchmark(Score|Batch|Decode)' -benchtime=1x -count=1 ./internal/serve/ ./internal/cluster/
 	$(GO) test -run='^$$' -bench='^BenchmarkPlan' -benchtime=1x -count=1 ./internal/plan/ ./internal/serve/
 	$(GO) test -run='^$$' -bench='^BenchmarkExecutorRun$$' -benchtime=1x -count=1 ./internal/scopesim/
+	$(GO) test -run='^$$' -bench='^BenchmarkGenerate$$' -benchtime=1x -count=1 ./internal/workload/
 
 # Fails if any tasqd, tasq, tasq-bench, experiments, Go test binary (fuzz
 # workers included) or `go run` executable is still running: the last step
