@@ -20,6 +20,8 @@ import (
 
 	"tasq/internal/jobrepo"
 	"tasq/internal/model"
+	"tasq/internal/obs"
+	"tasq/internal/pcc"
 	"tasq/internal/scopesim"
 	"tasq/internal/trainer"
 	"tasq/internal/workload"
@@ -202,6 +204,26 @@ func BenchmarkScoreSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.post(b, f.payloads[i%len(f.payloads)])
 	}
+}
+
+// BenchmarkScoreCacheFill fills a fresh 4,096-curve cache from ad-hoc
+// traffic's key stream, 1,024 jobs each asked of the four predictors, and
+// reports the live heap the full cache retains per curve (B/curve).
+func BenchmarkScoreCacheFill(b *testing.B) {
+	keys := predictorKeys(adhocJobs(1024))
+	val := cachedScore{curve: pcc.Curve{A: -0.5, B: 100}, model: trainer.ModelNN}
+	met := newCacheMetrics(obs.NewRegistry())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := newCurveCache(DefaultCurveCacheCap, met)
+		for _, k := range keys {
+			cachePut(c, k, val)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(keys)), "jobs/op")
+	b.ReportMetric(retainedPerCurve(b, keys), "B/curve")
 }
 
 // BenchmarkScoreParallel saturates the endpoint from GOMAXPROCS client

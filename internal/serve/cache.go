@@ -30,8 +30,8 @@ import (
 //     baselines execute it). Identity fields predictors never consume —
 //     job ID, virtual cluster, submit time — are deliberately excluded so
 //     recurring resubmissions of one plan share an entry. Lookup is by
-//     exact key comparison, never by hash alone, so collisions are
-//     impossible by construction.
+//     exact comparison of both halves of the key, never by hash alone, so
+//     collisions are impossible by construction.
 //   - The cache lives inside the activeModel swapped through the server's
 //     atomic pointer: a hot reload installs a new generation with a
 //     fresh, empty cache in one atomic store, so a new generation can
@@ -39,13 +39,25 @@ import (
 //   - Only successful, Valid() curves are stored, after the job passed
 //     full validation; a cache hit therefore proves an identical job
 //     already validated, letting the hit path skip re-validation.
+//
+// The key has two halves: the model prefix and the job payload, the
+// feature encoding that makes up almost all of its bytes. The paper's
+// predictors are asked about the same compiled job (ad-hoc traffic names
+// NN, GNN and both XGBoost variants in turn), so a shard's map is keyed by
+// the payload alone and the job's curves hang off it as a chain of
+// sibling entries that share one copy of the payload. Every curve is
+// still its own LRU entry, so capacity bounds curves and eviction order
+// is per curve; the payload is freed with the job's last curve.
 
 // DefaultCurveCacheCap is the default bound on memoized curves per loaded
-// generation. An entry is its encoded job key plus ~100 bytes of node, and
-// the key grows with the plan: ~70 bytes an operator, measured at a mean
-// of 1,375 B over the benchmark's 2,000-job recurring pool (19 operators a
-// job). A full default cache therefore holds about 5.6 MB of key bytes,
-// ~6 MB in all; plans of 60 operators would make that ~18 MB.
+// generation. A job's payload grows with the plan, ~70 bytes an operator:
+// a mean of 1,375 B over the benchmark's 2,000-job recurring pool (19
+// operators a job), 1,436 B over 4,096 ad-hoc jobs. With its entry, map
+// slot and allocation rounding, a single-model curve retains about 1.7 KB
+// (1,680 B ad hoc on amd64; 1,666 B when whole keys were stored), so a
+// full default cache holds about 7 MB; plans of 60 operators would make
+// that ~20 MB. Curves of one job under the four predictors share its
+// payload and retain about 500 B each (1,672 B unshared), ~2 MB in all.
 const DefaultCurveCacheCap = 4096
 
 // cacheShardCount spreads entries over independently locked shards so
@@ -62,20 +74,25 @@ type cachedScore struct {
 	counter *obs.Counter
 }
 
-// cacheEntry is one LRU node; entries are intrusive so a hit moves a node
-// without allocating.
+// cacheEntry is one memoized curve and its LRU node; entries are
+// intrusive so a hit moves a node without allocating. The entries of one
+// job under different models form a sibling chain headed by the entry the
+// shard's map points at, and share that job's payload string.
 type cacheEntry struct {
-	key        string
+	payload    string // the job payload, one copy per job
+	prefix     string // the normalized model prefix, terminator included
 	val        cachedScore
-	prev, next *cacheEntry
+	prev, next *cacheEntry // LRU order over curves
+	sib        *cacheEntry // the job's next curve
 }
 
 // cacheShard is one independently locked LRU segment.
 type cacheShard struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	head    *cacheEntry // most recently used
-	tail    *cacheEntry // least recently used
+	mu     sync.Mutex
+	jobs   map[string]*cacheEntry // payload → the job's first curve
+	curves int
+	head   *cacheEntry // most recently used
+	tail   *cacheEntry // least recently used
 }
 
 // cacheMetrics are the obs handles shared by every generation's cache;
@@ -103,8 +120,8 @@ func newCacheMetrics(reg *obs.Registry) *cacheMetrics {
 }
 
 // curveCache is a bounded, sharded LRU of cachedScore keyed by the exact
-// encoded (model, job) bytes. A nil *curveCache is valid and disables
-// memoization.
+// encoded (model prefix, job payload) bytes. A nil *curveCache is valid
+// and disables memoization.
 type curveCache struct {
 	shards   []cacheShard
 	seed     maphash.Seed
@@ -113,7 +130,7 @@ type curveCache struct {
 	met      *cacheMetrics
 }
 
-// newCurveCache builds a cache bounded at roughly capacity entries
+// newCurveCache builds a cache bounded at roughly capacity curves
 // (rounded up to a multiple of the shard count). capacity <= 0 returns
 // nil — caching disabled. Small capacities collapse to one shard so the
 // bound, and LRU order, are exact where tests exercise eviction.
@@ -132,31 +149,34 @@ func newCurveCache(capacity int, met *cacheMetrics) *curveCache {
 		met:      met,
 	}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*cacheEntry)
+		c.shards[i].jobs = make(map[string]*cacheEntry)
 	}
 	return c
 }
 
 // shardFor picks the shard with the runtime's own (hardware-accelerated)
-// byte hash under the cache's random seed. Cache keys are full feature
-// encodings — over a kilobyte for a typical plan — and every get/put
-// hashes one, so this walk sits on the cached-score profile. Only shard
-// balance matters here: unlike cluster.KeyHash, which places keys on the
-// ring and must agree across processes, the value never leaves the cache.
-func (c *curveCache) shardFor(key []byte) *cacheShard {
-	return &c.shards[maphash.Bytes(c.seed, key)%uint64(len(c.shards))]
+// byte hash under the cache's random seed. It hashes the job payload
+// alone, so all of a job's curves live in one shard. Payloads are full
+// feature encodings — over a kilobyte for a typical plan — and every
+// get/put hashes one, so this walk sits on the cached-score profile. Only
+// shard balance matters here: unlike cluster.KeyHash, which places keys
+// on the ring and must agree across processes, the value never leaves the
+// cache.
+func (c *curveCache) shardFor(payload []byte) *cacheShard {
+	return &c.shards[maphash.Bytes(c.seed, payload)%uint64(len(c.shards))]
 }
 
-// get returns the memoized score for the exact key, refreshing its LRU
-// position. The []byte key is compared as a string without allocating.
-func (c *curveCache) get(key []byte) (cachedScore, bool) {
+// get returns the memoized score for the exact key, whose first n bytes
+// are the model prefix (appendScoreKey's result), refreshing its LRU
+// position. The []byte halves are compared as strings without allocating.
+func (c *curveCache) get(key []byte, n int) (cachedScore, bool) {
 	if c == nil {
 		return cachedScore{}, false
 	}
-	s := c.shardFor(key)
+	s := c.shardFor(key[n:])
 	s.mu.Lock()
-	e, ok := s.entries[string(key)]
-	if !ok {
+	_, e := s.find(key, n)
+	if e == nil {
 		s.mu.Unlock()
 		c.met.misses.Inc()
 		return cachedScore{}, false
@@ -168,28 +188,36 @@ func (c *curveCache) get(key []byte) (cachedScore, bool) {
 	return val, true
 }
 
-// put memoizes a score, evicting the shard's least recently used entry
-// beyond capacity. Racing puts for the same key keep the first value
-// (both computed the same pure function, so either is correct).
-func (c *curveCache) put(key []byte, val cachedScore) {
+// put memoizes a score for the key split as in get, evicting the shard's
+// least recently used curve beyond capacity. A curve for a job the shard
+// already holds under another model shares that job's payload. Racing
+// puts for the same key keep the first value (both computed the same pure
+// function, so either is correct).
+func (c *curveCache) put(key []byte, n int, val cachedScore) {
 	if c == nil {
 		return
 	}
-	s := c.shardFor(key)
+	s := c.shardFor(key[n:])
 	s.mu.Lock()
-	if e, ok := s.entries[string(key)]; ok {
+	first, e := s.find(key, n)
+	if e != nil {
 		s.moveToFront(e)
 		s.mu.Unlock()
 		return
 	}
-	e := &cacheEntry{key: string(key), val: val}
-	s.entries[e.key] = e
+	e = &cacheEntry{prefix: string(key[:n]), val: val}
+	if first == nil {
+		e.payload = string(key[n:])
+		s.jobs[e.payload] = e
+	} else {
+		e.payload = first.payload
+		e.sib, first.sib = first.sib, e
+	}
 	s.pushFront(e)
+	s.curves++
 	var evicted bool
-	if len(s.entries) > c.capShard {
-		lru := s.tail
-		s.unlink(lru)
-		delete(s.entries, lru.key)
+	if s.curves > c.capShard {
+		s.evict(s.tail)
 		evicted = true
 	}
 	s.mu.Unlock()
@@ -201,12 +229,43 @@ func (c *curveCache) put(key []byte, val cachedScore) {
 	}
 }
 
-// Len reports the total entries held (tests and the size gauge).
+// Len reports the total curves held (tests and the size gauge).
 func (c *curveCache) Len() int {
 	if c == nil {
 		return 0
 	}
 	return int(c.count.Load())
+}
+
+// find returns the job's first curve and the curve the key names (nil
+// when the shard holds none), the key split as in get.
+func (s *cacheShard) find(key []byte, n int) (first, e *cacheEntry) {
+	first = s.jobs[string(key[n:])]
+	for e = first; e != nil; e = e.sib {
+		if e.prefix == string(key[:n]) {
+			break
+		}
+	}
+	return first, e
+}
+
+// evict drops one curve, and with the job's last curve its map key.
+func (s *cacheShard) evict(e *cacheEntry) {
+	s.unlink(e)
+	s.curves--
+	first := s.jobs[e.payload]
+	switch {
+	case first != e:
+		p := first
+		for p.sib != e {
+			p = p.sib
+		}
+		p.sib = e.sib
+	case e.sib != nil:
+		s.jobs[e.payload] = e.sib
+	default:
+		delete(s.jobs, e.payload)
+	}
 }
 
 func (s *cacheShard) pushFront(e *cacheEntry) {
@@ -244,11 +303,14 @@ func (s *cacheShard) moveToFront(e *cacheEntry) {
 }
 
 // keyBuf is a pooled scratch buffer for encoding cache keys; steady-state
-// scoring builds every key into recycled backing arrays.
+// scoring builds every key into recycled backing arrays. A fresh buffer
+// holds 2 KiB, above the mean key (1,375 B recurring, 1,511 B ad hoc in
+// the benchmark's pools), so a refill after a GC empties the pool does not
+// grow and copy it on first use.
 type keyBuf struct{ b []byte }
 
 var keyBufPool = sync.Pool{
-	New: func() any { return &keyBuf{b: make([]byte, 0, 1024)} },
+	New: func() any { return &keyBuf{b: make([]byte, 0, 2048)} },
 }
 
 func getKeyBuf() *keyBuf { return keyBufPool.Get().(*keyBuf) }
@@ -259,15 +321,18 @@ func putKeyBuf(kb *keyBuf) {
 }
 
 // appendScoreKey encodes everything a predictor may read from the request
-// into kb: the normalized model name, then the job's curve-relevant
-// content. Varints separate counts from payloads, so the encoding is
-// prefix-free and two distinct jobs can never encode to the same bytes.
-func appendScoreKey(kb *keyBuf, modelName string, job *scopesim.Job) {
+// into the empty kb: the model prefix (the normalized model name and a
+// terminating 0), then the job payload, the job's curve-relevant content.
+// It returns the prefix length n: kb.b[:n] is the prefix and kb.b[n:] the
+// payload. The cache splits the key there rather than at the first 0
+// byte, which a model name may contain. Varints separate counts from
+// payloads, so the payload encoding is prefix-free and two distinct jobs
+// can never encode to the same bytes.
+func appendScoreKey(kb *keyBuf, modelName string, job *scopesim.Job) int {
 	b := kb.b
 	// Model name, normalized like the Mux resolves it (case, space, dash
 	// and underscore insensitive) so "xgboost-pl" and "XGBoost PL" share
-	// one entry. A terminating 0 separates it from the job payload
-	// (normalization strips no control bytes, so 0 cannot appear within).
+	// one entry.
 	for i := 0; i < len(modelName); i++ {
 		ch := modelName[i]
 		switch {
@@ -279,6 +344,7 @@ func appendScoreKey(kb *keyBuf, modelName string, job *scopesim.Job) {
 		}
 	}
 	b = append(b, 0)
+	n := len(b)
 
 	b = appendVarint(b, int64(job.RequestedTokens))
 	b = appendUvarint(b, uint64(len(job.Template)))
@@ -331,6 +397,7 @@ func appendScoreKey(kb *keyBuf, modelName string, job *scopesim.Job) {
 		}
 	}
 	kb.b = b
+	return n
 }
 
 // appendUvarint is binary.AppendUvarint with the one-byte case (operator

@@ -194,8 +194,8 @@ func (cc *ClusterClient) Stats() ClusterStats {
 // RouteKey returns the routing key for a scoring request: the exact
 // binary feature key the serving curve cache memoizes on, so the ring
 // sends a job to the shard that already holds its curve. A nil job
-// degrades to the normalized model name alone (such requests 400 at any
-// member — where they land cannot matter).
+// degrades to the model name exactly as given, not normalized: such
+// requests 400 on every member, so where they land cannot matter.
 func RouteKey(model string, job *scopesim.Job) []byte {
 	kb := getKeyBuf()
 	defer putKeyBuf(kb)

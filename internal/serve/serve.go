@@ -833,11 +833,12 @@ func (s *Server) score(req *ScoreRequest) (*ScoreResponse, error) {
 // tasq_score_total series for the predictor that served the curve.
 func (s *Server) curveFor(active *activeModel, modelName string, job *scopesim.Job) (pcc.Curve, string, *obs.Counter, error) {
 	var kb *keyBuf
+	var n int
 	if active.cache != nil {
 		kb = getKeyBuf()
 		defer putKeyBuf(kb)
-		appendScoreKey(kb, modelName, job)
-		if e, hit := active.cache.get(kb.b); hit {
+		n = appendScoreKey(kb, modelName, job)
+		if e, hit := active.cache.get(kb.b, n); hit {
 			return e.curve, e.model, e.counter, nil
 		}
 	}
@@ -853,7 +854,7 @@ func (s *Server) curveFor(active *activeModel, modelName string, job *scopesim.J
 	}
 	servedScores := active.servedCounter(s.reg, served)
 	if active.cache != nil {
-		active.cache.put(kb.b, cachedScore{curve: curve, model: served, counter: servedScores})
+		active.cache.put(kb.b, n, cachedScore{curve: curve, model: served, counter: servedScores})
 	}
 	return curve, served, servedScores, nil
 }
