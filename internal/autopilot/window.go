@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"tasq/internal/durable"
 	"tasq/internal/jobrepo"
 )
 
@@ -22,9 +24,9 @@ const DefaultWindowCap = 4096
 // open, a torn final line (a crash mid-append) is tolerated and truncated
 // away; earlier damaged lines are skipped in memory and rewritten out at
 // the next compaction. The in-memory view keeps only the newest capacity
-// records; the file is compacted (rewritten from the in-memory view via
-// temp + fsync + rename) once it grows past twice the capacity, so disk
-// use is bounded too. Safe for concurrent use.
+// records; the file is compacted (replaced with the in-memory view through
+// durable.Write) once it grows past twice the capacity, so disk use is
+// bounded too. Safe for concurrent use.
 type Window struct {
 	mu    sync.Mutex
 	path  string
@@ -51,6 +53,11 @@ func OpenWindow(path string, capacity int) (*Window, error) {
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("autopilot: window: %w", err)
+	}
+	// A created file's name must survive a crash like the appends to it.
+	if err := durable.SyncDir(filepath.Dir(path)); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("autopilot: window: %w", err)
 	}
 	w.f = f
@@ -131,33 +138,19 @@ func (w *Window) Append(rec *jobrepo.Record) error {
 	return nil
 }
 
-// compactLocked rewrites the file to hold exactly the in-memory records,
-// via temp + fsync + rename, and reopens the append handle.
+// compactLocked replaces the file with exactly the in-memory records
+// through durable.Write, and reopens the append handle.
 func (w *Window) compactLocked() error {
-	tmp := w.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("autopilot: window compaction: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	for _, rec := range w.recs {
-		if err := enc.Encode(rec); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("autopilot: window compaction: %w", err)
+	err := durable.Write(w.path, func(f io.Writer) error {
+		enc := json.NewEncoder(f)
+		for _, rec := range w.recs {
+			if err := enc.Encode(rec); err != nil {
+				return err
+			}
 		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("autopilot: window compaction: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("autopilot: window compaction: %w", err)
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		os.Remove(tmp)
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("autopilot: window compaction: %w", err)
 	}
 	w.f.Close()
@@ -186,9 +179,6 @@ func (w *Window) Len() int {
 	defer w.mu.Unlock()
 	return len(w.recs)
 }
-
-// Cap returns the window's capacity.
-func (w *Window) Cap() int { return w.cap }
 
 // Close closes the append handle; further Appends fail.
 func (w *Window) Close() error {

@@ -1,6 +1,8 @@
 package autopilot
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +13,7 @@ import (
 )
 
 // makeRecords executes n seeded jobs and returns their telemetry records.
-func makeRecords(t *testing.T, seed int64, n int) []*jobrepo.Record {
+func makeRecords(t testing.TB, seed int64, n int) []*jobrepo.Record {
 	t.Helper()
 	g := workload.New(workload.TestConfig(seed))
 	repo := jobrepo.New()
@@ -186,4 +188,45 @@ func TestWindowRejectsInvalidRecord(t *testing.T) {
 	if w.Len() != 0 {
 		t.Fatalf("len %d after rejected append", w.Len())
 	}
+}
+
+// FuzzWindowLoad writes arbitrary bytes as a window file and opens it:
+// the open never panics, every kept record is valid, and the file left
+// behind is the input up to its last newline.
+func FuzzWindowLoad(f *testing.F) {
+	var good []byte
+	for _, rec := range makeRecords(f, 29, 2) {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		good = append(append(good, line...), '\n')
+	}
+	f.Add(good)
+	f.Add(good[:len(good)-5])
+	f.Add([]byte("not json\n{}\nnull\n{\"Job\":{}}"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "window.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := OpenWindow(path, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		for _, rec := range w.Records() {
+			if err := rec.Validate(); err != nil {
+				t.Fatalf("kept an invalid record: %v", err)
+			}
+		}
+		left, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := data[:bytes.LastIndexByte(data, '\n')+1]; !bytes.Equal(left, want) {
+			t.Fatalf("file left %d bytes, want the %d up to the last newline", len(left), len(want))
+		}
+	})
 }

@@ -17,6 +17,7 @@ import (
 	"os"
 	"time"
 
+	"tasq/internal/durable"
 	"tasq/internal/parallel"
 	"tasq/internal/scopesim"
 	"tasq/internal/skyline"
@@ -202,18 +203,11 @@ func ReadJSONL(rd io.Reader) (*Repository, error) {
 	}
 }
 
-// SaveFile writes the repository to path, creating or truncating it.
-func (r *Repository) SaveFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return r.WriteJSONL(f)
+// SaveFile replaces the file at path with the repository through
+// durable.Write, so a crash mid-save leaves the old file, never a shorter
+// one that ReadJSONL would accept.
+func (r *Repository) SaveFile(path string) error {
+	return durable.Write(path, r.WriteJSONL)
 }
 
 // LoadFile reads a repository from path.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"tasq/internal/durable"
 )
 
 // promotionFile is the root-level marker the autopilot writes when it
@@ -63,14 +65,10 @@ func (r *Registry) SetPromotion(rec PromotionRecord) error {
 		return fmt.Errorf("registry: encoding promotion record: %w", err)
 	}
 	data = append(data, '\n')
-	tmp := filepath.Join(r.root, promotionFile+".tmp")
-	if err := writeFileSynced(tmp, data); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(r.root, promotionFile)); err != nil {
+	if err := durable.WriteFile(filepath.Join(r.root, promotionFile), data); err != nil {
 		return fmt.Errorf("registry: writing promotion record: %w", err)
 	}
-	return syncPath(r.root)
+	return nil
 }
 
 // Promotion reads the current promotion record; ErrNoPromotion if none.
@@ -100,13 +98,12 @@ func (r *Registry) ClearPromotion() error {
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("registry: clearing promotion record: %w", err)
 	}
-	return syncPath(r.root)
+	return durable.SyncDir(r.root)
 }
 
 // Annotate merges key/value pairs into a version's manifest annotations
-// and rewrites the manifest atomically (temp + fsync + rename inside the
-// version directory). The payload is untouched, so the SHA-256 stays
-// valid. An empty value deletes the key.
+// and replaces the manifest through durable.WriteFile. The payload is
+// untouched, so the SHA-256 stays valid. An empty value deletes the key.
 func (r *Registry) Annotate(version int, kv map[string]string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -132,13 +129,8 @@ func (r *Registry) Annotate(version int, kv map[string]string) error {
 		return fmt.Errorf("registry: encoding manifest: %w", err)
 	}
 	data = append(data, '\n')
-	dir := filepath.Join(r.root, versionDir(version))
-	tmp := filepath.Join(dir, manifestFile+".tmp")
-	if err := writeFileSynced(tmp, data); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestFile)); err != nil {
+	if err := durable.WriteFile(filepath.Join(r.root, versionDir(version), manifestFile), data); err != nil {
 		return fmt.Errorf("registry: annotating v%d: %w", version, err)
 	}
-	return syncPath(dir)
+	return nil
 }

@@ -104,8 +104,8 @@ func TestPublishAtomicNoTempLeftovers(t *testing.T) {
 }
 
 // TestOpenIgnoresCrashLeftovers plants a half-published temp directory
-// (as a crash mid-publish would leave) and checks it is invisible to
-// reads and swept by GC.
+// and a stale temp file (as a crash mid-publish or mid-pin would leave)
+// and checks they are invisible to reads and swept by GC.
 func TestOpenIgnoresCrashLeftovers(t *testing.T) {
 	r := open(t)
 	publish(t, r, "good")
@@ -114,6 +114,10 @@ func TestOpenIgnoresCrashLeftovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(stale, payloadFile), []byte("half"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	staleFile := filepath.Join(r.Root(), tmpPrefix+pinFile+"-123")
+	if err := os.WriteFile(staleFile, []byte("2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	vs, err := r.Versions()
@@ -132,6 +136,9 @@ func TestOpenIgnoresCrashLeftovers(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("GC did not sweep the stale temp dir")
+	}
+	if _, err := os.Stat(staleFile); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("GC did not sweep the stale temp file")
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+
+	"tasq/internal/durable"
 )
 
 // The pipeline persists as a framed gob stream — the "model binary" of the
@@ -75,8 +76,8 @@ func SavePipeline(p *Pipeline, w io.Writer) error {
 	return nil
 }
 
-// maxPipelineBytes bounds the payload length a loader will buffer, so a
-// corrupt length field cannot trigger a giant allocation.
+// maxPipelineBytes is the largest payload length a loader accepts; a
+// larger length field is corrupt.
 const maxPipelineBytes = 1 << 32
 
 // LoadPipeline reads a pipeline from r, verifying the magic header,
@@ -104,10 +105,14 @@ func LoadPipeline(r io.Reader) (*Pipeline, error) {
 	if length > maxPipelineBytes {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Copy rather than allocate length up front: memory grows only with
+	// the bytes that actually arrive, so a header claiming gigabytes over a
+	// short stream costs nothing.
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(length)); err != nil {
 		return nil, fmt.Errorf("%w: reading payload: %v", ErrCorrupt, err)
 	}
+	payload := buf.Bytes()
 	var want [sha256.Size]byte
 	if _, err := io.ReadFull(r, want[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading checksum: %v", ErrCorrupt, err)
@@ -125,19 +130,14 @@ func LoadPipeline(r io.Reader) (*Pipeline, error) {
 	return &p, nil
 }
 
-// SavePipelineFile writes the pipeline to a file atomically: the payload
-// goes to a temp file in the target directory, is fsynced, and is renamed
-// over the destination, so a crash mid-save can never truncate an
-// existing model binary.
+// SavePipelineFile replaces the file at path with the pipeline through
+// durable.Write, so a crash mid-save can never truncate an existing model
+// binary.
 func SavePipelineFile(p *Pipeline, path string) error {
 	if p == nil {
 		return errors.New("trainer: nil pipeline")
 	}
-	var buf bytes.Buffer
-	if err := SavePipeline(p, &buf); err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, buf.Bytes())
+	return durable.Write(path, func(w io.Writer) error { return SavePipeline(p, w) })
 }
 
 // LoadPipelineFile reads a pipeline from a file.
@@ -148,49 +148,4 @@ func LoadPipelineFile(path string) (*Pipeline, error) {
 	}
 	defer f.Close()
 	return LoadPipeline(f)
-}
-
-// WriteFileAtomic writes data to path via a temp file in the same
-// directory, fsyncing the file before the rename and the directory after
-// it, so the destination is only ever absent, the old content, or the
-// complete new content.
-func WriteFileAtomic(path string, data []byte) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err = tmp.Write(data); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a rename into it survives a crash. The
-// sync itself is best-effort: some filesystems (network mounts, tmpfs on
-// certain kernels) refuse directory fsync with EINVAL, and that is not
-// worth failing a completed save over.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
 }

@@ -2,10 +2,12 @@ package trainer
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -97,7 +99,7 @@ func TestLoadPipelineRejectsGarbage(t *testing.T) {
 
 // savedPipelineBytes trains a small pipeline once and returns its
 // serialized form for the corruption tests.
-func savedPipelineBytes(t *testing.T) []byte {
+func savedPipelineBytes(t testing.TB) []byte {
 	t.Helper()
 	train, _ := dataset(t, 30, 0, 25)
 	cfg := fastConfig(26)
@@ -156,6 +158,39 @@ func TestLoadPipelineCorruption(t *testing.T) {
 		// the worst case, decodes to a structurally incomplete pipeline;
 		// both must surface as ErrCorrupt, never as a usable value.
 		check(t, data, ErrCorrupt)
+	})
+	t.Run("length beyond stream", func(t *testing.T) {
+		// Magic and version, a length field claiming 64 MiB, one payload
+		// byte: the loader must fail without allocating the claim.
+		data := binary.BigEndian.AppendUint64(append([]byte(nil), good[:12]...), 64<<20)
+		data = append(data, 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		check(t, data, ErrCorrupt)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("a %d-byte stream allocated %d bytes", len(data), alloc)
+		}
+	})
+}
+
+// FuzzLoadPipeline feeds arbitrary bytes to the loader: every input
+// yields a pipeline or one of the typed errors, never a panic.
+func FuzzLoadPipeline(f *testing.F) {
+	good := savedPipelineBytes(f)
+	for _, n := range []int{len(good), len(good) - 1, len(good) / 2, 21, 20, 12, 8, 0} {
+		f.Add(good[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := LoadPipeline(bytes.NewReader(data))
+		switch {
+		case err == nil && p == nil:
+			t.Fatal("no pipeline and no error")
+		case err != nil && p != nil:
+			t.Fatalf("a pipeline along with error %v", err)
+		case err != nil && !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrFormatVersion) && !errors.Is(err, ErrCorrupt):
+			t.Fatalf("untyped error %v", err)
+		}
 	})
 }
 

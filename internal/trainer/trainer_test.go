@@ -22,7 +22,7 @@ func predictorFor(t *testing.T, p *Pipeline, name string) model.Predictor {
 }
 
 // dataset builds a small ingested train/test split.
-func dataset(t *testing.T, nTrain, nTest int, seed int64) (train, test []*jobrepo.Record) {
+func dataset(t testing.TB, nTrain, nTest int, seed int64) (train, test []*jobrepo.Record) {
 	t.Helper()
 	g := workload.New(workload.TestConfig(seed))
 	repo := jobrepo.New()
