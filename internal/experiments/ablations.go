@@ -3,14 +3,11 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"tasq/internal/arepas"
-	"tasq/internal/features"
 	"tasq/internal/jobrepo"
 	"tasq/internal/jockey"
 	"tasq/internal/ml/gbt"
-	"tasq/internal/ml/linalg"
 	"tasq/internal/stats"
 	"tasq/internal/trainer"
 )
@@ -133,66 +130,34 @@ type ObjectiveAblationResult struct {
 	Jobs                             int
 }
 
-// AblationXGBObjective retrains the boosted model with each objective and
-// compares reference-point run-time error.
+// AblationXGBObjective compares reference-point run-time error of the
+// suite's Gamma booster with one trained on the same rows under squared
+// error.
 func AblationXGBObjective(s *Suite) (*ObjectiveAblationResult, error) {
 	if len(s.Test) == 0 {
 		return nil, errors.New("experiments: empty test set")
 	}
-	cfg := s.Config.Trainer
-	cfg.SkipNN = true
-	cfg.SkipGNN = true
-	p, err := trainer.Train(s.Train, cfg)
-	if err != nil {
-		return nil, err
-	}
-	var preds, truth []float64
-	for _, rec := range s.Test {
-		preds = append(preds, p.XGB.PredictRuntime(rec.Job, rec.ObservedTokens))
-		truth = append(truth, float64(rec.RuntimeSeconds))
-	}
-	gamma := stats.MedianAPE(preds, truth)
 	// trainer.Train refuses any objective but Gamma, the pipeline's
-	// baseline role, so the squared variant trains the gbt model directly.
-	squared, err := evalSquaredXGB(s)
-	if err != nil {
-		return nil, err
-	}
-	return &ObjectiveAblationResult{GammaMedianAPE: gamma, SquaredMedianAPE: squared, Jobs: len(s.Test)}, nil
-}
-
-// evalSquaredXGB trains a squared-loss ensemble on the same augmented rows.
-func evalSquaredXGB(s *Suite) (float64, error) {
-	scaler := s.Pipeline.JobScaler
-	var rows [][]float64
-	var y []float64
-	for _, rec := range s.Train {
-		feat := scaler.TransformRow(jobFeaturesOf(rec))
-		pts, err := arepas.AugmentForXGBoost(rec.Skyline, rec.ObservedTokens)
-		if err != nil {
-			return 0, err
-		}
-		for _, p := range pts {
-			if p.Runtime < 1 {
-				continue
-			}
-			rows = append(rows, append(append([]float64(nil), feat...), logTok(p.Tokens)))
-			y = append(y, float64(p.Runtime))
-		}
-	}
+	// baseline role, so the squared variant trains the booster alone.
 	cfg := s.Config.Trainer.XGB
 	cfg.Objective = gbt.Squared
-	m, err := gbt.Train(matrixOf(rows), y, cfg)
+	squared, err := trainer.TrainXGB(s.Train, s.Pipeline.JobScaler, cfg, s.Config.Trainer.Workers)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	var preds, truth []float64
-	for _, rec := range s.Test {
-		feat := scaler.TransformRow(jobFeaturesOf(rec))
-		preds = append(preds, m.Predict(append(append([]float64(nil), feat...), logTok(rec.ObservedTokens))))
-		truth = append(truth, float64(rec.RuntimeSeconds))
+	medianAPE := func(m *trainer.XGBModel) float64 {
+		var preds, truth []float64
+		for _, rec := range s.Test {
+			preds = append(preds, m.PredictRuntime(rec.Job, rec.ObservedTokens))
+			truth = append(truth, float64(rec.RuntimeSeconds))
+		}
+		return stats.MedianAPE(preds, truth)
 	}
-	return stats.MedianAPE(preds, truth), nil
+	return &ObjectiveAblationResult{
+		GammaMedianAPE:   medianAPE(s.Pipeline.XGB),
+		SquaredMedianAPE: medianAPE(squared),
+		Jobs:             len(s.Test),
+	}, nil
 }
 
 // Render prints the objective ablation.
@@ -318,13 +283,3 @@ func (r *LossWeightAblationResult) Render() string {
 	return textTable("Ablation — LF2 run-time weight (NN):",
 		[]string{"Runtime weight", "MAE (Curve Params)", "Median AE (Run Time)"}, rows)
 }
-
-// helpers shared by the ablations
-
-func jobFeaturesOf(rec *jobrepo.Record) []float64 {
-	return features.JobVector(rec.Job)
-}
-
-func logTok(tokens int) float64 { return math.Log1p(float64(tokens)) }
-
-func matrixOf(rows [][]float64) *linalg.Matrix { return linalg.FromRows(rows) }

@@ -75,8 +75,8 @@ func (p *Pipeline) predictCurvePL(job *scopesim.Job, reference int) (pcc.Curve, 
 
 // predictCurveSSFit serves the tabulated XGBoost SS model as a
 // parametric curve: the smoothed grid is fitted with a power law.
-// Evaluation keeps consuming the native grid (evalXGBSS); this form is
-// only for the curve-shaped scoring path.
+// Evaluation keeps consuming the native grid (Pipeline.evaluate); this
+// form is only for the curve-shaped scoring path.
 func (p *Pipeline) predictCurveSSFit(job *scopesim.Job, reference int) (pcc.Curve, error) {
 	if p.XGB == nil {
 		return pcc.Curve{}, fmt.Errorf("%w: %s", model.ErrUntrained, model.NameXGBSS)

@@ -130,7 +130,7 @@ func Train(recs []*jobrepo.Record, cfg Config) (*Pipeline, error) {
 	p.OpScaler = features.FitScaler(stackOperatorRows(recs))
 
 	// XGBoost (always trained: the PCC baselines and LF3 depend on it).
-	xgb, err := trainXGB(recs, p.JobScaler, cfg.XGB, cfg.Workers)
+	xgb, err := TrainXGB(recs, p.JobScaler, cfg.XGB, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

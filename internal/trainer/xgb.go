@@ -43,11 +43,13 @@ type augmented struct {
 	y    []float64
 }
 
-// trainXGB fits the boosted ensemble on the augmented training set. The
-// per-record AREPAS augmentation fans out over workers; concatenating the
-// per-record blocks in record order keeps the training matrix identical to
-// the serial build.
-func trainXGB(recs []*jobrepo.Record, scaler *features.Scaler, cfg gbt.Config, workers int) (*XGBModel, error) {
+// TrainXGB fits the boosted ensemble on the augmented training set, with
+// job features scaled by scaler. Train always uses the Gamma objective;
+// TrainXGB takes any, so an ablation can compare objectives on the same
+// rows. The per-record AREPAS augmentation fans out over workers;
+// concatenating the per-record blocks in record order keeps the training
+// matrix identical to the serial build.
+func TrainXGB(recs []*jobrepo.Record, scaler *features.Scaler, cfg gbt.Config, workers int) (*XGBModel, error) {
 	parts, err := parallel.Map(context.Background(), len(recs), workers, func(i int) (augmented, error) {
 		rec := recs[i]
 		feat := scaler.TransformRow(features.JobVector(rec.Job))
