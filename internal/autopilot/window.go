@@ -47,6 +47,11 @@ func OpenWindow(path string, capacity int) (*Window, error) {
 			return nil, fmt.Errorf("autopilot: window dir: %w", err)
 		}
 	}
+	// The window has one writer, so a compaction temp file beside it is a
+	// crash's leftover: registry GC sweeps only the registry root.
+	if err := durable.RemoveTemps(path); err != nil {
+		return nil, fmt.Errorf("autopilot: window: %w", err)
+	}
 	w := &Window{path: path, cap: capacity}
 	if err := w.load(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package autopilot
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -145,6 +146,34 @@ func TestWindowToleratesTornTail(t *testing.T) {
 	defer w3.Close()
 	if w3.Len() != 4 {
 		t.Fatalf("len %d after torn-tail recovery append, want 4", w3.Len())
+	}
+}
+
+// A crash mid-compaction leaves durable.Write's temp file beside the
+// window, where registry GC never looks; the window's owner removes it
+// on open and leaves other files alone.
+func TestWindowRemovesCompactionLeftovers(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "telemetry")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, ".tmp-window.jsonl-123")
+	other := filepath.Join(dir, ".tmp-other.jsonl-123")
+	for _, p := range []string{stale, other} {
+		if err := os.WriteFile(p, []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := OpenWindow(filepath.Join(dir, "window.jsonl"), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("compaction leftover survived open: %v", err)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("another file's temp was removed: %v", err)
 	}
 }
 

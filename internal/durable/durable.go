@@ -6,9 +6,11 @@
 package durable
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // tmpPrefix starts every temp file's name; the registry's GC sweeps what
@@ -19,7 +21,7 @@ const tmpPrefix = ".tmp-"
 // the temp file is removed and path is left untouched.
 func Write(path string, fill func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, tmpPrefix+filepath.Base(path)+"-*")
+	f, err := os.CreateTemp(dir, tempPrefix(path)+"*")
 	if err != nil {
 		return err
 	}
@@ -45,6 +47,29 @@ func Write(path string, fill func(io.Writer) error) (err error) {
 		return err
 	}
 	return SyncDir(dir)
+}
+
+// tempPrefix starts the name of every temp file Write creates for path.
+func tempPrefix(path string) string { return tmpPrefix + filepath.Base(path) + "-" }
+
+// RemoveTemps removes the temp files beside path that a crash left behind
+// in the middle of a Write to it. Only the one process that writes path
+// may call it: another's Write in flight would lose its temp file.
+func RemoveTemps(path string) error {
+	dir, prefix := filepath.Dir(path), tempPrefix(path)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), prefix) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteFile replaces path with data; see Write.
