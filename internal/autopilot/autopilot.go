@@ -479,16 +479,21 @@ func (a *Autopilot) promoteLocked() {
 		a.eventf("n=%d refusing to promote quarantined v%d", a.n, cand)
 		return
 	}
-	if err := a.reg.Pin(cand); err != nil {
-		a.mach.Reset()
-		a.eventf("n=%d promote v%d pin failed: %v", a.n, cand, err)
-		return
-	}
+	// Record the rollback target first, then move the pin: GC protects
+	// Previous only once the record exists, and a failure between the two
+	// leaves an accurate record beside the old pin, a promotion not yet made.
 	if err := a.reg.SetPromotion(registry.PromotionRecord{
 		Version: cand, Previous: prev, PromotedAtN: a.n,
 		CandidateErr: candMean, ActiveErr: activeMean,
 	}); err != nil {
-		a.eventf("n=%d promotion record failed: %v", a.n, err)
+		a.mach.Reset()
+		a.eventf("n=%d promote v%d record failed: %v", a.n, cand, err)
+		return
+	}
+	if err := a.reg.Pin(cand); err != nil {
+		a.mach.Reset()
+		a.eventf("n=%d promote v%d pin failed: %v", a.n, cand, err)
+		return
 	}
 	if err := a.reg.Annotate(cand, map[string]string{
 		"autopilot.promoted_at_n": strconv.FormatInt(a.n, 10),

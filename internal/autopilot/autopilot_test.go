@@ -3,6 +3,7 @@ package autopilot
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -315,5 +316,52 @@ func TestAutopilotRespectsExistingPin(t *testing.T) {
 	ap.Observe(recs[0])
 	if st := ap.Status(); st.ActiveVersion != v1 {
 		t.Fatalf("active v%d, want pinned v%d", st.ActiveVersion, v1)
+	}
+}
+
+// TestAutopilotPromotionRecordBeforePin: the promotion record names the
+// rollback target GC must keep, so a promotion whose record cannot be
+// written must not move the pin.
+func TestAutopilotPromotionRecordBeforePin(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := makeRecords(t, 41, 42)
+	p, err := trainer.Train(recs, smallTrainConfig(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := reg.PublishPipeline(p, registry.Manifest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := reg.PublishPipeline(p, registry.Manifest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Pin(v1); err != nil {
+		t.Fatal(err)
+	}
+	ap := newAutopilot(t, reg, nil, DefaultConfig(1))
+	ap.Observe(recs[0])
+	if st := ap.Status(); st.ActiveVersion != v1 {
+		t.Fatalf("active v%d, want pinned v%d", st.ActiveVersion, v1)
+	}
+	// A directory where the record goes makes SetPromotion fail.
+	if err := os.Mkdir(filepath.Join(dir, "PROMOTION"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ap.mu.Lock()
+	ap.candVer, ap.candPipe = v2, p
+	ap.promoteLocked()
+	ap.mu.Unlock()
+
+	if pinned, err := reg.Pinned(); err != nil || pinned != v1 {
+		t.Fatalf("pinned v%d (%v) after a failed promotion record, want v%d", pinned, err, v1)
+	}
+	if st := ap.Status(); st.ActiveVersion != v1 || st.Promotions != 0 {
+		t.Fatalf("active v%d after %d promotions, want v%d after none", st.ActiveVersion, st.Promotions, v1)
 	}
 }
