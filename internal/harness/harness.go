@@ -135,7 +135,6 @@ func Run(cfg Config) (*Result, error) {
 	defer reg.SetReadHook(nil)
 	srv, rl, ts, err := serveRegistry(reg, 2*time.Millisecond, logf,
 		serve.WithAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
-		serve.WithAdmissionRetryAfter(time.Second),
 		serve.WithFaultInjector(inj),
 		serve.WithWorkers(4),
 	)

@@ -22,27 +22,27 @@ const (
 	DefaultRetryAfter  = time.Second
 )
 
+// retryAfterHeader is the Retry-After value of every shed and telemetry
+// backpressure answer: DefaultRetryAfter in whole seconds, rounded up
+// (the header cannot express fractions).
+var retryAfterHeader = strconv.Itoa(int(math.Ceil(DefaultRetryAfter.Seconds())))
+
 // statusClientGone marks a request whose client disconnected while it was
 // queued; nothing is written (nobody is listening), mirroring nginx's 499.
 const statusClientGone = 499
 
 // shedError says why admission refused a request and what to answer.
 type shedError struct {
-	status     int
-	reason     string
-	retryAfter time.Duration
+	status int
+	reason string
 }
 
-// write answers the shed on the wire: 429/503/504 with a whole-second
-// Retry-After hint (the header cannot express fractions, so sub-second
-// configs round up to 1).
+// write answers the shed on the wire: 429/503/504 with a Retry-After hint.
 func (e *shedError) write(w http.ResponseWriter) {
 	if e.status == statusClientGone {
 		return
 	}
-	if e.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(e.retryAfter.Seconds()))))
-	}
+	w.Header().Set("Retry-After", retryAfterHeader)
 	http.Error(w, "serve: overloaded: "+e.reason, e.status)
 }
 
@@ -60,10 +60,9 @@ type waiter struct {
 // explicit status instead of piling onto the socket backlog — the
 // overload answer a retrying client can act on.
 type gate struct {
-	limit      int
-	maxQueue   int
-	maxWait    time.Duration
-	retryAfter time.Duration
+	limit    int
+	maxQueue int
+	maxWait  time.Duration
 
 	mu       sync.Mutex
 	inflight int
@@ -80,7 +79,7 @@ type gate struct {
 
 // newGate builds a gate over settings the server has validated and
 // registers its metrics.
-func newGate(limit, maxQueue int, maxWait, retryAfter time.Duration, reg *obs.Registry) *gate {
+func newGate(limit, maxQueue int, maxWait time.Duration, reg *obs.Registry) *gate {
 	reg.SetHelp(obs.MetricShedTotal, "Scoring requests refused by the admission gate, by reason (queue_full, deadline, draining, client_gone).")
 	reg.SetHelp(obs.MetricQueueDepth, "Scoring requests waiting in the admission queue.")
 	reg.SetHelp(obs.MetricAdmissionInFlight, "Scoring requests holding an admission slot.")
@@ -88,7 +87,6 @@ func newGate(limit, maxQueue int, maxWait, retryAfter time.Duration, reg *obs.Re
 		limit:         limit,
 		maxQueue:      maxQueue,
 		maxWait:       maxWait,
-		retryAfter:    retryAfter,
 		depth:         reg.Gauge(obs.MetricQueueDepth),
 		slots:         reg.Gauge(obs.MetricAdmissionInFlight),
 		shedQueueFull: reg.Counter(obs.MetricShedTotal, "reason", "queue_full"),
@@ -107,7 +105,7 @@ func (g *gate) tryAdmit() (release func(), w *waiter, shed *shedError) {
 	defer g.mu.Unlock()
 	if g.draining {
 		g.shedDraining.Inc()
-		return nil, nil, &shedError{status: http.StatusServiceUnavailable, reason: "draining", retryAfter: g.retryAfter}
+		return nil, nil, &shedError{status: http.StatusServiceUnavailable, reason: "draining"}
 	}
 	if g.inflight < g.limit {
 		g.inflight++
@@ -116,7 +114,7 @@ func (g *gate) tryAdmit() (release func(), w *waiter, shed *shedError) {
 	}
 	if len(g.queue) >= g.maxQueue {
 		g.shedQueueFull.Inc()
-		return nil, nil, &shedError{status: http.StatusTooManyRequests, reason: "queue_full", retryAfter: g.retryAfter}
+		return nil, nil, &shedError{status: http.StatusTooManyRequests, reason: "queue_full"}
 	}
 	w = &waiter{ch: make(chan struct{})}
 	g.queue = append(g.queue, w)
@@ -140,7 +138,7 @@ func (g *gate) wait(ctx context.Context, w *waiter) (func(), *shedError) {
 			return g.release, nil
 		}
 		g.shedDeadline.Inc()
-		return nil, &shedError{status: http.StatusGatewayTimeout, reason: "deadline", retryAfter: g.retryAfter}
+		return nil, &shedError{status: http.StatusGatewayTimeout, reason: "deadline"}
 	case <-ctx.Done():
 		if g.abandon(w) {
 			return g.release, nil

@@ -39,7 +39,7 @@ func (b *blockingScorer) ScoreJob(job *scopesim.Job) (pcc.Curve, string, error) 
 // gateForTest builds a bare gate over a fresh metrics registry.
 func gateForTest(limit, queue int, wait time.Duration) (*gate, *obs.Registry) {
 	reg := obs.NewRegistry()
-	return newGate(limit, queue, wait, time.Second, reg), reg
+	return newGate(limit, queue, wait, reg), reg
 }
 
 // TestGateFIFO sequences admissions white-box: with one slot taken, three

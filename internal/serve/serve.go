@@ -298,7 +298,6 @@ type Server struct {
 	maxInFlight int
 	maxQueue    int
 	queueWait   time.Duration
-	retryAfter  time.Duration
 
 	// shadowEvery samples every Nth scoring request into the shadow
 	// model, from shadowRate; 0 disables shadow scoring.
@@ -372,13 +371,6 @@ func WithAdmission(limit, queue int, wait time.Duration) Option {
 	}
 }
 
-// WithAdmissionRetryAfter sets the Retry-After hint on shed responses
-// (default DefaultRetryAfter; positive; the header rounds up to whole
-// seconds).
-func WithAdmissionRetryAfter(d time.Duration) Option {
-	return func(s *Server) { s.retryAfter = d }
-}
-
 // WithFaultInjector threads a deterministic fault injector into the
 // scoring path: injected latency, synthetic scoring errors and per-item
 // batch failures. For chaos tests and the tasqd -fault-profile dev flag —
@@ -419,8 +411,6 @@ func (s *Server) validate() error {
 		return bad("max-queue", s.maxQueue, "at least 0")
 	case s.queueWait <= 0:
 		return bad("queue-wait", s.queueWait, "positive")
-	case s.retryAfter <= 0:
-		return bad("retry-after", s.retryAfter, "positive")
 	case !(s.shadowRate >= 0 && s.shadowRate <= 1):
 		return bad("shadow-sample", s.shadowRate, "in [0, 1]")
 	case s.cacheCap < 0:
@@ -459,7 +449,6 @@ func newServer(p scorer, opts ...Option) (*Server, error) {
 		maxInFlight: DefaultMaxInFlight,
 		maxQueue:    DefaultMaxQueue,
 		queueWait:   DefaultQueueWait,
-		retryAfter:  DefaultRetryAfter,
 		cacheCap:    DefaultCurveCacheCap,
 		maxPlanJobs: DefaultMaxPlanJobs,
 	}
@@ -472,7 +461,7 @@ func newServer(p scorer, opts ...Option) (*Server, error) {
 	if s.shadowRate > 0 {
 		s.shadowEvery = int64(math.Round(1 / s.shadowRate))
 	}
-	s.gate = newGate(s.maxInFlight, s.maxQueue, s.queueWait, s.retryAfter, s.reg)
+	s.gate = newGate(s.maxInFlight, s.maxQueue, s.queueWait, s.reg)
 	s.cacheMet = newCacheMetrics(s.reg)
 	s.initTelemetryMetrics()
 	s.initPlanMetrics()

@@ -3,9 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
-	"math"
 	"net/http"
-	"strconv"
 
 	"tasq/internal/jobrepo"
 	"tasq/internal/obs"
@@ -98,9 +96,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	s.telemetryRejected.Add(int64(out.Rejected))
 	if errors.Is(err, ErrTelemetryBackpressure) {
 		s.telemetryShed.Add(int64(len(valid) - out.Accepted))
-		if s.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.retryAfter.Seconds()))))
-		}
+		w.Header().Set("Retry-After", retryAfterHeader)
 		writeJSON(w, http.StatusTooManyRequests, &out)
 		return
 	}
