@@ -20,39 +20,28 @@ func simCurve(sim func(*scopesim.Job, int) (int, error), job *scopesim.Job, refe
 		reference = 1
 	}
 	grid := CurveRegion(reference)
-	samples := make([]pcc.Sample, 0, len(grid))
-	for _, tok := range grid {
+	var buf [9]float64
+	runtimes := buf[:len(grid)]
+	for i, tok := range grid {
 		rt, err := sim(job, tok)
 		if err != nil {
 			return pcc.Curve{}, err
 		}
-		if rt <= 0 {
-			continue
-		}
-		samples = append(samples, pcc.Sample{Tokens: float64(tok), Runtime: float64(rt)})
+		runtimes[i] = float64(rt)
 	}
-	if len(samples) < 2 {
-		rt, err := sim(job, reference)
-		if err != nil {
-			return pcc.Curve{}, err
-		}
-		if rt < 1 {
-			rt = 1
-		}
-		return pcc.Curve{A: 0, B: float64(rt)}, nil
-	}
-	curve, err := pcc.Fit(samples)
-	if err != nil {
-		return pcc.Curve{}, fmt.Errorf("model: fitting simulated curve for %s: %w", job.ID, err)
-	}
-	return curve, nil
+	return FitRegion(job, grid, runtimes, func() float64 {
+		// The reference is on the grid, so its simulation already ran
+		// without error.
+		rt, _ := sim(job, reference)
+		return float64(rt)
+	})
 }
 
 // Jockey returns the wave-based stage-simulator baseline (§6.3) as a
 // servable predictor. It needs no training: the job's stage plan is the
 // model.
-func Jockey() Predictor {
-	return NewAnchored(NameJockey, FixedMeta(Meta{
+func Jockey() *Predictor {
+	return New(NameJockey, FixedMeta(Meta{
 		Kind:       KindBaseline,
 		Trained:    true,
 		Provenance: "wave-based stage simulator (Ferguson et al., EuroSys 2012); power law fitted over the ±40% region",
@@ -63,8 +52,8 @@ func Jockey() Predictor {
 
 // Amdahl returns the serial/parallel-split simulator baseline (§6.3) as
 // a servable predictor.
-func Amdahl() Predictor {
-	return NewAnchored(NameAmdahl, FixedMeta(Meta{
+func Amdahl() *Predictor {
+	return New(NameAmdahl, FixedMeta(Meta{
 		Kind:       KindBaseline,
 		Trained:    true,
 		Provenance: "Amdahl's-law stage simulator T(N) = Σ(S + P/N); power law fitted over the ±40% region",
@@ -80,14 +69,14 @@ func Amdahl() Predictor {
 // outside AutoToken's coverage — ad-hoc or unseen signatures, the gap
 // §6.2 highlights — fail with ErrUncovered. A nil autotoken model (no
 // recurring jobs in the training set) registers as untrained.
-func AutoToken(m *autotoken.Model, anchor func(job *scopesim.Job, reference int) (pcc.Curve, error)) Predictor {
+func AutoToken(m *autotoken.Model, anchor func(job *scopesim.Job, reference int) (pcc.Curve, error)) *Predictor {
 	return New(NameAutoToken, func() Meta {
 		return Meta{
 			Kind:       KindBaseline,
 			Trained:    m != nil,
 			Provenance: "per-signature peak regression (Sen et al., VLDB 2020); curve anchored at the predicted peak",
 		}
-	}, func(job *scopesim.Job) (pcc.Curve, error) {
+	}, func(job *scopesim.Job, _ int) (pcc.Curve, error) {
 		if m == nil {
 			return pcc.Curve{}, fmt.Errorf("%w: %s", ErrUntrained, NameAutoToken)
 		}

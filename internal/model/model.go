@@ -1,14 +1,14 @@
 // Package model defines the predictor seam of the scoring path (Figure 4):
-// one Predictor interface that every PCC source — the trained TASQ models
+// one Predictor type that every PCC source — the trained TASQ models
 // (XGBoost SS/PL, NN, GNN) and the §6 prior-art baselines (AutoToken,
 // Jockey, Amdahl) — plugs into, a Mux that registers predictors by name,
 // and a Policy expressing an ordered fallback chain.
 //
 // The package sits below the trainer: it depends only on the job
 // description, the PCC math and the baseline simulators, so the trainer,
-// server, registry and experiment layers can all consume Predictor values
-// without import cycles. The trainer adapts its fitted models through the
-// Func/anchored constructors; the baselines are implemented here directly.
+// server, registry and experiment layers can all consume predictors
+// without import cycles. The trainer wraps its fitted models with New and
+// FitRegion; the baselines are implemented here directly.
 package model
 
 import (
@@ -79,35 +79,45 @@ type Meta struct {
 }
 
 // Predictor maps compile-time job information to a performance
-// characteristic curve. Implementations must be safe for concurrent use:
-// the serving path scores through a shared Predictor set.
-type Predictor interface {
-	// Name returns the canonical registration name.
-	Name() string
-	// PredictCurve returns the PCC for the job. Anchored predictors use
-	// the job's requested tokens (floored at 1) as the reference — the
-	// scoring-path semantics of Figure 4.
-	PredictCurve(job *scopesim.Job) (pcc.Curve, error)
-	// Meta describes the predictor's provenance and live training state.
-	Meta() Meta
+// characteristic curve built around a reference allocation: the XGBoost
+// ±40% region and the simulator grids are laid out around it, while NN,
+// GNN and AutoToken ignore it. A Predictor is safe for concurrent use:
+// the serving path scores through one shared set.
+type Predictor struct {
+	name string
+	meta func() Meta
+	at   func(job *scopesim.Job, reference int) (pcc.Curve, error)
 }
 
-// RefPredictor is implemented by predictors whose curve is constructed
-// around a reference allocation (the XGBoost ±40% region, the simulator
-// grids). Evaluation paths anchor at each record's observed tokens;
-// plain predictors (NN, GNN) ignore the reference.
-type RefPredictor interface {
-	Predictor
-	PredictCurveAt(job *scopesim.Job, reference int) (pcc.Curve, error)
+// New returns the predictor registered as name whose curve for a job
+// around a reference allocation is at(job, reference). meta is called on
+// every Meta, so training state is always read live.
+func New(name string, meta func() Meta, at func(job *scopesim.Job, reference int) (pcc.Curve, error)) *Predictor {
+	return &Predictor{name: name, meta: meta, at: at}
 }
 
-// CurveAt predicts the job's PCC anchored at reference when the
-// predictor supports anchoring, falling back to PredictCurve otherwise.
-func CurveAt(p Predictor, job *scopesim.Job, reference int) (pcc.Curve, error) {
-	if rp, ok := p.(RefPredictor); ok {
-		return rp.PredictCurveAt(job, reference)
-	}
-	return p.PredictCurve(job)
+// FixedMeta returns a meta callback for predictors whose provenance
+// never changes (the simulator baselines).
+func FixedMeta(m Meta) func() Meta {
+	return func() Meta { return m }
+}
+
+// Name returns the canonical registration name.
+func (p *Predictor) Name() string { return p.name }
+
+// Meta describes the predictor's provenance and live training state.
+func (p *Predictor) Meta() Meta { return p.meta() }
+
+// PredictCurve returns the job's PCC around its requested tokens, floored
+// at 1 — the scoring-path semantics of Figure 4.
+func (p *Predictor) PredictCurve(job *scopesim.Job) (pcc.Curve, error) {
+	return p.at(job, max(job.RequestedTokens, 1))
+}
+
+// PredictCurveAt returns the job's PCC around reference; evaluation
+// anchors at each record's observed tokens.
+func (p *Predictor) PredictCurveAt(job *scopesim.Job, reference int) (pcc.Curve, error) {
+	return p.at(job, reference)
 }
 
 // CurveRegion returns the paper's ±40%-of-reference token grid on which
@@ -128,6 +138,29 @@ func CurveRegion(reference int) []int {
 		}
 	}
 	return out
+}
+
+// FitRegion fits a power law to the run times predicted over a
+// CurveRegion grid, skipping points whose run time is not positive. A
+// region with fewer than two usable points (a job observed at one or two
+// tokens) is degenerate: the curve is then flat at flat(), floored at 1,
+// and flat is called only in that case.
+func FitRegion(job *scopesim.Job, grid []int, runtimes []float64, flat func() float64) (pcc.Curve, error) {
+	samples := make([]pcc.Sample, 0, len(grid))
+	for i, tok := range grid {
+		if runtimes[i] <= 0 {
+			continue
+		}
+		samples = append(samples, pcc.Sample{Tokens: float64(tok), Runtime: runtimes[i]})
+	}
+	if len(samples) < 2 {
+		return pcc.Curve{A: 0, B: max(flat(), 1)}, nil
+	}
+	curve, err := pcc.Fit(samples)
+	if err != nil {
+		return pcc.Curve{}, fmt.Errorf("model: fitting the region curve for %s: %w", job.ID, err)
+	}
+	return curve, nil
 }
 
 // normalize canonicalizes a model name for lookup: case-insensitive,

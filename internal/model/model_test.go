@@ -13,9 +13,9 @@ import (
 )
 
 // stub is a minimal predictor for mux/policy tests.
-func stub(name string, trained bool, curve pcc.Curve) Predictor {
+func stub(name string, trained bool, curve pcc.Curve) *Predictor {
 	return New(name, FixedMeta(Meta{Kind: KindTrained, Trained: trained}),
-		func(*scopesim.Job) (pcc.Curve, error) { return curve, nil })
+		func(*scopesim.Job, int) (pcc.Curve, error) { return curve, nil })
 }
 
 // parallelJob builds a job whose stages parallelize well, so simulator
@@ -119,6 +119,17 @@ func TestPolicySelect(t *testing.T) {
 	if _, err := (Policy{NameNN, NameGNN}).Select(m); !errors.Is(err, ErrUntrained) {
 		t.Fatalf("exhausted policy error = %v", err)
 	}
+
+	// Check resolves every name, also past the trained one Select stops at.
+	if _, err := (Policy{NameXGBPL, "typo"}).Select(m); err != nil {
+		t.Fatalf("Select stops at the trained head: %v", err)
+	}
+	if err := (Policy{NameXGBPL, "typo"}).Check(m); !errors.Is(err, ErrUnknownModel) {
+		t.Fatalf("Check of a typo'd tail = %v, want ErrUnknownModel", err)
+	}
+	if err := DefaultPolicy.Check(m); err != nil {
+		t.Fatalf("Check of the default chain = %v", err)
+	}
 }
 
 func TestParsePolicyRoundTrip(t *testing.T) {
@@ -136,7 +147,7 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 
 func TestCurveAtAnchoring(t *testing.T) {
 	var gotRef int
-	anchored := NewAnchored("anch", FixedMeta(Meta{Trained: true}),
+	anchored := New("anch", FixedMeta(Meta{Trained: true}),
 		func(_ *scopesim.Job, ref int) (pcc.Curve, error) {
 			gotRef = ref
 			return pcc.Curve{A: -0.5, B: float64(ref)}, nil
@@ -157,19 +168,19 @@ func TestCurveAtAnchoring(t *testing.T) {
 	if gotRef != 1 {
 		t.Fatalf("zero-request anchor %d, want 1", gotRef)
 	}
-	// CurveAt overrides the anchor.
-	if _, err := CurveAt(anchored, job, 77); err != nil {
+	// PredictCurveAt overrides the anchor.
+	if _, err := anchored.PredictCurveAt(job, 77); err != nil {
 		t.Fatal(err)
 	}
 	if gotRef != 77 {
-		t.Fatalf("CurveAt anchor %d, want 77", gotRef)
+		t.Fatalf("PredictCurveAt anchor %d, want 77", gotRef)
 	}
 
 	// Reference-free predictors ignore the anchor.
 	plain := stub("plain", true, pcc.Curve{A: -0.1, B: 5})
-	c, err := CurveAt(plain, job, 123)
+	c, err := plain.PredictCurveAt(job, 123)
 	if err != nil || c.B != 5 {
-		t.Fatalf("plain CurveAt = %+v, %v", c, err)
+		t.Fatalf("plain PredictCurveAt = %+v, %v", c, err)
 	}
 }
 
@@ -185,9 +196,38 @@ func TestCurveRegionGrid(t *testing.T) {
 	}
 }
 
+// TestFitRegion: non-positive run times are skipped, and a region left
+// with fewer than two points is flat at the fallback, floored at 1, which
+// is consulted only then.
+func TestFitRegion(t *testing.T) {
+	job := &scopesim.Job{ID: "fit"}
+	calls := 0
+	flat := func(v float64) func() float64 {
+		return func() float64 { calls++; return v }
+	}
+	c, err := FitRegion(job, []int{10, 20, 40}, []float64{0, 100, 50}, flat(7))
+	if err != nil || calls != 0 || math.Abs(c.A+1) > 1e-9 || math.Abs(c.B-2000) > 1e-6 {
+		t.Fatalf("two-point fit = %+v, %v after %d flat calls, want a = -1, b = 2000", c, err, calls)
+	}
+	for _, tc := range []struct {
+		runtimes []float64
+		flat     float64
+		want     float64
+	}{
+		{[]float64{-1, 0, 80}, 30, 30},
+		{[]float64{0, 0, 0}, 0.2, 1},
+		{[]float64{5, -5, 0}, math.Inf(1), math.Inf(1)},
+	} {
+		c, err := FitRegion(job, []int{1, 2, 3}, tc.runtimes, flat(tc.flat))
+		if err != nil || c.A != 0 || c.B != tc.want {
+			t.Fatalf("degenerate region %v = %+v, %v, want flat at %v", tc.runtimes, c, err, tc.want)
+		}
+	}
+}
+
 func TestSimulatorBaselines(t *testing.T) {
 	job := parallelJob("sim")
-	for _, p := range []Predictor{Jockey(), Amdahl()} {
+	for _, p := range []*Predictor{Jockey(), Amdahl()} {
 		meta := p.Meta()
 		if meta.Kind != KindBaseline || !meta.Trained {
 			t.Fatalf("%s meta %+v", p.Name(), meta)
@@ -202,7 +242,7 @@ func TestSimulatorBaselines(t *testing.T) {
 			t.Fatalf("%s curve %+v not non-increasing", p.Name(), c)
 		}
 		// Anchoring at the observed allocation must work too.
-		c2, err := CurveAt(p, job, 30)
+		c2, err := p.PredictCurveAt(job, 30)
 		if err != nil || !c2.Valid() {
 			t.Fatalf("%s anchored curve %+v, %v", p.Name(), c2, err)
 		}

@@ -14,17 +14,17 @@ import (
 // serving path shares one Mux across request goroutines.
 type Mux struct {
 	names []string
-	byKey map[string]Predictor
+	byKey map[string]*Predictor
 }
 
 // NewMux returns an empty Mux.
 func NewMux() *Mux {
-	return &Mux{byKey: make(map[string]Predictor)}
+	return &Mux{byKey: make(map[string]*Predictor)}
 }
 
 // Register adds a predictor. Registering a second predictor whose
 // normalized name collides with an existing one is a programming error.
-func (m *Mux) Register(p Predictor) error {
+func (m *Mux) Register(p *Predictor) error {
 	key := normalize(p.Name())
 	if key == "" {
 		return fmt.Errorf("model: predictor with empty name")
@@ -39,7 +39,7 @@ func (m *Mux) Register(p Predictor) error {
 
 // MustRegister is Register for static registration sets, where a
 // collision is a bug, not a runtime condition.
-func (m *Mux) MustRegister(p Predictor) {
+func (m *Mux) MustRegister(p *Predictor) {
 	if err := m.Register(p); err != nil {
 		panic(err)
 	}
@@ -47,7 +47,7 @@ func (m *Mux) MustRegister(p Predictor) {
 
 // Get resolves a predictor by name. Unknown names return an error
 // wrapping ErrUnknownModel that lists the registered names.
-func (m *Mux) Get(name string) (Predictor, error) {
+func (m *Mux) Get(name string) (*Predictor, error) {
 	p, ok := m.byKey[normalize(name)]
 	if !ok {
 		return nil, unknownErr(name, m.names)
@@ -56,8 +56,8 @@ func (m *Mux) Get(name string) (Predictor, error) {
 }
 
 // All returns the predictors in registration order.
-func (m *Mux) All() []Predictor {
-	out := make([]Predictor, 0, len(m.names))
+func (m *Mux) All() []*Predictor {
+	out := make([]*Predictor, 0, len(m.names))
 	for _, name := range m.names {
 		out = append(out, m.byKey[normalize(name)])
 	}
@@ -110,7 +110,7 @@ var DefaultPolicy = Policy{NameNN, NameGNN, NameXGBPL}
 // registered in the Mux fails with ErrUnknownModel (a misconfigured
 // policy should be loud, not silently skipped); a chain with no trained
 // predictor fails with ErrUntrained.
-func (pol Policy) Select(m *Mux) (Predictor, error) {
+func (pol Policy) Select(m *Mux) (*Predictor, error) {
 	chain := pol
 	if len(chain) == 0 {
 		chain = DefaultPolicy
@@ -125,6 +125,18 @@ func (pol Policy) Select(m *Mux) (Predictor, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: no trained predictor in policy %v", ErrUntrained, chain)
+}
+
+// Check resolves every name in the chain, failing with ErrUnknownModel on
+// the first one no predictor is registered under — so a typo'd chain is
+// refused once at startup instead of failing Select on every request.
+func (pol Policy) Check(m *Mux) error {
+	for _, name := range pol {
+		if _, err := m.Get(name); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ParsePolicy parses a comma-separated chain ("nn,gnn,xgboost-pl").

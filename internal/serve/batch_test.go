@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"tasq/internal/model"
 	"tasq/internal/pcc"
 	"tasq/internal/scopesim"
 )
@@ -19,12 +20,19 @@ type fakeScorer struct {
 	err   error
 }
 
-func (f *fakeScorer) ScoreJob(job *scopesim.Job) (pcc.Curve, string, error) {
+// ScoreJobModel answers every policy-routed job with the fake's curve or
+// error; it registers no predictor, so a named model is unknown.
+func (f *fakeScorer) ScoreJobModel(name string, job *scopesim.Job) (pcc.Curve, string, error) {
+	if name != "" {
+		return pcc.Curve{}, "", fmt.Errorf("%w %q", model.ErrUnknownModel, name)
+	}
 	if f.err != nil {
 		return pcc.Curve{}, "", f.err
 	}
 	return f.curve, "fake", nil
 }
+
+func (f *fakeScorer) ModelInfos() []model.Info { return nil }
 
 // fakeServer spins up a test service over a fakeScorer.
 func fakeServer(t *testing.T, f *fakeScorer, opts ...Option) (*Server, *httptest.Server) {
@@ -265,11 +273,11 @@ type panicScorer struct {
 	panicOn string
 }
 
-func (p *panicScorer) ScoreJob(job *scopesim.Job) (pcc.Curve, string, error) {
+func (p *panicScorer) ScoreJobModel(name string, job *scopesim.Job) (pcc.Curve, string, error) {
 	if job.ID == p.panicOn {
 		panic("predictor bug")
 	}
-	return p.fakeScorer.ScoreJob(job)
+	return p.fakeScorer.ScoreJobModel(name, job)
 }
 
 // TestBatchItemPanicFailsOnlyItsItem: batch items score on pool

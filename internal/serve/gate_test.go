@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tasq/internal/faults"
+	"tasq/internal/model"
 	"tasq/internal/obs"
 	"tasq/internal/pcc"
 	"tasq/internal/scopesim"
@@ -30,11 +31,13 @@ func newBlockingScorer() *blockingScorer {
 	return &blockingScorer{started: make(chan struct{}, 64), release: make(chan struct{})}
 }
 
-func (b *blockingScorer) ScoreJob(job *scopesim.Job) (pcc.Curve, string, error) {
+func (b *blockingScorer) ScoreJobModel(string, *scopesim.Job) (pcc.Curve, string, error) {
 	b.started <- struct{}{}
 	<-b.release
 	return pcc.Curve{A: -0.5, B: 100}, "fake", nil
 }
+
+func (b *blockingScorer) ModelInfos() []model.Info { return nil }
 
 // gateForTest builds a bare gate over a fresh metrics registry.
 func gateForTest(limit, queue int, wait time.Duration) (*gate, *obs.Registry) {

@@ -95,38 +95,11 @@ type ScoreResponse struct {
 // scorer is the slice of trainer.Pipeline the server needs; tests inject
 // failing implementations to exercise the internal-error path.
 type scorer interface {
-	ScoreJob(job *scopesim.Job) (pcc.Curve, string, error)
-}
-
-// modelRouter is the optional scorer upgrade for by-name routing;
-// trainer.Pipeline implements it. Scorers without it still serve
-// policy-routed requests but reject requests that name a model.
-type modelRouter interface {
+	// ScoreJobModel scores through the named predictor, or through the
+	// fallback policy when name is empty.
 	ScoreJobModel(name string, job *scopesim.Job) (pcc.Curve, string, error)
-}
-
-// modelLister is the optional scorer upgrade behind GET /v1/models.
-type modelLister interface {
+	// ModelInfos lists the predictors GET /v1/models reports.
 	ModelInfos() []model.Info
-}
-
-// scoreVia dispatches one request to the scorer, by name when the request
-// asks for a specific model.
-func scoreVia(sc scorer, req *ScoreRequest) (pcc.Curve, string, error) {
-	return scoreViaName(sc, req.Model, req.Job)
-}
-
-// scoreViaName dispatches one (model, job) pair to the scorer — the form
-// the planner uses, where one request carries many jobs.
-func scoreViaName(sc scorer, modelName string, job *scopesim.Job) (pcc.Curve, string, error) {
-	if modelName == "" {
-		return sc.ScoreJob(job)
-	}
-	mr, ok := sc.(modelRouter)
-	if !ok {
-		return pcc.Curve{}, "", reqErrf("serve: loaded model cannot route by model name (%q requested)", modelName)
-	}
-	return mr.ScoreJobModel(modelName, job)
 }
 
 // requestError marks a client-side validation failure. Handlers map it to
@@ -712,11 +685,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, errNoModel.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	resp := ModelsResponse{ModelVersion: active.version, Models: []model.Info{}}
-	if ml, ok := active.scorer.(modelLister); ok {
-		resp.Models = ml.ModelInfos()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, ModelsResponse{ModelVersion: active.version, Models: active.scorer.ModelInfos()})
 }
 
 // score runs one request through validation, the generation's memoized
@@ -834,7 +803,7 @@ func (s *Server) curveFor(active *activeModel, modelName string, job *scopesim.J
 	if err := job.Validate(); err != nil {
 		return pcc.Curve{}, "", nil, reqErrf("serve: invalid job: %w", err)
 	}
-	curve, served, err := scoreViaName(active.scorer, modelName, job)
+	curve, served, err := active.scorer.ScoreJobModel(modelName, job)
 	if err != nil {
 		return pcc.Curve{}, "", nil, fmt.Errorf("serve: scoring: %w", err)
 	}
@@ -865,7 +834,7 @@ func (s *Server) shadowScore(req *ScoreRequest, activeCurve pcc.Curve, activeOpt
 	// Route exactly as the active model did — a requested model name
 	// applies to both generations, so the divergence series compares
 	// like with like.
-	curve, _, err := scoreVia(sh.scorer, req)
+	curve, _, err := sh.scorer.ScoreJobModel(req.Model, req.Job)
 	if err != nil || !curve.Valid() {
 		sh.failures.Inc()
 		return

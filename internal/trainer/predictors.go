@@ -24,13 +24,13 @@ func (p *Pipeline) Predictors() *model.Mux {
 
 func (p *Pipeline) buildMux() *model.Mux {
 	m := model.NewMux()
-	m.MustRegister(model.NewAnchored(model.NameXGBSS, func() model.Meta {
+	m.MustRegister(model.New(model.NameXGBSS, func() model.Meta {
 		return model.Meta{
 			Kind: model.KindTrained, Trained: p.XGB != nil, Tabulated: true,
 			Provenance: "XGBoost point predictions smoothed by cubic spline over the ±40% region (§4.4); served curve fits a power law to the smoothed grid",
 		}
 	}, p.predictCurveSSFit))
-	m.MustRegister(model.NewAnchored(model.NameXGBPL, func() model.Meta {
+	m.MustRegister(model.New(model.NameXGBPL, func() model.Meta {
 		return model.Meta{
 			Kind: model.KindTrained, Trained: p.XGB != nil,
 			Provenance: "power law fitted to XGBoost point predictions over the ±40% region (§4.4)",
@@ -41,7 +41,7 @@ func (p *Pipeline) buildMux() *model.Mux {
 			Kind: model.KindTrained, Trained: p.NN != nil,
 			Provenance: "neural network predicting (a, log b) from job features with sign constraints (§4.5)",
 		}
-	}, func(job *scopesim.Job) (pcc.Curve, error) {
+	}, func(job *scopesim.Job, _ int) (pcc.Curve, error) {
 		if p.NN == nil {
 			return pcc.Curve{}, fmt.Errorf("%w: %s", model.ErrUntrained, model.NameNN)
 		}
@@ -52,7 +52,7 @@ func (p *Pipeline) buildMux() *model.Mux {
 			Kind: model.KindTrained, Trained: p.GNN != nil,
 			Provenance: "graph neural network over the operator DAG predicting (a, log b) (§4.6)",
 		}
-	}, func(job *scopesim.Job) (pcc.Curve, error) {
+	}, func(job *scopesim.Job, _ int) (pcc.Curve, error) {
 		if p.GNN == nil {
 			return pcc.Curve{}, fmt.Errorf("%w: %s", model.ErrUntrained, model.NameGNN)
 		}
@@ -85,25 +85,7 @@ func (p *Pipeline) predictCurveSSFit(job *scopesim.Job, reference int) (pcc.Curv
 	if err != nil {
 		return pcc.Curve{}, err
 	}
-	samples := make([]pcc.Sample, 0, len(grid))
-	for i, tok := range grid {
-		if runtimes[i] <= 0 {
-			continue
-		}
-		samples = append(samples, pcc.Sample{Tokens: float64(tok), Runtime: runtimes[i]})
-	}
-	if len(samples) < 2 {
-		rt := p.XGB.PredictRuntime(job, reference)
-		if rt < 1 {
-			rt = 1
-		}
-		return pcc.Curve{A: 0, B: rt}, nil
-	}
-	curve, err := pcc.Fit(samples)
-	if err != nil {
-		return pcc.Curve{}, fmt.Errorf("trainer: SS curve fit for %s: %w", job.ID, err)
-	}
-	return curve, nil
+	return model.FitRegion(job, grid, runtimes, func() float64 { return p.XGB.PredictRuntime(job, reference) })
 }
 
 // policy returns the pipeline's scoring policy, defaulting to the
@@ -156,8 +138,8 @@ func (p *Pipeline) TrainedPredictors() []string {
 // curvePredictors returns the trained parametric-curve models in table
 // order (XGBoost PL, NN, GNN) — the rows of Tables 4–6/8 below the
 // special-cased tabulated XGBoost SS row.
-func (p *Pipeline) curvePredictors() []model.Predictor {
-	var out []model.Predictor
+func (p *Pipeline) curvePredictors() []*model.Predictor {
+	var out []*model.Predictor
 	for _, pr := range p.Predictors().All() {
 		meta := pr.Meta()
 		if meta.Kind == model.KindTrained && !meta.Tabulated && meta.Trained {
@@ -167,11 +149,11 @@ func (p *Pipeline) curvePredictors() []model.Predictor {
 	return out
 }
 
-// RecordPredictor adapts a Predictor to the record-based signature the
-// evaluation helpers use, anchoring reference-based predictors at each
-// record's observed token count (the paper's evaluation reference).
-func RecordPredictor(pr model.Predictor) func(*jobrepo.Record) (pcc.Curve, error) {
+// RecordPredictor adapts a predictor to the record-based signature the
+// evaluation helpers use, anchoring at each record's observed token count
+// (the paper's evaluation reference).
+func RecordPredictor(pr *model.Predictor) func(*jobrepo.Record) (pcc.Curve, error) {
 	return func(rec *jobrepo.Record) (pcc.Curve, error) {
-		return model.CurveAt(pr, rec.Job, rec.ObservedTokens)
+		return pr.PredictCurveAt(rec.Job, rec.ObservedTokens)
 	}
 }

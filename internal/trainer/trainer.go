@@ -240,7 +240,7 @@ func (p *Pipeline) OptimalTokens(rec *jobrepo.Record, maxTokens int, threshold f
 	if err != nil {
 		return 0, err
 	}
-	curve, err := model.CurveAt(pr, rec.Job, rec.ObservedTokens)
+	curve, err := pr.PredictCurveAt(rec.Job, rec.ObservedTokens)
 	if err != nil {
 		return 0, err
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // predictorFor fetches a registered predictor by name.
-func predictorFor(t *testing.T, p *Pipeline, name string) model.Predictor {
+func predictorFor(t *testing.T, p *Pipeline, name string) *model.Predictor {
 	t.Helper()
 	pr, err := p.Predictors().Get(name)
 	if err != nil {

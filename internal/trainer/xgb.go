@@ -150,28 +150,12 @@ func (m *XGBModel) PredictCurveSS(job *scopesim.Job, reference int) (grid []int,
 // signs).
 func (m *XGBModel) PredictCurvePL(job *scopesim.Job, reference int) (pcc.Curve, error) {
 	grid := model.CurveRegion(reference)
-	samples := make([]pcc.Sample, 0, len(grid))
+	var buf [9]float64
+	runtimes := buf[:len(grid)]
 	var row xgbRowBuf
 	m.fillJob(&row, job)
-	for _, tok := range grid {
-		rt := m.predictAt(&row, tok)
-		if rt <= 0 {
-			continue
-		}
-		samples = append(samples, pcc.Sample{Tokens: float64(tok), Runtime: rt})
+	for i, tok := range grid {
+		runtimes[i] = m.predictAt(&row, tok)
 	}
-	if len(samples) < 2 {
-		// Jobs observed at one or two tokens have a degenerate region;
-		// fall back to a flat curve anchored at the point prediction.
-		rt := m.predictAt(&row, reference)
-		if rt < 1 {
-			rt = 1
-		}
-		return pcc.Curve{A: 0, B: rt}, nil
-	}
-	curve, err := pcc.Fit(samples)
-	if err != nil {
-		return pcc.Curve{}, fmt.Errorf("trainer: PL fit for %s: %w", job.ID, err)
-	}
-	return curve, nil
+	return model.FitRegion(job, grid, runtimes, func() float64 { return m.predictAt(&row, reference) })
 }
