@@ -516,6 +516,10 @@ func cmdScore(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	policy := model.ParsePolicy(*policyFlag)
+	if err := policy.Check((&trainer.Pipeline{}).Predictors()); err != nil {
+		return fmt.Errorf("-policy: %w", err)
+	}
 	repo, err := jobrepo.LoadFile(*data)
 	if err != nil {
 		return err
@@ -524,7 +528,7 @@ func cmdScore(args []string) error {
 	if err != nil {
 		return err
 	}
-	p.ScorePolicy = model.ParsePolicy(*policyFlag)
+	p.ScorePolicy = policy
 	rec := repo.Get(*jobID)
 	if rec == nil {
 		if *jobID != "" {

@@ -90,6 +90,10 @@ func TestCLIErrors(t *testing.T) {
 			t.Errorf("train %v: err %v, want a refusal naming %s", args, err, args[0])
 		}
 	}
+	// A typo'd fallback chain is refused by name before the data is read.
+	if err := run([]string{"score", "-data", "/nonexistent/repo.jsonl", "-policy", "NN,resnet"}); err == nil || !strings.Contains(err.Error(), "-policy") {
+		t.Errorf("score -policy NN,resnet: err %v, want a refusal naming -policy", err)
+	}
 	if err := run([]string{"help"}); err != nil {
 		t.Fatalf("help failed: %v", err)
 	}

@@ -176,7 +176,12 @@ func run(ctx context.Context, args []string) error {
 	if len(peers) > 0 && *clusterID == "" {
 		return errors.New("-peers requires -cluster-id (a member must know its own ring key)")
 	}
+	// Every pipeline registers the same predictor names, so a typo'd
+	// chain is refused here, in every mode, before anything is loaded.
 	policy := model.ParsePolicy(*policyFlag)
+	if err := policy.Check((&trainer.Pipeline{}).Predictors()); err != nil {
+		return fmt.Errorf("-policy: %w", err)
+	}
 	opts := []serve.Option{
 		serve.WithShadowSampleRate(*shadowSample),
 		serve.WithWorkers(*workers),
@@ -300,15 +305,7 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		if len(policy) > 0 {
-			// Reject typo'd chains at startup, not per request.
-			for _, name := range policy {
-				if _, err := p.Predictors().Get(name); err != nil {
-					return fmt.Errorf("-policy: %w", err)
-				}
-			}
-			p.ScorePolicy = policy
-		}
+		p.ScorePolicy = policy
 		srv, err = serve.NewServer(p, opts...)
 		if err != nil {
 			return err

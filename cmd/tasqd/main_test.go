@@ -80,6 +80,7 @@ func TestRefusedSettings(t *testing.T) {
 		{"drift-threshold", "drift-threshold", "NaN", nil},
 		{"promote-min-n", "promote-min-n", "0", nil},
 		{"guardrail-window", "guardrail-window", "0", nil},
+		{"policy", "policy", "resnet", nil},
 	} {
 		row := tc.name + " " + tc.value
 		if tc.opt != nil {
