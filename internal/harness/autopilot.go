@@ -40,8 +40,6 @@ type AutopilotConfig struct {
 	// for -short CI runs. The full run adds the guardrail rollback and
 	// the recovery promotion.
 	Short bool
-	// ScoreWorkers sizes the concurrent scoring chaos (default 4).
-	ScoreWorkers int
 	// Logf receives progress lines (optional).
 	Logf func(format string, args ...any)
 }
@@ -67,13 +65,16 @@ type AutopilotResult struct {
 	FiredBySite map[string]faults.SiteStats
 }
 
-// apSoakWindowCap bounds the soak's retraining window.
-const apSoakWindowCap = 300
+// apSoakWindowCap bounds the soak's retraining window; apSoakScoreWorkers
+// sizes the concurrent scoring chaos.
+const (
+	apSoakWindowCap    = 300
+	apSoakScoreWorkers = 4
+)
 
 // RunAutopilot executes one autopilot soak scenario end to end. Any
 // invariant violation surfaces as an error.
 func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
-	orDefault(&cfg.ScoreWorkers, 4)
 	logf := quiet(cfg.Logf)
 
 	// ---- Boot (faults disabled): registry, v1, window, autopilot. ----
@@ -135,7 +136,7 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 	// path while generations swap underneath. Allowed failures only.
 	led := newLedger()
 	stopScore := make(chan struct{})
-	scoreDone := fanOut(cfg.ScoreWorkers, func(w int) {
+	scoreDone := fanOut(apSoakScoreWorkers, func(w int) {
 		rng := workerRNG(cfg.Seed, w)
 		client := serve.NewClient(ts.URL)
 		client.OnAttempt = led.hook("")

@@ -59,24 +59,14 @@ type FleetConfig struct {
 	// Seed fixes the kill/partition schedule, victim choices and worker
 	// op mixes.
 	Seed int64
-	// Replicas sizes the fleet (default 3); Dir is the shared registry
-	// root (a fresh temp dir per run).
-	Replicas int
-	Dir      string
-	// Workers × OpsPerStep × Steps sizes the storm (defaults 6 × 8 × 18).
-	Workers    int
-	OpsPerStep int
-	Steps      int
+	// Dir is the shared registry root (a fresh temp dir per run).
+	Dir string
+	// Workers × fleetOpsPerStep × Steps sizes the storm (defaults 6 × 8
+	// × 18).
+	Workers int
+	Steps   int
 	// Profile supplies the replica.kill / replica.partition rates.
 	Profile faults.Profile
-	// KillDownSteps is how many steps a killed replica stays dead before
-	// restarting (default 3); PartitionSteps how long a partition lasts
-	// (default 2).
-	KillDownSteps  int
-	PartitionSteps int
-	// MaxFailRate bounds the fraction of operations allowed to fail
-	// (with an allowed status) during the storm (default 0.20).
-	MaxFailRate float64
 	// Logf receives progress lines (optional).
 	Logf func(format string, args ...any)
 }
@@ -211,18 +201,25 @@ func victim(seed int64, site string, step int, eligible []int) int {
 	return eligible[i]
 }
 
+// The fleet storm's fixed shape: three replicas, eight operations per
+// worker and step, a killed replica down for three steps, a partition
+// lasting two, and at most 20% of operations failing (with an allowed
+// status) during the storm.
+const (
+	fleetReplicas       = 3
+	fleetOpsPerStep     = 8
+	fleetKillDownSteps  = 3
+	fleetPartitionSteps = 2
+	fleetMaxFailRate    = 0.20
+)
+
 // RunFleet executes one fleet chaos scenario end to end. Any invariant
 // violation surfaces as an error.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
-	orDefault(&cfg.Replicas, 3)
 	orDefault(&cfg.Workers, 6)
-	orDefault(&cfg.OpsPerStep, 8)
 	orDefault(&cfg.Steps, 18)
-	orDefault(&cfg.KillDownSteps, 3)
-	orDefault(&cfg.PartitionSteps, 2)
-	orDefault(&cfg.MaxFailRate, 0.20)
 	logf := quiet(cfg.Logf)
-	n := cfg.Replicas
+	n := fleetReplicas
 
 	// ---- Boot: shared registry, v1, fleet, balancer. ----
 	p1, p2, recs, oracle, err := trainGenerations("", "xgboost-pl")
@@ -323,12 +320,12 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	for step := 0; step < cfg.Steps; step++ {
 		// -- (a) schedule mutations, at a barrier: nothing in flight. --
 		for i := 0; i < n; i++ {
-			if sched.deadAt[i] >= 0 && step-sched.deadAt[i] >= cfg.KillDownSteps {
+			if sched.deadAt[i] >= 0 && step-sched.deadAt[i] >= fleetKillDownSteps {
 				if err := restart(i, step); err != nil {
 					return nil, err
 				}
 			}
-			if sched.partAt[i] >= 0 && step-sched.partAt[i] >= cfg.PartitionSteps {
+			if sched.partAt[i] >= 0 && step-sched.partAt[i] >= fleetPartitionSteps {
 				if err := heal(i, step); err != nil {
 					return nil, err
 				}
@@ -409,7 +406,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 
 		// -- (c) worker traffic. --
 		fanOut(cfg.Workers, func(w int) {
-			for op := 0; op < cfg.OpsPerStep; op++ {
+			for op := 0; op < fleetOpsPerStep; op++ {
 				runFleetOp(rngs[w], cc, recs, oracle, cnt, errs)
 			}
 		})()
@@ -510,9 +507,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	res.FailedByKind = maps.Clone(cnt.failedKinds)
 	cnt.mu.Unlock()
 	if res.Ops > 0 {
-		if rate := float64(res.FailedOps) / float64(res.Ops); rate > cfg.MaxFailRate {
+		if rate := float64(res.FailedOps) / float64(res.Ops); rate > fleetMaxFailRate {
 			return nil, fmt.Errorf("fleet: %d/%d ops failed (%.1f%%), budget %.1f%% — by kind: %v",
-				res.FailedOps, res.Ops, 100*rate, 100*cfg.MaxFailRate, res.FailedByKind)
+				res.FailedOps, res.Ops, 100*rate, 100*fleetMaxFailRate, res.FailedByKind)
 		}
 	}
 	if err := inj.Verify(); err != nil {

@@ -68,11 +68,6 @@ type Config struct {
 	OpsPerWorker int
 	// Profile is the fault mix injected during the storm.
 	Profile faults.Profile
-	// Admission bounds for the server under test (defaults 4 / 4 / 5ms —
-	// tight enough that the storm itself exercises shedding).
-	MaxInFlight int
-	MaxQueue    int
-	QueueWait   time.Duration
 	// Logf receives progress lines (optional).
 	Logf func(format string, args ...any)
 }
@@ -107,14 +102,19 @@ type Result struct {
 	FiredBySite map[string]faults.SiteStats
 }
 
+// Admission bounds of the server under test: tight enough that the storm
+// itself exercises shedding.
+const (
+	chaosMaxInFlight = 4
+	chaosMaxQueue    = 4
+	chaosQueueWait   = 5 * time.Millisecond
+)
+
 // Run executes one chaos/soak scenario end to end and returns what it
 // observed. Any invariant violation surfaces as an error.
 func Run(cfg Config) (*Result, error) {
 	orDefault(&cfg.Workers, 8)
 	orDefault(&cfg.OpsPerWorker, 40)
-	orDefault(&cfg.MaxInFlight, 4)
-	orDefault(&cfg.MaxQueue, 4)
-	orDefault(&cfg.QueueWait, 5*time.Millisecond)
 	logf := quiet(cfg.Logf)
 
 	// ---- Boot (faults disabled): registry, v1, server, reloader. ----
@@ -134,7 +134,7 @@ func Run(cfg Config) (*Result, error) {
 	reg.SetReadHook(inj.RegistryRead)
 	defer reg.SetReadHook(nil)
 	srv, rl, ts, err := serveRegistry(reg, 2*time.Millisecond, logf,
-		serve.WithAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
+		serve.WithAdmission(chaosMaxInFlight, chaosMaxQueue, chaosQueueWait),
 		serve.WithFaultInjector(inj),
 		serve.WithWorkers(4),
 	)
@@ -196,7 +196,6 @@ func Run(cfg Config) (*Result, error) {
 			MaxAttempts: 3,
 			BaseDelay:   time.Millisecond,
 			MaxDelay:    4 * time.Millisecond,
-			Multiplier:  2,
 			Seed:        parallel.Seed(cfg.Seed, 1000+w),
 			// Small budget: the server's 1s Retry-After exceeds it,
 			// so mid-storm sheds surface to the op instead of
@@ -228,7 +227,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("post-storm active version %d, want 2", v)
 	}
 	logf("harness: saturation burst")
-	if err := saturate(ts.Listener.Addr().String(), ts.URL, cfg, recs, led, cnt, oracle); err != nil {
+	if err := saturate(ts.Listener.Addr().String(), ts.URL, recs, led, cnt, oracle); err != nil {
 		return nil, err
 	}
 
@@ -240,7 +239,6 @@ func Run(cfg Config) (*Result, error) {
 		MaxAttempts: 6,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    20 * time.Millisecond,
-		Multiplier:  2,
 		Seed:        parallel.Seed(cfg.Seed, 999),
 		Budget:      5 * time.Second,
 	}
@@ -323,11 +321,11 @@ func Run(cfg Config) (*Result, error) {
 // admission slot is first held by a score whose body is withheld — the
 // gate admits before the handler reads — so nothing drains while a burst
 // of batches arrives: the queue fills and the overflow must shed 429 with
-// a Retry-After hint. Queued waiters still give up after QueueWait (504),
+// a Retry-After hint. Queued waiters still give up after chaosQueueWait (504),
 // so a burst whose arrivals straggle past it is sent again. The burst is
 // staged on open connections and released at once, and these requests
 // bypass serve.Client, so the ledger is told about each by hand.
-func saturate(addr, url string, cfg Config, recs []*jobrepo.Record, led *ledger, cnt *counters, oracle curveOracle) error {
+func saturate(addr, url string, recs []*jobrepo.Record, led *ledger, cnt *counters, oracle curveOracle) error {
 	// Every connection is closed on the way out, answered or not: a handler
 	// still waiting for its body would otherwise never let the server close.
 	var opened []*rawPost
@@ -343,7 +341,7 @@ func saturate(addr, url string, cfg Config, recs []*jobrepo.Record, led *ledger,
 		}
 		return p, err
 	}
-	held := make([]*rawPost, cfg.MaxInFlight)
+	held := make([]*rawPost, chaosMaxInFlight)
 	for i := range held {
 		body, err := json.Marshal(&serve.ScoreRequest{Job: recs[i%len(recs)].Job})
 		if err != nil {
@@ -358,11 +356,11 @@ func saturate(addr, url string, cfg Config, recs []*jobrepo.Record, led *ledger,
 		if err != nil {
 			return err
 		}
-		if obs.ParseSamples(text)[obs.MetricAdmissionInFlight] == float64(cfg.MaxInFlight) {
+		if obs.ParseSamples(text)[obs.MetricAdmissionInFlight] == chaosMaxInFlight {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("saturation: withheld-body requests never held all %d slots", cfg.MaxInFlight)
+			return fmt.Errorf("saturation: withheld-body requests never held all %d slots", chaosMaxInFlight)
 		}
 	}
 
@@ -372,7 +370,7 @@ func saturate(addr, url string, cfg Config, recs []*jobrepo.Record, led *ledger,
 	before := shed()
 	body := []byte(`{"items":[{"job":null}]}`) // never admitted, so never read
 	for round := 0; round < 10 && shed() == before; round++ {
-		burst := make([]*rawPost, cfg.MaxQueue+8)
+		burst := make([]*rawPost, chaosMaxQueue+8)
 		for i := range burst {
 			var err error
 			if burst[i], err = post("/v1/score/batch", body, len(body)+1); err != nil {

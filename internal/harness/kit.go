@@ -30,7 +30,7 @@ import (
 )
 
 // orDefault replaces a zero (or negative) config value with its default.
-func orDefault[T int | float64 | time.Duration](v *T, def T) {
+func orDefault(v *int, def int) {
 	if *v <= 0 {
 		*v = def
 	}

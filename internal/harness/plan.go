@@ -41,17 +41,9 @@ type PlanSoakConfig struct {
 	Seed int64
 	// Plans is the number of planned batches (0 = 1000, or 60 when Short).
 	Plans int
-	// JobsPerPlan is the batch size (0 = 1000).
-	JobsPerPlan int
-	// Capacity is the pool's guaranteed-token capacity (0 = 2000).
-	Capacity int
 	// Workers sizes the planning worker pool (0 = 4). The result is
 	// worker-count independent: per-plan outcomes are folded in plan order.
 	Workers int
-	// HTTPPlans is how many plans are additionally driven through the real
-	// POST /v1/plan endpoint and cross-checked against PlanLocal, cycling
-	// through the three scheduling strategies (0 = 3).
-	HTTPPlans int
 	// Short trims the run for -short CI.
 	Short bool
 	// Logf receives progress lines (optional).
@@ -182,20 +174,20 @@ func hashPlan(resp *serve.PlanResponse) uint64 {
 // the covered pool, a bursty arrival schedule, round-robin tenants under
 // concurrent-token quotas, and an SLA deadline on a slice of the jobs —
 // all a pure function of (seed, p).
-func soakRequest(seed int64, p int, pool []*scopesim.Job, cfg *PlanSoakConfig) *serve.PlanRequest {
+func soakRequest(seed int64, p int, pool []*scopesim.Job, jobs int) *serve.PlanRequest {
 	rng := workerRNG(seed, p)
 	req := &serve.PlanRequest{
-		CapacityTokens:  cfg.Capacity,
-		Jobs:            make([]*scopesim.Job, cfg.JobsPerPlan),
-		ArrivalSeconds:  make([]float64, cfg.JobsPerPlan),
-		DeadlineSeconds: make([]int, cfg.JobsPerPlan),
-		Tenants:         make([]string, cfg.JobsPerPlan),
+		CapacityTokens:  planSoakCapacity,
+		Jobs:            make([]*scopesim.Job, jobs),
+		ArrivalSeconds:  make([]float64, jobs),
+		DeadlineSeconds: make([]int, jobs),
+		Tenants:         make([]string, jobs),
 		// Three tenants share the pool; each may hold at most 60% of it
 		// at once, so the quota binds when a tenant's jobs cluster.
 		Quotas: map[string]int{
-			"tenant-a": cfg.Capacity * 3 / 5,
-			"tenant-b": cfg.Capacity * 3 / 5,
-			"tenant-c": cfg.Capacity * 3 / 5,
+			"tenant-a": planSoakCapacity * 3 / 5,
+			"tenant-b": planSoakCapacity * 3 / 5,
+			"tenant-c": planSoakCapacity * 3 / 5,
 		},
 	}
 	tenants := []string{"tenant-a", "tenant-b", "tenant-c"}
@@ -295,6 +287,16 @@ func checkLanes(i int, lanes []planOutcome) error {
 	return nil
 }
 
+// The plan soak's fixed shape: 1000-job batches against a 2000-token
+// pool, and three plans additionally driven through the real POST
+// /v1/plan endpoint and cross-checked against PlanLocal, cycling through
+// the three scheduling strategies.
+const (
+	planSoakJobs      = 1000
+	planSoakCapacity  = 2000
+	planSoakHTTPPlans = 3
+)
+
 // RunPlanSoak executes one planner soak end to end. Any invariant
 // violation surfaces as an error.
 func RunPlanSoak(cfg PlanSoakConfig) (*PlanSoakResult, error) {
@@ -303,10 +305,7 @@ func RunPlanSoak(cfg PlanSoakConfig) (*PlanSoakResult, error) {
 		plans = 60
 	}
 	orDefault(&cfg.Plans, plans)
-	orDefault(&cfg.JobsPerPlan, 1000)
-	orDefault(&cfg.Capacity, 2000)
 	orDefault(&cfg.Workers, 4)
-	orDefault(&cfg.HTTPPlans, 3)
 	logf := quiet(cfg.Logf)
 
 	// ---- Boot: quick-train over the seeded workload, serve in-process.
@@ -331,12 +330,12 @@ func RunPlanSoak(cfg PlanSoakConfig) (*PlanSoakResult, error) {
 		return nil, fmt.Errorf("plan soak: no recurring jobs in the seeded workload")
 	}
 	logf("harness: plan soak start (seed=%d plans=%d jobs/plan=%d pool=%d workers=%d lanes=%d)",
-		cfg.Seed, cfg.Plans, cfg.JobsPerPlan, len(pool), cfg.Workers, len(soakLanes))
+		cfg.Seed, cfg.Plans, planSoakJobs, len(pool), cfg.Workers, len(soakLanes))
 
 	// ---- Bulk lanes: seeded workers, per-plan outcomes folded in order.
 	outcomes := make([][]planOutcome, cfg.Plans) // [plan][lane]
 	err = parallel.ForEach(context.Background(), cfg.Plans, cfg.Workers, func(i int) error {
-		req := soakRequest(cfg.Seed, i, pool, &cfg)
+		req := soakRequest(cfg.Seed, i, pool, planSoakJobs)
 		lanes := make([]planOutcome, len(soakLanes))
 		for li, lane := range soakLanes {
 			req.Policy, req.Model, req.Strategy = lane.policy, lane.model, lane.strategy
@@ -364,7 +363,7 @@ func RunPlanSoak(cfg PlanSoakConfig) (*PlanSoakResult, error) {
 		return nil, err
 	}
 
-	res := &PlanSoakResult{Plans: cfg.Plans, Jobs: cfg.Plans * cfg.JobsPerPlan}
+	res := &PlanSoakResult{Plans: cfg.Plans, Jobs: cfg.Plans * planSoakJobs}
 	fold := fnv.New64a()
 	var buf [8]byte
 	for _, lanes := range outcomes {
@@ -397,12 +396,8 @@ func RunPlanSoak(cfg PlanSoakConfig) (*PlanSoakResult, error) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := serve.NewClient(ts.URL)
-	wireCfg := cfg
-	if wireCfg.JobsPerPlan > 200 {
-		wireCfg.JobsPerPlan = 200
-	}
-	for i := 0; i < cfg.HTTPPlans; i++ {
-		req := soakRequest(cfg.Seed, i, pool, &wireCfg)
+	for i := 0; i < planSoakHTTPPlans; i++ {
+		req := soakRequest(cfg.Seed, i, pool, min(planSoakJobs, 200))
 		req.Policy = "optimal"
 		req.Strategy = soakStrategies[i%len(soakStrategies)]
 		wire, err := client.Plan(req)

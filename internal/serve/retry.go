@@ -14,11 +14,10 @@ import (
 // Client retry defaults: four attempts with 50ms → 2s capped exponential
 // backoff under a 10s total-sleep budget.
 const (
-	DefaultRetryAttempts   = 4
-	DefaultRetryBaseDelay  = 50 * time.Millisecond
-	DefaultRetryMaxDelay   = 2 * time.Second
-	DefaultRetryBudget     = 10 * time.Second
-	DefaultRetryMultiplier = 2.0
+	DefaultRetryAttempts  = 4
+	DefaultRetryBaseDelay = 50 * time.Millisecond
+	DefaultRetryMaxDelay  = 2 * time.Second
+	DefaultRetryBudget    = 10 * time.Second
 )
 
 // Circuit-breaker defaults: open after five consecutive failures, probe
@@ -40,12 +39,10 @@ type RetryPolicy struct {
 	// MaxAttempts bounds total attempts (first try included); values < 1
 	// mean one attempt.
 	MaxAttempts int
-	// BaseDelay seeds the backoff; attempt n waits about
-	// BaseDelay·Multiplier^n, jittered into [d/2, d) and capped at
-	// MaxDelay.
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
+	// BaseDelay seeds the backoff; attempt n waits about BaseDelay·2^n,
+	// jittered into [d/2, d) and capped at MaxDelay.
+	BaseDelay time.Duration
+	MaxDelay  time.Duration
 	// Seed fixes the jitter stream.
 	Seed int64
 	// Budget caps the total time spent sleeping between attempts; once a
@@ -60,7 +57,6 @@ func DefaultRetryPolicy(seed int64) *RetryPolicy {
 		MaxAttempts: DefaultRetryAttempts,
 		BaseDelay:   DefaultRetryBaseDelay,
 		MaxDelay:    DefaultRetryMaxDelay,
-		Multiplier:  DefaultRetryMultiplier,
 		Seed:        seed,
 		Budget:      DefaultRetryBudget,
 	}
@@ -75,12 +71,8 @@ const backoffSite = "client.backoff"
 // raised to the server's Retry-After hint when that is larger.
 func (p *RetryPolicy) Delay(attempt int, retryAfter time.Duration) time.Duration {
 	d := float64(p.BaseDelay)
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = DefaultRetryMultiplier
-	}
 	for i := 0; i < attempt; i++ {
-		d *= mult
+		d *= 2
 	}
 	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
 		d = float64(p.MaxDelay)
