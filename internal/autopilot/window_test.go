@@ -259,3 +259,46 @@ func FuzzWindowLoad(f *testing.F) {
 		}
 	})
 }
+
+// TestWindowLoadsTrueMetrics opens a copy of testdata/legacy_window.jsonl,
+// appended by a Window when every operator still carried a "True" block
+// of execution-time metrics beside its estimates. It must load, to the
+// records it was written from: jobs 17, 26 and 21 of TestConfig(1)'s
+// stream, executed at their requested tokens.
+func TestWindowLoadsTrueMetrics(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "legacy_window.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"True":{`)) {
+		t.Fatal("legacy_window.jsonl holds no True block: not a legacy file")
+	}
+	path := filepath.Join(t.TempDir(), "window.jsonl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWindow(path, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	all := makeRecords(t, 1, 27)
+	want := []*jobrepo.Record{all[17], all[26], all[21]}
+	got := w.Records()
+	if len(got) != len(want) {
+		t.Fatalf("window holds %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, err := json.Marshal(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := json.Marshal(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, e) {
+			t.Fatalf("record %d loads as\n%s\nwant\n%s", i, g, e)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package jobrepo
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -221,5 +223,44 @@ func TestIngestPropagatesExecutorError(t *testing.T) {
 	ex := &scopesim.Executor{}
 	if err := repo.Ingest([]*scopesim.Job{bad}, ex); err == nil {
 		t.Fatal("executor error swallowed")
+	}
+}
+
+// TestLoadFileWithTrueMetrics loads testdata/legacy_repo.jsonl, written by
+// SaveFile when every operator still carried a "True" block of
+// execution-time metrics beside its estimates. It must load, to the
+// records it was written from: jobs 17, 26 and 21 of TestConfig(1)'s
+// stream, executed at their requested tokens.
+func TestLoadFileWithTrueMetrics(t *testing.T) {
+	path := filepath.Join("testdata", "legacy_repo.jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"True":{`)) {
+		t.Fatalf("%s holds no True block: not a legacy file", path)
+	}
+	repo, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := ingested(t, 27, 1).All()
+	want := []*Record{all[17], all[26], all[21]}
+	got := repo.All()
+	if len(got) != len(want) {
+		t.Fatalf("loaded %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, err := json.Marshal(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := json.Marshal(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Fatalf("record %d loads as\n%s\nwant\n%s", i, g, w)
+		}
 	}
 }

@@ -82,6 +82,7 @@ func FuzzScoreRequest(f *testing.F) {
 		`{"job":J,"model":"xgboost-pl","threshold":0.05,"max_tokens":40,"candidate_tokens":[1,8,64]}`,
 		`{"job":J,"model":"nn"}`,
 	)
+	f.Add(readLegacy(f, "legacy_score.json"))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		postTyped(t, h, "/v1/score", body, http.StatusOK, http.StatusBadRequest, http.StatusConflict)
 	})
