@@ -2,7 +2,9 @@ package features
 
 import (
 	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"tasq/internal/ml/linalg"
 	"tasq/internal/scopesim"
@@ -134,18 +136,31 @@ func TestJobVectorEmptyJob(t *testing.T) {
 	}
 }
 
+// TestJobVectorUsesEstimatesOnly guards the compile-time boundary: an
+// operator's only metrics are the optimizer's estimates, so features
+// cannot read execution-time values, and the job vector ignores the
+// submission metadata a recurring job changes on every run.
 func TestJobVectorUsesEstimatesOnly(t *testing.T) {
+	op := reflect.TypeOf(scopesim.Operator{})
+	var metrics []string
+	for i := 0; i < op.NumField(); i++ {
+		if f := op.Field(i); f.Type == reflect.TypeOf(scopesim.OpMetrics{}) {
+			metrics = append(metrics, f.Name)
+		}
+	}
+	if len(metrics) != 1 || metrics[0] != "Est" {
+		t.Fatalf("scopesim.Operator holds OpMetrics fields %v, want only Est", metrics)
+	}
+
 	j := sampleJob(t)
 	before := JobVector(j)
-	// Corrupt the true metrics; features must not change.
-	for i := range j.Operators {
-		j.Operators[i].True.OutputCardinality *= 1000
-		j.Operators[i].True.ExclusiveCost = 1e12
-	}
+	j.ID = "another-run"
+	j.VirtualCluster = "vc-other"
+	j.SubmitTime = j.SubmitTime.Add(72 * time.Hour)
 	after := JobVector(j)
 	for i := range before {
 		if before[i] != after[i] {
-			t.Fatal("features leaked true (execution-time) metrics")
+			t.Fatalf("feature %d moved with the job's ID, cluster or submit time", i)
 		}
 	}
 }

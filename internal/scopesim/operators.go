@@ -2,10 +2,10 @@
 // runs on, standing in for Microsoft's Cosmos platform (see DESIGN.md's
 // substitution table). It models jobs as DAGs of physical operators grouped
 // into stages, carries the compile-time operator metadata of the paper's
-// Table 1 (true values plus the noisy estimates a query optimizer would
-// produce), and executes jobs on a token-based cluster scheduler that
-// yields per-second resource skylines — the ground truth that AREPAS and
-// the ML models are measured against.
+// Table 1 (the noisy estimates a query optimizer would produce), and
+// executes jobs on a token-based cluster scheduler that runs each stage's
+// tasks and yields per-second resource skylines — the ground truth that
+// AREPAS and the ML models are measured against.
 package scopesim
 
 import "fmt"
@@ -124,10 +124,9 @@ func (p PartitionMethod) String() string {
 // Valid reports whether p names a real partitioning method.
 func (p PartitionMethod) Valid() bool { return p >= 0 && int(p) < NumPartitionMethods }
 
-// OpMetrics carries the per-operator quantities of the paper's Table 1.
-// The same struct is used twice per operator: once with the query
-// optimizer's estimates (what the models may see at compile time) and once
-// with the true values (what the executor runs on).
+// OpMetrics carries the per-operator quantities of the paper's Table 1,
+// as the query optimizer estimates them at compile time: all a model may
+// see of an operator.
 type OpMetrics struct {
 	// Continuous features.
 	OutputCardinality        float64 // estimated rows produced
@@ -154,8 +153,7 @@ type Operator struct {
 	Children []int
 	// Stage is the index of the job stage this operator is pipelined into.
 	Stage int
-	// Est holds compile-time estimates (featurization input); True holds
-	// the actual values the executor derives work from. Models never see
-	// True.
-	Est, True OpMetrics
+	// Est holds the compile-time estimates, the featurization input. The
+	// executor never reads them: it runs the job's Stages.
+	Est OpMetrics
 }

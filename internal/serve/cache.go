@@ -366,8 +366,7 @@ func appendScoreKey(kb *keyBuf, modelName string, job *scopesim.Job) int {
 		for _, c := range op.Children {
 			b = appendVarint(b, int64(c))
 		}
-		// Compile-time estimates only: True metrics are execution-time
-		// knowledge no predictor sees (features.go reads Est exclusively).
+		// The compile-time estimates, every metric features.go reads.
 		b = appendFloat(b, op.Est.OutputCardinality)
 		b = appendFloat(b, op.Est.LeafInputCardinality)
 		b = appendFloat(b, op.Est.ChildrenInputCardinality)

@@ -373,7 +373,7 @@ func (g *Generator) instantiate(t *template, id string, submit time.Time) *scope
 				op.Children = append(carve(&ints, 1), opID-1)
 			}
 			outOp := rows * perOpSel
-			op.True = scopesim.OpMetrics{
+			op.Est = g.noisyEstimates(scopesim.OpMetrics{
 				OutputCardinality:        outOp,
 				LeafInputCardinality:     input,
 				ChildrenInputCardinality: rows,
@@ -382,8 +382,7 @@ func (g *Generator) instantiate(t *template, id string, submit time.Time) *scope
 				NumPartitions:            tasks,
 				NumPartitioningColumns:   1 + rng.Intn(3),
 				NumSortColumns:           sortColumns(kind, rng),
-			}
-			op.Est = g.noisyEstimates(op.True)
+			})
 			stage.Operators = append(stage.Operators, opID)
 			rows = outOp
 			opID++
@@ -431,27 +430,24 @@ func sortColumns(k scopesim.OpKind, rng *rand.Rand) int {
 	}
 }
 
-// fillCumulativeCosts computes subtree and total costs for both true and
-// estimated metrics from the exclusive costs and the DAG. instantiate
-// numbers every operator after its children, so one forward pass finds
-// each child's subtree cost ready and adds them in child order.
+// fillCumulativeCosts computes the estimated subtree and total costs from
+// the estimated exclusive costs and the DAG. instantiate numbers every
+// operator after its children, so one forward pass finds each child's
+// subtree cost ready and adds them in child order.
 func fillCumulativeCosts(job *scopesim.Job) {
 	ops := job.Operators
-	var totalT, totalE float64
+	var total float64
 	for i := range ops {
 		op := &ops[i]
-		tt, ee := op.True.ExclusiveCost, op.Est.ExclusiveCost
+		cost := op.Est.ExclusiveCost
 		for _, c := range op.Children {
-			tt += ops[c].True.SubtreeCost
-			ee += ops[c].Est.SubtreeCost
+			cost += ops[c].Est.SubtreeCost
 		}
-		op.True.SubtreeCost, op.Est.SubtreeCost = tt, ee
-		totalT += op.True.ExclusiveCost
-		totalE += op.Est.ExclusiveCost
+		op.Est.SubtreeCost = cost
+		total += op.Est.ExclusiveCost
 	}
 	for i := range ops {
-		ops[i].True.TotalCost = totalT
-		ops[i].Est.TotalCost = totalE
+		ops[i].Est.TotalCost = total
 	}
 }
 

@@ -97,21 +97,47 @@ func TestRightSkewedDistributions(t *testing.T) {
 	}
 }
 
-func TestEstimatesDifferFromTruth(t *testing.T) {
-	g := New(TestConfig(3))
-	jobs := g.Workload(50)
-	var diff, total int
-	for _, j := range jobs {
-		for _, op := range j.Operators {
-			total++
-			if op.Est.OutputCardinality != op.True.OutputCardinality {
-				diff++
-			}
+// exactAndNoisy generates n jobs from cfg twice on the same seed: at
+// σ = 0, where the estimates are the generator's truth, and at cfg's
+// σ > 0. noisyEstimates draws one NormFloat64 per estimate at any σ, so
+// the two streams stay aligned; it fails unless every job has the same
+// operators, partition counts and stages in both.
+func exactAndNoisy(t *testing.T, cfg Config, n int) (exact, noisy []*scopesim.Job) {
+	t.Helper()
+	if cfg.EstimateSigma <= 0 {
+		t.Fatalf("noisy stream needs sigma > 0, got %v", cfg.EstimateSigma)
+	}
+	noisy = New(cfg).Workload(n)
+	cfg.EstimateSigma = 0
+	// New replaces invalid values; 0 is valid and must be preserved.
+	exact = New(cfg).Workload(n)
+	for i := range exact {
+		e, y := exact[i], noisy[i]
+		if len(e.Operators) != len(y.Operators) || !reflect.DeepEqual(e.Stages, y.Stages) {
+			t.Fatalf("job %d: the sigma=0 and sigma>0 streams diverged", i)
+		}
+		for k := range e.Operators {
 			// Planner decisions are exact.
-			if op.Est.NumPartitions != op.True.NumPartitions {
+			if e.Operators[k].Kind != y.Operators[k].Kind ||
+				e.Operators[k].Est.NumPartitions != y.Operators[k].Est.NumPartitions {
 				t.Fatal("partition counts must be known exactly at compile time")
 			}
-			if op.Est.OutputCardinality <= 0 || op.True.OutputCardinality <= 0 {
+		}
+	}
+	return exact, noisy
+}
+
+func TestEstimatesDifferFromTruth(t *testing.T) {
+	exact, noisy := exactAndNoisy(t, TestConfig(3), 50)
+	var diff, total int
+	for i := range noisy {
+		for k, op := range noisy[i].Operators {
+			truth := exact[i].Operators[k].Est
+			total++
+			if op.Est.OutputCardinality != truth.OutputCardinality {
+				diff++
+			}
+			if op.Est.OutputCardinality <= 0 || truth.OutputCardinality <= 0 {
 				t.Fatal("cardinalities must stay positive")
 			}
 		}
@@ -121,18 +147,39 @@ func TestEstimatesDifferFromTruth(t *testing.T) {
 	}
 }
 
+// TestZeroEstimateSigmaGivesExactEstimates: at σ = 0 the estimates are
+// the generator's truth, so they hold its dataflow exactly. The same seed
+// at σ > 0 breaks it.
 func TestZeroEstimateSigmaGivesExactEstimates(t *testing.T) {
-	cfg := TestConfig(5)
-	cfg.EstimateSigma = 0
-	// New replaces invalid values; 0 is valid and must be preserved.
-	g := New(cfg)
-	for _, j := range g.Workload(10) {
-		for _, op := range j.Operators {
-			if op.Est.OutputCardinality != op.True.OutputCardinality {
-				t.Fatal("sigma=0 must give exact estimates")
+	exact, noisy := exactAndNoisy(t, TestConfig(5), 10)
+	broken := 0
+	for i := range exact {
+		if n := dataflowBreaks(exact[i]); n != 0 {
+			t.Fatalf("sigma=0 must give exact estimates: job %d breaks the dataflow at %d operators", i, n)
+		}
+		broken += dataflowBreaks(noisy[i])
+	}
+	if broken == 0 {
+		t.Fatal("sigma>0 estimates hold the dataflow exactly: the check sees no noise")
+	}
+}
+
+// dataflowBreaks counts the operators of j whose estimates break the
+// generator's dataflow: every operator reads the job's one leaf input,
+// and one pipelined after a child in its own stage reads exactly what
+// that child outputs.
+func dataflowBreaks(j *scopesim.Job) int {
+	n := 0
+	for _, op := range j.Operators {
+		if op.Est.LeafInputCardinality != j.Operators[0].Est.LeafInputCardinality {
+			n++
+		} else if len(op.Children) == 1 {
+			if c := j.Operators[op.Children[0]]; c.Stage == op.Stage && op.Est.ChildrenInputCardinality != c.Est.OutputCardinality {
+				n++
 			}
 		}
 	}
+	return n
 }
 
 func TestGeneratedJobsExecutable(t *testing.T) {
