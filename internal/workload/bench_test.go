@@ -1,18 +1,26 @@
 package workload
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 const benchJobs = 512
 
 // BenchmarkGenerate synthesises the offline pipeline's population: 512
-// TestConfig(1) jobs from a fresh generator, templates included.
+// TestConfig(1) jobs from a fresh generator, templates included. B/job is
+// the heap it allocates per job.
 func BenchmarkGenerate(b *testing.B) {
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		if jobs := New(TestConfig(1)).Workload(benchJobs); len(jobs) != benchJobs {
 			b.Fatalf("got %d jobs", len(jobs))
 		}
 	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*benchJobs), "B/job")
 }
 
 // TestGenerateAllocsGate pins the allocations per generated job: the job,
