@@ -152,7 +152,7 @@ func run(ctx context.Context, args []string) error {
 	maxInFlight := fs.Int("max-inflight", serve.DefaultMaxInFlight, "max concurrently executing scoring requests")
 	maxQueue := fs.Int("max-queue", serve.DefaultMaxQueue, "max scoring requests queued behind the in-flight limit before shedding 429 (0 = no queue)")
 	curveCache := fs.Int("curve-cache", serve.DefaultCurveCacheCap, "memoized-curve cache capacity per model generation (0 disables)")
-	maxPlanJobs := fs.Int("max-plan-jobs", serve.DefaultMaxPlanJobs, "max jobs accepted per POST /v1/plan request; the 16 MiB request-body bound binds first, at about 1,100 jobs of 15 KB")
+	maxPlanJobs := fs.Int("max-plan-jobs", serve.DefaultMaxPlanJobs, "max jobs accepted per POST /v1/plan request; the 16 MiB request-body bound binds first, at about 1,880 jobs of 8.9 KB")
 	queueWait := fs.Duration("queue-wait", serve.DefaultQueueWait, "max time a scoring request may wait in the admission queue before shedding 504")
 	autopilotOn := fs.Bool("autopilot", false, "close the learning loop: ingest /v1/telemetry, detect drift, retrain, auto-promote with a rollback guardrail (requires -registry)")
 	driftThreshold := fs.Float64("drift-threshold", drift.DefaultConfig().Threshold, "relative-error EWMA above which the drift alarm fires a retrain (autopilot mode)")

@@ -13,7 +13,7 @@ import (
 
 // DefaultMaxPlanJobs is the default per-request job cap on /v1/plan.
 // The request-body bound binds first for jobs of the usual size: at about
-// 15 KB a job, 16 MiB holds about 1,100 of them.
+// 8.9 KB a job, 16 MiB holds about 1,880 of them (TestWireSize).
 const DefaultMaxPlanJobs = 4096
 
 // WithMaxPlanJobs caps the number of jobs accepted per plan request
