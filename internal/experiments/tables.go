@@ -169,7 +169,8 @@ func measureNN(s *Suite) (Table7Row, error) {
 	// epoch of NN training.
 	x := linalg.New(len(s.Train), features.JobDim)
 	for i, rec := range s.Train {
-		copy(x.Row(i), s.Pipeline.JobScaler.TransformRow(features.JobVector(rec.Job)))
+		features.FillJobVector(x.Row(i), rec.Job)
+		s.Pipeline.JobScaler.Apply(x.Row(i))
 	}
 	mlp := nnClone(s)
 	start := time.Now()
@@ -201,7 +202,8 @@ func measureGNN(s *Suite) (Table7Row, error) {
 	// One tape recycled per graph, as trainGNN runs it.
 	tape := autodiff.NewTape()
 	for _, rec := range sample {
-		f := s.Pipeline.OpScaler.Transform(features.OperatorMatrix(rec.Job))
+		f := features.OperatorMatrix(rec.Job)
+		s.Pipeline.OpScaler.ApplyMatrix(f)
 		adj := features.NormalizedAdjacency(rec.Job)
 		out, _ := net.Forward(tape, tape.Const(f), tape.Const(adj))
 		autodiff.Backward(autodiff.Mean(autodiff.Abs(out)))

@@ -165,6 +165,7 @@ func Train(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
 	grad := make([]float64, n)
 	hess := make([]float64, n)
 	rows := make([]int, n)
+	spill := make([]int, n) // growTree's partition spill area, reused by every tree
 
 	for round := 0; round < cfg.NumTrees; round++ {
 		computeGradients(cfg.Objective, y, scores, grad, hess)
@@ -183,7 +184,7 @@ func Train(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
 				rows = append(rows, i)
 			}
 		}
-		tr := growTree(bins, grad, hess, rows, cfg)
+		tr := growTree(bins, grad, hess, rows, spill, cfg)
 		m.trees = append(m.trees, tr)
 		for i := 0; i < n; i++ {
 			scores[i] += cfg.LearningRate * tr.predict(x.Row(i))
@@ -244,12 +245,16 @@ type binning struct {
 	codes [][]uint16  // per feature: bin index per sample
 }
 
+// newBinning reads each feature column of x in place and sorts it in one
+// buffer reused across features.
 func newBinning(x *linalg.Matrix, maxBins int) *binning {
 	n, p := x.Rows, x.Cols
 	b := &binning{x: x, edges: make([][]float64, p), codes: make([][]uint16, p)}
+	sorted := make([]float64, n)
 	for f := 0; f < p; f++ {
-		col := x.Col(f)
-		sorted := append([]float64(nil), col...)
+		for i := range sorted {
+			sorted[i] = x.At(i, f)
+		}
 		sort.Float64s(sorted)
 		// Candidate edges at quantiles, deduplicated.
 		var edges []float64
@@ -263,7 +268,8 @@ func newBinning(x *linalg.Matrix, maxBins int) *binning {
 		// Bin index = number of edges strictly below the value, so bin k
 		// holds values in (edges[k−1], edges[k]].
 		codes := make([]uint16, n)
-		for i, v := range col {
+		for i := range codes {
+			v := x.At(i, f)
 			lo, hi := 0, len(edges)
 			for lo < hi {
 				mid := (lo + hi) / 2
@@ -284,16 +290,15 @@ func newBinning(x *linalg.Matrix, maxBins int) *binning {
 // given rows using histogram split finding. It reorders rows: every split
 // partitions its node's stretch of the slice in place, stably, so a child
 // sums its rows in the order a freshly appended slice would hold them.
-func growTree(b *binning, grad, hess []float64, rows []int, cfg Config) *tree {
+func growTree(b *binning, grad, hess []float64, rows, spill []int, cfg Config) *tree {
 	t := &tree{}
-	// One histogram pair and one partition spill area serve every node of
-	// the tree: a node is done with both before it recurses.
+	// One histogram pair and the caller's partition spill area serve every
+	// node of the tree: a node is done with both before it recurses.
 	maxBins := 0
 	for _, edges := range b.edges {
 		maxBins = max(maxBins, len(edges)+1)
 	}
 	hist := make([]float64, 2*maxBins)
-	spill := make([]int, len(rows))
 	var build func(rows []int, depth int) int
 	build = func(rows []int, depth int) int {
 		var gSum, hSum float64

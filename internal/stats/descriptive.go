@@ -194,10 +194,16 @@ type Standardizer struct {
 	Mean, Std float64
 }
 
-// FitStandardizer computes mean and standard deviation of xs. A zero (or
-// near-zero) spread falls back to Std = 1 so Transform stays finite.
+// FitStandardizer computes mean and standard deviation of xs.
 func FitStandardizer(xs []float64) Standardizer {
-	s := Standardizer{Mean: Mean(xs), Std: StdDev(xs)}
+	return NewStandardizer(Mean(xs), StdDev(xs))
+}
+
+// NewStandardizer is the Standardizer of a sample with the given mean and
+// population standard deviation. A zero (or near-zero) spread falls back
+// to Std = 1 so Transform stays finite.
+func NewStandardizer(mean, std float64) Standardizer {
+	s := Standardizer{Mean: mean, Std: std}
 	if s.Std < 1e-12 {
 		s.Std = 1
 	}

@@ -29,7 +29,7 @@ func freshTapeNN(t *testing.T, recs []*jobrepo.Record, p *Pipeline, xgbPreds []f
 	mlp := nn.NewMLP(rng, dims, nn.ActReLU)
 	x := linalg.New(len(recs), features.JobDim)
 	for i, rec := range recs {
-		copy(x.Row(i), p.JobScaler.TransformRow(features.JobVector(rec.Job)))
+		copy(x.Row(i), scaledJobVector(p.JobScaler, rec.Job))
 	}
 	in, err := buildLossInputs(recs, p.TrainTargets, p.Scaling, xgbPreds, cfg.Loss)
 	if err != nil {
@@ -75,7 +75,7 @@ func freshTapeGNN(t *testing.T, recs []*jobrepo.Record, p *Pipeline, xgbPreds []
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, i := range order {
 			tape := autodiff.NewTape()
-			f := p.OpScaler.Transform(features.OperatorMatrix(recs[i].Job))
+			f := scaledOperatorMatrix(p.OpScaler, recs[i].Job)
 			adj := features.NormalizedAdjacency(recs[i].Job)
 			raw, paramNodes := net.Forward(tape, tape.Const(f), tape.Const(adj))
 			a, logb := signSafeParams(raw, p.Scaling)
@@ -194,9 +194,10 @@ func TestConcurrentTrainingsMatchSolo(t *testing.T) {
 
 // A warm training step must not touch the allocator beyond the parameter-
 // node and gradient slices Forward and GradsOf return: the tape's arena,
-// node slab and op records are recycled. Before the arena a GNN step made
-// ~510 allocations and an NN epoch ~150; the gate keeps that from rotting
-// back in silently.
+// node slab and op records are recycled, and a GNN step featurizes its job
+// into the arena as trainGNN does. Before the arena a GNN step made ~510
+// allocations and an NN epoch ~150; the gate keeps that from rotting back
+// in silently.
 func TestWarmTrainingStepAllocsGate(t *testing.T) {
 	recs, _ := dataset(t, 16, 0, 41)
 	cfg := fastConfig(41)
@@ -226,12 +227,11 @@ func TestWarmTrainingStepAllocsGate(t *testing.T) {
 				widest = i
 			}
 		}
-		f := p.OpScaler.Transform(features.OperatorMatrix(recs[widest].Job))
-		adj := features.NormalizedAdjacency(recs[widest].Job)
 		opt := nn.NewAdam(gcfg.LearningRate)
 		params := net.Params()
 		tape := autodiff.NewTape()
 		step := func() {
+			f, adj := graphInputs(tape.Matrix, p.OpScaler, recs[widest].Job)
 			raw, paramNodes := net.Forward(tape, tape.Const(f), tape.Const(adj))
 			neuralStep(tape, opt, params, raw, paramNodes, in.row(tape, widest), p.Scaling, gcfg)
 		}
@@ -247,7 +247,7 @@ func TestWarmTrainingStepAllocsGate(t *testing.T) {
 		mlp := p.NN.MLP
 		x := linalg.New(len(recs), features.JobDim)
 		for i, rec := range recs {
-			copy(x.Row(i), p.JobScaler.TransformRow(features.JobVector(rec.Job)))
+			copy(x.Row(i), scaledJobVector(p.JobScaler, rec.Job))
 		}
 		opt := nn.NewAdam(ncfg.LearningRate)
 		params := mlp.Params()

@@ -23,15 +23,31 @@ import (
 // differing bit.
 
 func tapeNNTarget(m *NNModel, job *scopesim.Job) Target {
-	x := linalg.RowVector(m.Scaler.TransformRow(features.JobVector(job)))
+	x := linalg.RowVector(scaledJobVector(m.Scaler, job))
 	tape := autodiff.NewTape()
 	raw, _ := m.MLP.Forward(tape, tape.Const(x))
 	a, logb := signSafeParams(raw, m.Scaling)
 	return Target{A: a.Value.Data[0], LogB: logb.Value.Data[0]}
 }
 
+// scaledJobVector is the job's feature vector in a fresh slice, scaled by
+// s.
+func scaledJobVector(s *features.Scaler, job *scopesim.Job) []float64 {
+	v := features.JobVector(job)
+	s.Apply(v)
+	return v
+}
+
+// scaledOperatorMatrix is the job's operator matrix in a fresh matrix,
+// scaled by s.
+func scaledOperatorMatrix(s *features.Scaler, job *scopesim.Job) *linalg.Matrix {
+	f := features.OperatorMatrix(job)
+	s.ApplyMatrix(f)
+	return f
+}
+
 func tapeGNNTarget(m *GNNModel, job *scopesim.Job) Target {
-	f := m.OpScaler.Transform(features.OperatorMatrix(job))
+	f := scaledOperatorMatrix(m.OpScaler, job)
 	adj := features.NormalizedAdjacency(job)
 	tape := autodiff.NewTape()
 	raw, _ := m.Net.Forward(tape, tape.Const(f), tape.Const(adj))
@@ -42,7 +58,7 @@ func tapeGNNTarget(m *GNNModel, job *scopesim.Job) Target {
 // tapeAttention replays Forward's readout up to the attention scores.
 func tapeAttention(m *GNNModel, job *scopesim.Job) []float64 {
 	tape := autodiff.NewTape()
-	h := tape.Const(m.OpScaler.Transform(features.OperatorMatrix(job)))
+	h := tape.Const(scaledOperatorMatrix(m.OpScaler, job))
 	adj := tape.Const(features.NormalizedAdjacency(job))
 	n := len(job.Operators)
 	for _, c := range m.Net.Convs {
@@ -57,8 +73,17 @@ func tapeAttention(m *GNNModel, job *scopesim.Job) []float64 {
 	return autodiff.Sigmoid(autodiff.MatMul(h, autodiff.Transpose(ctx))).Value.Data
 }
 
+// xgbRow is a job's scaled feature vector with the log-scaled token count
+// appended, in a fresh slice.
+func xgbRow(jobFeat []float64, tokens int) []float64 {
+	row := make([]float64, len(jobFeat)+1)
+	copy(row, jobFeat)
+	row[len(jobFeat)] = math.Log1p(float64(tokens))
+	return row
+}
+
 func perPointRuntime(m *XGBModel, job *scopesim.Job, tokens int) float64 {
-	return m.Model.Predict(xgbRow(m.Scaler.TransformRow(features.JobVector(job)), tokens))
+	return m.Model.Predict(xgbRow(scaledJobVector(m.Scaler, job), tokens))
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -169,7 +169,8 @@ func trainNN(recs []*jobrepo.Record, targets []Target, scaler *features.Scaler,
 
 	x := linalg.New(len(recs), features.JobDim)
 	for i, rec := range recs {
-		copy(x.Row(i), scaler.TransformRow(features.JobVector(rec.Job)))
+		features.FillJobVector(x.Row(i), rec.Job)
+		scaler.Apply(x.Row(i))
 	}
 	in, err := buildLossInputs(recs, targets, scaling, xgbPreds, cfg.Loss)
 	if err != nil {
@@ -239,12 +240,6 @@ func trainGNN(recs []*jobrepo.Record, targets []Target, opScaler *features.Scale
 	if err != nil {
 		return nil, err
 	}
-	feats := make([]*linalg.Matrix, len(recs))
-	adjs := make([]*linalg.Matrix, len(recs))
-	for i, rec := range recs {
-		feats[i] = opScaler.Transform(features.OperatorMatrix(rec.Job))
-		adjs[i] = features.NormalizedAdjacency(rec.Job)
-	}
 
 	opt := nn.NewAdam(cfg.LearningRate)
 	params := net.Params()
@@ -253,7 +248,8 @@ func trainGNN(recs []*jobrepo.Record, targets []Target, opScaler *features.Scale
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, i := range order {
-			raw, paramNodes := net.Forward(tape, tape.Const(feats[i]), tape.Const(adjs[i]))
+			f, adj := graphInputs(tape.Matrix, opScaler, recs[i].Job)
+			raw, paramNodes := net.Forward(tape, tape.Const(f), tape.Const(adj))
 			neuralStep(tape, opt, params, raw, paramNodes, in.row(tape, i), scaling, cfg)
 		}
 	}
@@ -265,18 +261,19 @@ func trainGNN(recs []*jobrepo.Record, targets []Target, opScaler *features.Scale
 func (m *GNNModel) PredictTarget(job *scopesim.Job) Target {
 	sc := linalg.GetScratch()
 	defer sc.Release()
-	f, adj := m.graphInputs(sc, job)
+	f, adj := graphInputs(sc.Matrix, m.OpScaler, job)
 	return signSafeTarget(m.Net.Infer(sc, f, adj), m.Scaling)
 }
 
-// graphInputs featurizes the job's plan into sc: the scaled operator
-// matrix and the normalized adjacency.
-func (m *GNNModel) graphInputs(sc *linalg.Scratch, job *scopesim.Job) (f, adj *linalg.Matrix) {
+// graphInputs featurizes the job's plan into matrices from alloc (a
+// training tape's arena or an inference scratch): the operator matrix
+// scaled by opScaler and the normalized adjacency.
+func graphInputs(alloc func(rows, cols int) *linalg.Matrix, opScaler *features.Scaler, job *scopesim.Job) (f, adj *linalg.Matrix) {
 	n := len(job.Operators)
-	f = sc.Matrix(n, features.OperatorDim)
+	f = alloc(n, features.OperatorDim)
 	features.FillOperatorMatrix(f, job)
-	m.OpScaler.ApplyMatrix(f)
-	adj = sc.Matrix(n, n)
+	opScaler.ApplyMatrix(f)
+	adj = alloc(n, n)
 	features.FillNormalizedAdjacency(adj, job)
 	return f, adj
 }
@@ -286,7 +283,7 @@ func (m *GNNModel) graphInputs(sc *linalg.Scratch, job *scopesim.Job) (f, adj *l
 func (m *GNNModel) AttentionScores(job *scopesim.Job) []float64 {
 	sc := linalg.GetScratch()
 	defer sc.Release()
-	return m.Net.AttentionScores(m.graphInputs(sc, job))
+	return m.Net.AttentionScores(graphInputs(sc.Matrix, m.OpScaler, job))
 }
 
 // buildLossInputs assembles the constant matrices for the loss.

@@ -285,3 +285,30 @@ func TestValueAt(t *testing.T) {
 		t.Fatal("empty grid must give NaN")
 	}
 }
+
+// A served XGBoost SS curve predicts its region into arrays on its stack;
+// what it allocates is the region grid, the smoothed run times, the
+// spline fit's own matrices and the power-law fit of the smoothed grid.
+// On 40 held-out seed-1 jobs no curve takes more than 49 allocations;
+// grid-sized point and run-time slices from the heap made that 51.
+func TestXGBSSCurveAllocs(t *testing.T) {
+	train, test := dataset(t, 40, 40, 1)
+	cfg := fastConfig(1)
+	cfg.SkipNN, cfg.SkipGNN = true, true
+	p, err := Train(train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := predictorFor(t, p, model.NameXGBSS)
+	const maxAllocs = 49
+	for _, rec := range test {
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := ss.PredictCurve(rec.Job); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > maxAllocs {
+			t.Fatalf("XGBoost SS curve for %s makes %.0f allocations, gate is %d", rec.Job.ID, got, maxAllocs)
+		}
+	}
+}

@@ -28,19 +28,11 @@ type XGBModel struct {
 	Scaler *features.Scaler
 }
 
-// xgbTokenFeature appends the token count (log-scaled like other
-// magnitudes) to the job feature vector.
-func xgbRow(jobFeat []float64, tokens int) []float64 {
-	row := make([]float64, len(jobFeat)+1)
-	copy(row, jobFeat)
-	row[len(jobFeat)] = math.Log1p(float64(tokens))
-	return row
-}
-
-// augmented holds one record's share of the XGBoost training matrix.
+// augmented holds one record's share of the XGBoost training matrix: its
+// scaled job features and the AREPAS points with a usable run time.
 type augmented struct {
-	rows [][]float64
-	y    []float64
+	feat []float64
+	pts  []arepas.AugmentationPoint
 }
 
 // TrainXGB fits the boosted ensemble on the augmented training set, with
@@ -52,34 +44,41 @@ type augmented struct {
 func TrainXGB(recs []*jobrepo.Record, scaler *features.Scaler, cfg gbt.Config, workers int) (*XGBModel, error) {
 	parts, err := parallel.Map(context.Background(), len(recs), workers, func(i int) (augmented, error) {
 		rec := recs[i]
-		feat := scaler.TransformRow(features.JobVector(rec.Job))
 		pts, err := arepas.AugmentForXGBoost(rec.Skyline, rec.ObservedTokens)
 		if err != nil {
 			return augmented{}, fmt.Errorf("trainer: augmenting %s: %w", rec.Job.ID, err)
 		}
-		var a augmented
+		a := augmented{feat: features.JobVector(rec.Job), pts: pts[:0]}
+		scaler.Apply(a.feat)
 		for _, p := range pts {
-			if p.Runtime < 1 {
-				continue
+			if p.Runtime >= 1 {
+				a.pts = append(a.pts, p)
 			}
-			a.rows = append(a.rows, xgbRow(feat, p.Tokens))
-			a.y = append(a.y, float64(p.Runtime))
 		}
 		return a, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var rows [][]float64
-	var y []float64
+	var n int
 	for _, a := range parts {
-		rows = append(rows, a.rows...)
-		y = append(y, a.y...)
+		n += len(a.pts)
 	}
-	if len(rows) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("trainer: no XGBoost training rows")
 	}
-	x := linalg.FromRows(rows)
+	// One row per kept point: the record's features, then the token count
+	// log-scaled as predictAt sets it.
+	x := linalg.New(n, features.JobDim+1)
+	y := make([]float64, 0, n)
+	for _, a := range parts {
+		for _, p := range a.pts {
+			row := x.Row(len(y))
+			copy(row, a.feat)
+			row[features.JobDim] = math.Log1p(float64(p.Tokens))
+			y = append(y, float64(p.Runtime))
+		}
+	}
 	m, err := gbt.Train(x, y, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("trainer: XGBoost: %w", err)
@@ -122,22 +121,23 @@ const splineLambda = 50
 // the smoothed run times (the "curve" is tabulated, not parametric).
 func (m *XGBModel) PredictCurveSS(job *scopesim.Job, reference int) (grid []int, runtimes []float64, err error) {
 	grid = model.CurveRegion(reference)
-	xs := make([]float64, len(grid))
-	ys := make([]float64, len(grid))
+	var xbuf, ybuf [9]float64
+	xs, ys := xbuf[:len(grid)], ybuf[:len(grid)]
 	var row xgbRowBuf
 	m.fillJob(&row, job)
 	for i, tok := range grid {
 		xs[i] = float64(tok)
 		ys[i] = m.predictAt(&row, tok)
 	}
+	out := make([]float64, len(grid))
 	if len(grid) < 3 {
-		return grid, ys, nil // too few points to smooth
+		copy(out, ys) // too few points to smooth
+		return grid, out, nil
 	}
 	sp, err := spline.Fit(xs, ys, splineLambda)
 	if err != nil {
 		return nil, nil, fmt.Errorf("trainer: SS smoothing for %s: %w", job.ID, err)
 	}
-	out := make([]float64, len(grid))
 	for i, x := range xs {
 		out[i] = sp.At(x)
 	}

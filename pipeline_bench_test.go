@@ -70,6 +70,7 @@ func BenchmarkPipelineTrain(b *testing.B) {
 			cfg.NN.Epochs = 20
 			cfg.GNN.Epochs = 2
 			cfg.Workers = w
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := trainer.Train(recs, cfg); err != nil {
