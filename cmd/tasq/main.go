@@ -511,7 +511,7 @@ func cmdScore(args []string) error {
 	modelPath := fs.String("model", "model.gob", "trained model path")
 	jobID := fs.String("job", "", "job ID (defaults to the first job)")
 	threshold := fs.Float64("threshold", pcc.DefaultThreshold, "optimal-allocation threshold (marginal gain per token)")
-	predictor := fs.String("predictor", "", "score with this predictor (e.g. NN, 'XGBoost PL', Jockey); empty follows the fallback policy")
+	predictor := fs.String("predictor", "", "score with this predictor (e.g. NN, 'XGBoost PL', AutoToken); empty follows the fallback policy")
 	policyFlag := fs.String("policy", "", "comma-separated predictor fallback chain (e.g. 'GNN,NN'); ignored when -predictor is set")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	tasqmodel "tasq/internal/model"
 	"tasq/internal/registry"
 	"tasq/internal/serve"
 	"tasq/internal/trainer"
@@ -28,11 +30,11 @@ func TestCLIWorkflow(t *testing.T) {
 		{"select", "-data", repo, "-k", "4", "-sample", "20"},
 		{"flight", "-data", repo, "-k", "4", "-sample", "15"},
 		{"score", "-data", repo, "-model", model},
-		{"score", "-data", repo, "-model", model, "-predictor", "jockey"},
+		{"score", "-data", repo, "-model", model, "-predictor", "xgboost-ss"},
 		{"score", "-data", repo, "-model", model, "-policy", "XGBoost-PL,NN"},
 		{"plan", "-data", repo, "-model", model, "-capacity", "400", "-n", "50"},
 		{"plan", "-data", repo, "-model", model, "-capacity", "400", "-alloc", "peak"},
-		{"plan", "-data", repo, "-model", model, "-capacity", "200", "-predictor", "jockey", "-threshold", "0.05"},
+		{"plan", "-data", repo, "-model", model, "-capacity", "200", "-predictor", "xgboost-ss", "-threshold", "0.05"},
 		{"plan", "-data", repo, "-model", model, "-capacity", "400", "-strategy", "backfill"},
 		{"plan", "-data", repo, "-model", model, "-capacity", "400", "-strategy", "retry"},
 	}
@@ -44,9 +46,12 @@ func TestCLIWorkflow(t *testing.T) {
 	if _, err := os.Stat(model); err != nil {
 		t.Fatalf("model file not written: %v", err)
 	}
-	// By-name routing fails loudly for unknown and untrained predictors.
-	if err := run([]string{"score", "-data", repo, "-model", model, "-predictor", "resnet"}); err == nil {
-		t.Fatal("unknown predictor accepted by score")
+	// By-name routing fails loudly for unknown and untrained predictors;
+	// the §6.3 simulators are not served, so they are unknown.
+	for _, name := range []string{"resnet", "Amdahl", "jockey"} {
+		if err := run([]string{"score", "-data", repo, "-model", model, "-predictor", name}); !errors.Is(err, tasqmodel.ErrUnknownModel) {
+			t.Fatalf("score -predictor %s: %v, want %v", name, err, tasqmodel.ErrUnknownModel)
+		}
 	}
 	if err := run([]string{"score", "-data", repo, "-model", model, "-predictor", "GNN"}); err == nil {
 		t.Fatal("untrained GNN accepted by score on a -skip-gnn model")
@@ -166,7 +171,7 @@ func TestCLIPlanLocalMatchesServed(t *testing.T) {
 	defer ts.Close()
 
 	for _, strategy := range []string{"fcfs", "backfill", "retry"} {
-		for _, extra := range [][]string{nil, {"-predictor", "jockey", "-n", "25", "-alloc", "default", "-threshold", "0.05"}} {
+		for _, extra := range [][]string{nil, {"-predictor", "xgboost-ss", "-n", "25", "-alloc", "default", "-threshold", "0.05"}} {
 			common := append([]string{"plan", "-data", repo, "-capacity", "150", "-strategy", strategy}, extra...)
 			local := stdoutOf(t, append(common, "-model", model)...)
 			served := stdoutOf(t, append(common, "-addr", ts.URL)...)

@@ -610,15 +610,19 @@ func TestAdmissionFlags(t *testing.T) {
 // TestPolicyFlagAndModelsEndpoint boots tasqd with a -policy override and
 // checks the whole routing surface end to end: policy-routed scores, a
 // per-request model override, the /v1/models listing, and a startup
-// rejection for a policy that names an unknown predictor.
+// rejection for a policy that names an unknown or unserved predictor.
 func TestPolicyFlagAndModelsEndpoint(t *testing.T) {
 	modelPath, job := trainModelWithJob(t)
 
-	// A policy with a typo'd predictor name must fail before listening.
-	if err := run(context.Background(), []string{
-		"-model", modelPath, "-addr", "127.0.0.1:0", "-policy", "resnet", "-quiet",
-	}); err == nil {
-		t.Fatal("bogus -policy accepted")
+	// A policy with a typo'd predictor name, or one naming a §6.3
+	// simulator that is not served, must fail before listening.
+	for _, bogus := range []string{"resnet", "Jockey", "NN,amdahl"} {
+		err := run(context.Background(), []string{
+			"-model", modelPath, "-addr", "127.0.0.1:0", "-policy", bogus, "-quiet",
+		})
+		if !errors.Is(err, model.ErrUnknownModel) {
+			t.Fatalf("-policy %s: %v, want %v", bogus, err, model.ErrUnknownModel)
+		}
 	}
 
 	addrCh := make(chan net.Addr, 1)
@@ -630,7 +634,7 @@ func TestPolicyFlagAndModelsEndpoint(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-model", modelPath, "-addr", "127.0.0.1:0",
-			"-policy", "XGBoost-PL,NN", "-drain", "5s", "-quiet",
+			"-policy", "XGBoost-SS,NN", "-drain", "5s", "-quiet",
 		})
 	}()
 	var addr net.Addr
@@ -648,24 +652,24 @@ func TestPolicyFlagAndModelsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Model != model.NameXGBPL {
-		t.Fatalf("policy-routed score served by %s, want %s", resp.Model, model.NameXGBPL)
+	if resp.Model != model.NameXGBSS {
+		t.Fatalf("policy-routed score served by %s, want %s", resp.Model, model.NameXGBSS)
 	}
 	// A request naming a model overrides the policy.
-	resp, err = client.Score(&serve.ScoreRequest{Job: job, Model: "jockey"})
+	resp, err = client.Score(&serve.ScoreRequest{Job: job, Model: "xgboost-pl"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Model != model.NameJockey {
-		t.Fatalf("named score served by %s, want %s", resp.Model, model.NameJockey)
+	if resp.Model != model.NameXGBPL {
+		t.Fatalf("named score served by %s, want %s", resp.Model, model.NameXGBPL)
 	}
 	// The daemon lists its predictor set.
 	models, err := client.Models()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(models.Models) != 7 {
-		t.Fatalf("models listing %+v, want 7 predictors", models.Models)
+	if len(models.Models) != 5 {
+		t.Fatalf("models listing %+v, want 5 predictors", models.Models)
 	}
 
 	cancel()

@@ -120,8 +120,8 @@ func Run(cfg Config) (*Result, error) {
 	// ---- Boot (faults disabled): registry, v1, server, reloader. ----
 	// The staleness oracle covers every model routing a storm 200 can use:
 	// the policy chain ("" resolves to XGBoost PL here) and the explicitly
-	// requested baselines.
-	p1, p2, recs, oracle, err := trainGenerations("", "xgboost-pl", "jockey", "amdahl")
+	// requested models.
+	p1, p2, recs, oracle, err := trainGenerations("", "xgboost-pl", "xgboost-ss")
 	if err != nil {
 		return nil, err
 	}
@@ -493,11 +493,11 @@ func runOp(rng *rand.Rand, client *serve.Client, recs []*jobrepo.Record, cnt *co
 			req.Model = "xgboost-pl"
 			conflict = false
 		case roll == 6:
-			req.Model = "jockey"
+			req.Model = "xgboost-ss"
 			conflict = false
 		case roll == 7:
-			req.Model = "amdahl"
-			conflict = false
+			req.Model = "jockey" // a §6.3 simulator, not served → 400
+			wantOK, conflict, bad = false, false, true
 		case roll == 8:
 			req.Model = "nn" // skipped in training → 409 conflict
 			wantOK, bad = false, false

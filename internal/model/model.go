@@ -1,14 +1,20 @@
 // Package model defines the predictor seam of the scoring path (Figure 4):
 // one Predictor type that every PCC source — the trained TASQ models
-// (XGBoost SS/PL, NN, GNN) and the §6 prior-art baselines (AutoToken,
-// Jockey, Amdahl) — plugs into, a Mux that registers predictors by name,
-// and a Policy expressing an ordered fallback chain.
+// (XGBoost SS/PL, NN, GNN) and the AutoToken baseline of §6.2 — plugs
+// into, a Mux that registers predictors by name, and a Policy expressing
+// an ordered fallback chain.
+//
+// Every served predictor reads only what is known at compile time. The
+// §6.3 stage simulators (Jockey, Amdahl) are not served: they replay a
+// job's stage task times, which for a request's own job are the work the
+// executor runs, so the experiments call internal/jockey on a previous
+// run instead.
 //
 // The package sits below the trainer: it depends only on the job
-// description, the PCC math and the baseline simulators, so the trainer,
+// description, the PCC math and AutoToken's group model, so the trainer,
 // server, registry and experiment layers can all consume predictors
 // without import cycles. The trainer wraps its fitted models with New and
-// FitRegion; the baselines are implemented here directly.
+// FitRegion; AutoToken is adapted here directly.
 package model
 
 import (
@@ -22,15 +28,13 @@ import (
 )
 
 // Canonical predictor names. The four trained models keep the paper's
-// table spelling (Tables 4–6); the baselines use the names of §6.
+// table spelling (Tables 4–6); the baseline uses its name from §6.2.
 const (
 	NameXGBSS     = "XGBoost SS"
 	NameXGBPL     = "XGBoost PL"
 	NameNN        = "NN"
 	NameGNN       = "GNN"
 	NameAutoToken = "AutoToken"
-	NameJockey    = "Jockey"
-	NameAmdahl    = "Amdahl"
 )
 
 // Sentinel errors of the routing contract. Servers map these to HTTP
@@ -55,8 +59,9 @@ const (
 	// KindTrained marks models fitted on the historical training set;
 	// only these enter the Tables 4–6/8 evaluation.
 	KindTrained Kind = "trained"
-	// KindBaseline marks the §6 prior-art predictors served for
-	// comparison but excluded from the paper-table evaluation.
+	// KindBaseline marks the prior-art AutoToken predictor (§6.2),
+	// served for comparison but excluded from the paper-table
+	// evaluation.
 	KindBaseline Kind = "baseline"
 )
 
@@ -80,9 +85,9 @@ type Meta struct {
 
 // Predictor maps compile-time job information to a performance
 // characteristic curve built around a reference allocation: the XGBoost
-// ±40% region and the simulator grids are laid out around it, while NN,
-// GNN and AutoToken ignore it. A Predictor is safe for concurrent use:
-// the serving path scores through one shared set.
+// ±40% region is laid out around it, while NN, GNN and AutoToken ignore
+// it. A Predictor is safe for concurrent use: the serving path scores
+// through one shared set.
 type Predictor struct {
 	name string
 	meta func() Meta
@@ -94,12 +99,6 @@ type Predictor struct {
 // every Meta, so training state is always read live.
 func New(name string, meta func() Meta, at func(job *scopesim.Job, reference int) (pcc.Curve, error)) *Predictor {
 	return &Predictor{name: name, meta: meta, at: at}
-}
-
-// FixedMeta returns a meta callback for predictors whose provenance
-// never changes (the simulator baselines).
-func FixedMeta(m Meta) func() Meta {
-	return func() Meta { return m }
 }
 
 // Name returns the canonical registration name.
@@ -121,8 +120,7 @@ func (p *Predictor) PredictCurveAt(job *scopesim.Job, reference int) (pcc.Curve,
 }
 
 // CurveRegion returns the paper's ±40%-of-reference token grid on which
-// XGBoost curves are constructed, the Pattern metric is judged and the
-// simulator baselines are fitted.
+// XGBoost curves are constructed and the Pattern metric is judged.
 func CurveRegion(reference int) []int {
 	// Nine steps of 0.1; tok never decreases along them (every point of a
 	// negative reference floors to 1), so comparing with the previous

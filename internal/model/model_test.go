@@ -7,6 +7,7 @@ import (
 
 	"tasq/internal/autotoken"
 	"tasq/internal/jobrepo"
+	"tasq/internal/jockey"
 	"tasq/internal/pcc"
 	"tasq/internal/scopesim"
 	"tasq/internal/workload"
@@ -14,7 +15,7 @@ import (
 
 // stub is a minimal predictor for mux/policy tests.
 func stub(name string, trained bool, curve pcc.Curve) *Predictor {
-	return New(name, FixedMeta(Meta{Kind: KindTrained, Trained: trained}),
+	return New(name, func() Meta { return Meta{Kind: KindTrained, Trained: trained} },
 		func(*scopesim.Job, int) (pcc.Curve, error) { return curve, nil })
 }
 
@@ -76,7 +77,7 @@ func TestMuxInfos(t *testing.T) {
 	m := NewMux()
 	m.MustRegister(stub(NameNN, true, pcc.Curve{}))
 	m.MustRegister(stub(NameGNN, false, pcc.Curve{}))
-	m.MustRegister(Jockey())
+	m.MustRegister(AutoToken(nil, nil))
 	infos := m.Infos()
 	if len(infos) != 3 {
 		t.Fatalf("got %d infos", len(infos))
@@ -147,7 +148,7 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 
 func TestCurveAtAnchoring(t *testing.T) {
 	var gotRef int
-	anchored := New("anch", FixedMeta(Meta{Trained: true}),
+	anchored := New("anch", func() Meta { return Meta{Trained: true} },
 		func(_ *scopesim.Job, ref int) (pcc.Curve, error) {
 			gotRef = ref
 			return pcc.Curve{A: -0.5, B: float64(ref)}, nil
@@ -225,41 +226,57 @@ func TestFitRegion(t *testing.T) {
 	}
 }
 
+// simCurve fits a §6.3 stage simulator's run times over the ±40% region
+// around reference, through the same FitRegion every served predictor
+// uses.
+func simCurve(sim func(*scopesim.Job, int) (int, error), job *scopesim.Job, reference int) (pcc.Curve, error) {
+	grid := CurveRegion(reference)
+	runtimes := make([]float64, len(grid))
+	for i, tok := range grid {
+		rt, err := sim(job, tok)
+		if err != nil {
+			return pcc.Curve{}, err
+		}
+		runtimes[i] = float64(rt)
+	}
+	return FitRegion(job, grid, runtimes, func() float64 {
+		rt, _ := sim(job, reference)
+		return float64(rt)
+	})
+}
+
 func TestSimulatorBaselines(t *testing.T) {
 	job := parallelJob("sim")
-	for _, p := range []*Predictor{Jockey(), Amdahl()} {
-		meta := p.Meta()
-		if meta.Kind != KindBaseline || !meta.Trained {
-			t.Fatalf("%s meta %+v", p.Name(), meta)
-		}
-		c, err := p.PredictCurve(job)
+	for name, sim := range map[string]func(*scopesim.Job, int) (int, error){
+		"Jockey": jockey.SimulateJockey,
+		"Amdahl": jockey.SimulateAmdahl,
+	} {
+		c, err := simCurve(sim, job, job.RequestedTokens)
 		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		// Stage simulators predict less run time with more tokens on a
 		// parallel job, so the fitted power law must be non-increasing.
 		if !c.NonIncreasing() {
-			t.Fatalf("%s curve %+v not non-increasing", p.Name(), c)
+			t.Fatalf("%s curve %+v not non-increasing", name, c)
 		}
-		// Anchoring at the observed allocation must work too.
-		c2, err := p.PredictCurveAt(job, 30)
+		// Anchoring at another allocation must work too.
+		c2, err := simCurve(sim, job, 30)
 		if err != nil || !c2.Valid() {
-			t.Fatalf("%s anchored curve %+v, %v", p.Name(), c2, err)
+			t.Fatalf("%s anchored curve %+v, %v", name, c2, err)
 		}
 		// Invalid jobs propagate simulator errors.
 		bad := &scopesim.Job{ID: "bad", Stages: []scopesim.Stage{{ID: 0, Tasks: 0, TaskSeconds: 1}}}
-		if _, err := p.PredictCurve(bad); err == nil {
-			t.Fatalf("%s accepted invalid job", p.Name())
+		if _, err := simCurve(sim, bad, 50); err == nil {
+			t.Fatalf("%s accepted invalid job", name)
 		}
 	}
 }
 
 func TestSimulatorDegenerateReference(t *testing.T) {
-	// Reference 1 collapses the region to a single grid point: the
-	// baseline falls back to a flat curve at the point prediction.
-	job := parallelJob("deg")
-	job.RequestedTokens = 1
-	c, err := Jockey().PredictCurve(job)
+	// Reference 1 collapses the region to a single grid point: the fit
+	// falls back to a flat curve at the point prediction.
+	c, err := simCurve(jockey.SimulateJockey, parallelJob("deg"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -379,7 +379,8 @@ func appendScoreKey(kb *keyBuf, modelName string, job *scopesim.Job) int {
 		b = appendVarint(b, int64(op.Est.NumSortColumns))
 	}
 
-	// The stage DAG drives the Jockey/Amdahl wave simulations.
+	// No served predictor reads the stage DAG, but Validate checks it,
+	// so it stays keyed for the same 400 contract as the IDs above.
 	b = appendUvarint(b, uint64(len(job.Stages)))
 	for i := range job.Stages {
 		st := &job.Stages[i]

@@ -12,9 +12,10 @@ import (
 )
 
 // TestScoreModelRouting drives the `model` request field through the
-// public API against a SkipGNN pipeline: valid names (canonical, aliased,
-// baseline) serve and echo the canonical name, unknown names are client
-// errors, and the known-but-untrained GNN is a 409 conflict.
+// public API against a SkipGNN pipeline: valid names (canonical, aliased)
+// serve and echo the canonical name, unknown names — the unserved §6.3
+// simulators included — are ErrUnknownModel client errors, and the
+// known-but-untrained GNN is a 409 conflict.
 func TestScoreModelRouting(t *testing.T) {
 	ts, recs := trainedServer(t)
 	client := NewClient(ts.URL)
@@ -30,8 +31,8 @@ func TestScoreModelRouting(t *testing.T) {
 		{"canonical", "NN", model.NameNN, 0},
 		{"alias lowercased dashed", "xgboost-pl", model.NameXGBPL, 0},
 		{"tabulated model", "XGBoost SS", model.NameXGBSS, 0},
-		{"baseline jockey", "jockey", model.NameJockey, 0},
-		{"baseline amdahl", "Amdahl", model.NameAmdahl, 0},
+		{"baseline jockey", "jockey", "", http.StatusBadRequest},
+		{"baseline amdahl", "Amdahl", "", http.StatusBadRequest},
 		{"unknown model", "resnet", "", http.StatusBadRequest},
 		{"untrained model", "gnn", "", http.StatusConflict},
 	}
@@ -42,6 +43,9 @@ func TestScoreModelRouting(t *testing.T) {
 				var se *StatusError
 				if !errors.As(err, &se) || se.Code != tc.wantStatus {
 					t.Fatalf("model %q: got %v, want status %d", tc.reqModel, err, tc.wantStatus)
+				}
+				if tc.wantStatus == http.StatusBadRequest && !strings.Contains(se.Message, model.ErrUnknownModel.Error()) {
+					t.Fatalf("model %q: message %q, want %q", tc.reqModel, se.Message, model.ErrUnknownModel)
 				}
 				return
 			}
@@ -60,7 +64,8 @@ func TestScoreModelRouting(t *testing.T) {
 
 // TestBatchPerItemModelRouting mixes per-item model names in one batch:
 // each item routes independently and failures carry the single-score
-// error contract (400 unknown, 409 untrained) without touching siblings.
+// error contract (400 unknown, 409 untrained) without touching siblings;
+// the unserved §6.3 simulators are unknown.
 func TestBatchPerItemModelRouting(t *testing.T) {
 	ts, recs := trainedServer(t)
 	client := NewClient(ts.URL)
@@ -68,19 +73,21 @@ func TestBatchPerItemModelRouting(t *testing.T) {
 
 	resp, err := client.ScoreBatch(&BatchScoreRequest{Items: []ScoreRequest{
 		{Job: job},                      // policy default
-		{Job: job, Model: "amdahl"},     // baseline
+		{Job: job, Model: "xgboost pl"}, // named
 		{Job: job, Model: "resnet"},     // unknown -> 400
 		{Job: job, Model: "gnn"},        // skipped in training -> 409
 		{Job: job, Model: "XGBoost-SS"}, // normalization strips space/dash
+		{Job: job, Model: "amdahl"},     // not served -> 400
+		{Job: job, Model: "Jockey"},     // not served -> 400
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Succeeded != 3 || resp.Failed != 2 {
-		t.Fatalf("succeeded=%d failed=%d, want 3/2", resp.Succeeded, resp.Failed)
+	if resp.Succeeded != 3 || resp.Failed != 4 {
+		t.Fatalf("succeeded=%d failed=%d, want 3/4", resp.Succeeded, resp.Failed)
 	}
-	wantModel := map[int]string{0: model.NameNN, 1: model.NameAmdahl, 4: model.NameXGBSS}
-	wantStatus := map[int]int{2: http.StatusBadRequest, 3: http.StatusConflict}
+	wantModel := map[int]string{0: model.NameNN, 1: model.NameXGBPL, 4: model.NameXGBSS}
+	wantStatus := map[int]int{2: http.StatusBadRequest, 3: http.StatusConflict, 5: http.StatusBadRequest, 6: http.StatusBadRequest}
 	for _, res := range resp.Results {
 		if want, ok := wantModel[res.Index]; ok {
 			if res.Status != http.StatusOK || res.Response == nil || res.Response.Model != want {
@@ -90,6 +97,9 @@ func TestBatchPerItemModelRouting(t *testing.T) {
 		if want, ok := wantStatus[res.Index]; ok {
 			if res.Status != want || res.Response != nil {
 				t.Fatalf("item %d: status %d (response %+v), want %d", res.Index, res.Status, res.Response, want)
+			}
+			if want == http.StatusBadRequest && !strings.Contains(res.Error, model.ErrUnknownModel.Error()) {
+				t.Fatalf("item %d: error %q, want %q", res.Index, res.Error, model.ErrUnknownModel)
 			}
 		}
 	}
@@ -111,7 +121,7 @@ func TestModelsEndpoint(t *testing.T) {
 	}
 	want := []string{
 		model.NameXGBSS, model.NameXGBPL, model.NameNN, model.NameGNN,
-		model.NameAutoToken, model.NameJockey, model.NameAmdahl,
+		model.NameAutoToken,
 	}
 	if len(byName) != len(want) {
 		t.Fatalf("got models %v, want %v", resp.Models, want)
@@ -127,8 +137,8 @@ func TestModelsEndpoint(t *testing.T) {
 	if info := byName[model.NameNN]; !info.Trained {
 		t.Fatalf("NN info %+v: want trained", info)
 	}
-	if info := byName[model.NameJockey]; !info.Trained || info.Kind != string(model.KindBaseline) {
-		t.Fatalf("Jockey info %+v: want trained baseline", info)
+	if info := byName[model.NameAutoToken]; !info.Trained || info.Kind != string(model.KindBaseline) {
+		t.Fatalf("AutoToken info %+v: want trained baseline", info)
 	}
 
 	// Wrong method.
@@ -182,8 +192,8 @@ func TestModelRoutingRequiresRouter(t *testing.T) {
 
 // TestAllPredictorsScoreEndToEnd is the acceptance check for the predictor
 // abstraction: one job scored through every registered-and-trained
-// predictor — the four trainer models minus the skipped GNN, plus the §6
-// baselines — with each response echoing the canonical name it was asked
+// predictor — the four trainer models minus the skipped GNN, plus the
+// AutoToken baseline — with each response echoing the canonical name it was asked
 // for, and the per-model metric series appearing on /metrics.
 func TestAllPredictorsScoreEndToEnd(t *testing.T) {
 	ts, recs := trainedServer(t)
@@ -221,7 +231,7 @@ func TestAllPredictorsScoreEndToEnd(t *testing.T) {
 			t.Fatalf("%s: invalid curve %+v", info.Name, resp.Curve)
 		}
 	}
-	if trained < 6 { // XGB-SS, XGB-PL, NN, AutoToken, Jockey, Amdahl
+	if trained < 4 { // XGB-SS, XGB-PL, NN, AutoToken
 		t.Fatalf("only %d trained predictors exercised", trained)
 	}
 
@@ -229,7 +239,7 @@ func TestAllPredictorsScoreEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{model.NameNN, model.NameJockey, model.NameAmdahl} {
+	for _, name := range []string{model.NameNN, model.NameXGBPL, model.NameAutoToken} {
 		if !strings.Contains(metrics, `tasq_score_total{model="`+name+`"}`) {
 			t.Fatalf("per-model series for %s missing from metrics:\n%s", name, metrics)
 		}

@@ -63,8 +63,9 @@ type ScoreRequest struct {
 	// tokens). Negative values are rejected.
 	MaxTokens int `json:"max_tokens,omitempty"`
 	// Model names the predictor to score with (case/spacing-insensitive,
-	// e.g. "NN", "xgboost-pl", "Jockey"). Empty follows the server's
-	// fallback policy. Unknown names are rejected with 400; known but
+	// e.g. "NN", "xgboost-pl", "AutoToken"). Empty follows the server's
+	// fallback policy. Unknown names, the unserved §6.3 simulators
+	// "Jockey" and "Amdahl" among them, are rejected with 400; known but
 	// untrained predictors with 409.
 	Model string `json:"model,omitempty"`
 }

@@ -57,8 +57,8 @@ func TestScoreJobAndOptimalTokensAgreeOnModel(t *testing.T) {
 	}
 }
 
-// TestScorePolicyOverride routes the whole scoring path through a
-// baseline predictor.
+// TestScorePolicyOverride routes the whole scoring path through the
+// AutoToken baseline, which is outside the built-in fallback chain.
 func TestScorePolicyOverride(t *testing.T) {
 	train, _ := dataset(t, 40, 0, 15)
 	cfg := fastConfig(16)
@@ -67,18 +67,30 @@ func TestScorePolicyOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.ScorePolicy = model.Policy{model.NameJockey}
-	curve, name, err := p.ScoreJob(train[0].Job)
+	// AutoToken covers only recurring templates: score a job it covers.
+	at, err := p.Predictors().Get(model.NameAutoToken)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != model.NameJockey {
-		t.Fatalf("scored through %s, want %s", name, model.NameJockey)
+	rec := train[0]
+	for _, r := range train {
+		if _, err := at.PredictCurve(r.Job); err == nil {
+			rec = r
+			break
+		}
+	}
+	p.ScorePolicy = model.Policy{model.NameAutoToken}
+	curve, name, err := p.ScoreJob(rec.Job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name != model.NameAutoToken {
+		t.Fatalf("scored through %s, want %s", name, model.NameAutoToken)
 	}
 	if !curve.Valid() {
 		t.Fatalf("invalid curve %+v", curve)
 	}
-	if opt, err := p.OptimalTokens(train[0], 0, 0.01); err != nil || opt < 1 {
+	if opt, err := p.OptimalTokens(rec, 0, 0.01); err != nil || opt < 1 {
 		t.Fatalf("optimal tokens %d, %v", opt, err)
 	}
 
@@ -111,7 +123,7 @@ func TestScoreJobModelRouting(t *testing.T) {
 	}
 	// Explicit names (normalized) route to the named predictor and echo
 	// its canonical name.
-	for _, req := range []string{"nn", "xgboost-pl", "XGBoost SS", "jockey", "Amdahl"} {
+	for _, req := range []string{"nn", "xgboost-pl", "XGBoost SS"} {
 		curve, got, err := p.ScoreJobModel(req, job)
 		if err != nil {
 			t.Fatalf("%s: %v", req, err)
@@ -120,9 +132,12 @@ func TestScoreJobModelRouting(t *testing.T) {
 			t.Fatalf("%s: name %q curve %+v", req, got, curve)
 		}
 	}
-	// Unknown → ErrUnknownModel; untrained → ErrUntrained.
-	if _, _, err := p.ScoreJobModel("resnet", job); !errors.Is(err, model.ErrUnknownModel) {
-		t.Fatalf("unknown model: %v", err)
+	// Unknown → ErrUnknownModel, the unserved §6.3 simulators included;
+	// untrained → ErrUntrained.
+	for _, req := range []string{"resnet", "jockey", "Amdahl"} {
+		if _, _, err := p.ScoreJobModel(req, job); !errors.Is(err, model.ErrUnknownModel) {
+			t.Fatalf("unknown model %s: %v", req, err)
+		}
 	}
 	if _, _, err := p.ScoreJobModel("gnn", job); !errors.Is(err, model.ErrUntrained) {
 		t.Fatalf("untrained model: %v", err)
@@ -141,7 +156,7 @@ func TestManifestPredictorSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := p.TrainedPredictors()
-	want := []string{ModelXGBSS, ModelXGBPL, ModelNN, model.NameAutoToken, model.NameJockey, model.NameAmdahl}
+	want := []string{ModelXGBSS, ModelXGBPL, ModelNN, model.NameAutoToken}
 	if len(got) != len(want) {
 		t.Fatalf("trained predictors %v, want %v", got, want)
 	}

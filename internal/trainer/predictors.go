@@ -11,12 +11,11 @@ import (
 
 // Predictors returns the pipeline's predictor mux: the four trained
 // models in the paper's table order (XGBoost SS, XGBoost PL, NN, GNN)
-// followed by the §6 baselines (AutoToken, Jockey, Amdahl). The mux is
-// built on first use and cached; adapters read the pipeline's model
-// fields live, so a pipeline trained with SkipGNN registers the GNN as
-// present but untrained rather than omitting it — which is how the
-// serving layer distinguishes "unknown model" (400) from "known but
-// untrained" (409).
+// followed by the AutoToken baseline of §6.2. The mux is built on first
+// use and cached; adapters read the pipeline's model fields live, so a
+// pipeline trained with SkipGNN registers the GNN as present but
+// untrained rather than omitting it — which is how the serving layer
+// distinguishes "unknown model" (400) from "known but untrained" (409).
 func (p *Pipeline) Predictors() *model.Mux {
 	p.muxOnce.Do(func() { p.mux = p.buildMux() })
 	return p.mux
@@ -59,8 +58,6 @@ func (p *Pipeline) buildMux() *model.Mux {
 		return p.GNN.PredictTarget(job).Curve(), nil
 	}))
 	m.MustRegister(model.AutoToken(p.AutoToken, p.predictCurvePL))
-	m.MustRegister(model.Jockey())
-	m.MustRegister(model.Amdahl())
 	return m
 }
 
