@@ -21,8 +21,9 @@ func BenchmarkExecutorRun(b *testing.B) {
 }
 
 // TestExecutorRunAllocs pins BenchmarkExecutorRun's allocations: the
-// per-stage bookkeeping, the pool and the skyline's growth, and nothing
-// per event. Boxing events through container/heap cost 69 here.
+// per-stage bookkeeping, the pool and one skyline, and nothing per event.
+// Boxing events through container/heap cost 69 here. The skyline is laid
+// out at its exact length, so a stored execution holds no slack.
 func TestExecutorRunAllocs(t *testing.T) {
 	job := benchJob()
 	var ex Executor
@@ -33,5 +34,12 @@ func TestExecutorRunAllocs(t *testing.T) {
 	})
 	if allocs > 43 {
 		t.Fatalf("Executor.Run allocates %v times per run, want ≤ 43", allocs)
+	}
+	e, err := ex.Run(job, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(e.Skyline) != len(e.Skyline) {
+		t.Fatalf("skyline of %d seconds has capacity %d", len(e.Skyline), cap(e.Skyline))
 	}
 }

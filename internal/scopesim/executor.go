@@ -142,7 +142,11 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 	}
 
 	var events eventq.Queue[taskEvent]
-	sky := make(skyline.Skyline, 0, 256)
+	// Token usage is constant between events, so it is recorded as runs
+	// and the skyline is laid out once, at its exact length, at the end.
+	type usage struct{ used, until int }
+	var buf [16]usage
+	runs := buf[:0]
 	// The free-token ledger is the shared allocation core's Pool — the
 	// same accounting the FCFS cluster simulator admits jobs with.
 	pool, err := plan.NewPool(tokens)
@@ -187,10 +191,12 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 			return nil, fmt.Errorf("scopesim: job %s exceeded max runtime %ds", job.ID, maxRuntime)
 		}
 		// Record token usage for [t, next).
-		used := pool.InUse()
-		for ; t < next; t++ {
-			sky = append(sky, used)
+		if used := pool.InUse(); len(runs) > 0 && runs[len(runs)-1].used == used {
+			runs[len(runs)-1].until = next
+		} else {
+			runs = append(runs, usage{used, next})
 		}
+		t = next
 		// Process all completions at this instant.
 		for events.Len() > 0 && events.At() == next {
 			_, ev := events.Pop()
@@ -209,10 +215,16 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 		}
 	}
 
+	sky := make(skyline.Skyline, 0, t)
+	for _, r := range runs {
+		for len(sky) < r.until {
+			sky = append(sky, r.used)
+		}
+	}
 	return &Execution{
 		JobID:           job.ID,
 		TokensAllocated: tokens,
 		Skyline:         sky,
-		RuntimeSeconds:  sky.Runtime(),
+		RuntimeSeconds:  t,
 	}, nil
 }
