@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -505,6 +506,9 @@ func cmdFlight(args []string) error {
 	return nil
 }
 
+// cmdScore answers for one repository job what tasqd's /v1/score would:
+// the request goes through the serving path in process (Server.ScoreLocal),
+// with a what-if sweep at 25/50/75/100% of the job's requested tokens.
 func cmdScore(args []string) error {
 	fs := flag.NewFlagSet("score", flag.ContinueOnError)
 	data := fs.String("data", "repo.jsonl", "repository JSONL")
@@ -529,6 +533,10 @@ func cmdScore(args []string) error {
 		return err
 	}
 	p.ScorePolicy = policy
+	srv, err := serve.NewServer(p)
+	if err != nil {
+		return err
+	}
 	rec := repo.Get(*jobID)
 	if rec == nil {
 		if *jobID != "" {
@@ -539,21 +547,23 @@ func cmdScore(args []string) error {
 		}
 		rec = repo.All()[0]
 	}
-	curve, modelName, err := p.ScoreJobModel(*predictor, rec.Job)
+	requested := rec.Job.RequestedTokens
+	req := &serve.ScoreRequest{Job: rec.Job, Model: *predictor, Threshold: *threshold}
+	for _, f := range []float64{0.25, 0.5, 0.75, 1.0} {
+		req.CandidateTokens = append(req.CandidateTokens, max(int(f*float64(requested)), 1))
+	}
+	resp, err := srv.ScoreLocal(req)
 	if err != nil {
 		return err
 	}
-	opt := curve.OptimalTokens(1, rec.ObservedTokens, *threshold)
-	fmt.Printf("job %s scored by %s: %s\n", rec.Job.ID, modelName, curve)
+	defer resp.Release()
+	fmt.Printf("job %s scored by %s: %s (a=%v, b=%v)\n",
+		rec.Job.ID, resp.Model, resp.CurveValue(), resp.Curve.A, resp.Curve.B)
 	fmt.Printf("requested %d tokens; optimal %d tokens (threshold %.2f%%/token)\n",
-		rec.ObservedTokens, opt, *threshold*100)
+		requested, resp.OptimalTokens, *threshold*100)
 	fmt.Println("what-if run times:")
-	for _, f := range []float64{0.25, 0.5, 0.75, 1.0} {
-		tok := int(f * float64(rec.ObservedTokens))
-		if tok < 1 {
-			tok = 1
-		}
-		fmt.Printf("  %4d tokens -> %7.1fs\n", tok, curve.Runtime(float64(tok)))
+	for _, pt := range resp.Predictions {
+		fmt.Printf("  %4d tokens -> %7.1fs\n", pt.Tokens, pt.RuntimeSeconds)
 	}
 	return nil
 }
@@ -601,7 +611,7 @@ func cmdPlan(args []string) error {
 	}
 	var resp *serve.PlanResponse
 	if *addr != "" {
-		resp, err = serve.NewClient(*addr).Plan(req)
+		resp, err = serve.NewClient(*addr).Plan(context.Background(), req)
 	} else {
 		resp, err = planLocal(*modelPath, req)
 	}

@@ -2,12 +2,17 @@ package main
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"tasq/internal/jobrepo"
 	tasqmodel "tasq/internal/model"
 	"tasq/internal/registry"
 	"tasq/internal/serve"
@@ -187,6 +192,69 @@ func TestCLIPlanLocalMatchesServed(t *testing.T) {
 	for _, mode := range [][]string{{"-model", model}, {"-addr", ts.URL}} {
 		if err := run(append([]string{"plan", "-data", repo, "-threshold", "-1"}, mode...)); err == nil {
 			t.Errorf("tasq plan %v accepted a negative threshold", mode)
+		}
+	}
+}
+
+// TestCLIScoreMatchesServed: tasq score answers what the server would. On
+// jobs of a generated repository, under named predictors and the fallback
+// policy, the printed model, curve (to the bit) and optimal tokens are
+// ScoreLocal's, and "requested" is the job's requested tokens. Every record
+// here ran at twice its request, so an answer taken from the observed run
+// instead of the job differs.
+func TestCLIScoreMatchesServed(t *testing.T) {
+	dir := t.TempDir()
+	repo := filepath.Join(dir, "repo.jsonl")
+	model := filepath.Join(dir, "model.gob")
+	if err := run([]string{"generate", "-n", "40", "-seed", "13", "-scale", "0.25", "-out", repo}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"train", "-data", repo, "-out", model, "-nn-epochs", "5", "-skip-gnn"}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := trainer.LoadPipelineFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.NewServer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := jobrepo.LoadFile(repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs.All() {
+		rec.ObservedTokens = 2 * rec.Job.RequestedTokens
+	}
+	if err := recs.SaveFile(repo); err != nil {
+		t.Fatal(err)
+	}
+	head := regexp.MustCompile(`^job (\S+) scored by (.+): Runtime = .* \(a=(\S+), b=(\S+)\)$`)
+	opt := regexp.MustCompile(`^requested (\d+) tokens; optimal (\d+) tokens`)
+	for _, name := range []string{"NN", "XGBoost PL", ""} {
+		for _, rec := range recs.All()[:8] {
+			want, err := srv.ScoreLocal(&serve.ScoreRequest{Job: rec.Job, Model: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(stdoutOf(t, "score", "-data", repo, "-model", model, "-job", rec.Job.ID, "-predictor", name), "\n")
+			h, o := head.FindStringSubmatch(lines[0]), opt.FindStringSubmatch(lines[1])
+			if h == nil || o == nil {
+				t.Fatalf("score %s -predictor %q printed:\n%s", rec.Job.ID, name, strings.Join(lines, "\n"))
+			}
+			a, errA := strconv.ParseFloat(h[3], 64)
+			b, errB := strconv.ParseFloat(h[4], 64)
+			if errA != nil || errB != nil {
+				t.Fatalf("score %s -predictor %q: unparsable curve in %q", rec.Job.ID, name, lines[0])
+			}
+			got := fmt.Sprintf("%s %s %x %x %s %s", h[1], h[2], math.Float64bits(a), math.Float64bits(b), o[1], o[2])
+			exp := fmt.Sprintf("%s %s %x %x %d %d", rec.Job.ID, want.Model, math.Float64bits(want.Curve.A),
+				math.Float64bits(want.Curve.B), rec.Job.RequestedTokens, want.OptimalTokens)
+			if got != exp {
+				t.Errorf("score -predictor %q: printed %q, served %q", name, got, exp)
+			}
+			want.Release()
 		}
 	}
 }

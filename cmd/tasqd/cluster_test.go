@@ -53,7 +53,7 @@ func TestClusterIdentityEndpoint(t *testing.T) {
 		t.Fatal("timed out waiting for listener")
 	}
 	client := serve.NewClient("http://" + addr.String())
-	st, err := client.Cluster()
+	st, err := client.Cluster(context.Background())
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}

@@ -220,10 +220,10 @@ func TestGracefulShutdownOnSIGTERM(t *testing.T) {
 	}
 	baseURL := "http://" + addr.String()
 	client := serve.NewClient(baseURL)
-	if err := client.Health(); err != nil {
+	if err := client.Health(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Ready(); err != nil {
+	if err := client.Ready(context.Background()); err != nil {
 		t.Fatalf("fresh daemon not ready: %v", err)
 	}
 
@@ -249,7 +249,7 @@ func TestGracefulShutdownOnSIGTERM(t *testing.T) {
 	// legitimately shed this request with 503.
 	admitted := false
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		m, err := client.Metrics()
+		m, err := client.Metrics(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestGracefulShutdownOnSIGTERM(t *testing.T) {
 	draining := false
 	deadline := time.Now().Add(1500 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		err := client.Ready()
+		err := client.Ready(context.Background())
 		if se, ok := err.(*serve.StatusError); ok && se.Code == http.StatusServiceUnavailable {
 			draining = true
 			break
@@ -368,7 +368,7 @@ func TestRegistryModeHotReload(t *testing.T) {
 	}
 	client := serve.NewClient("http://" + addr.String())
 
-	resp, err := client.Score(&serve.ScoreRequest{Job: job})
+	resp, err := client.Score(context.Background(), &serve.ScoreRequest{Job: job})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestRegistryModeHotReload(t *testing.T) {
 	if _, err := reg.PublishPipeline(p, registry.Manifest{Notes: "v2"}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := client.Reload()
+	out, err := client.Reload(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestRegistryModeHotReload(t *testing.T) {
 	swapped := false
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		m, err := client.Metrics()
+		m, err := client.Metrics(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func TestRegistryModeHotReload(t *testing.T) {
 	if !swapped {
 		t.Fatal("SIGHUP never swapped the active model to v3")
 	}
-	resp, err = client.Score(&serve.ScoreRequest{Job: job})
+	resp, err = client.Score(context.Background(), &serve.ScoreRequest{Job: job})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestServesBatchAndMetrics(t *testing.T) {
 	}
 	client := serve.NewClient("http://" + addr.String())
 
-	batch, err := client.ScoreBatch(&serve.BatchScoreRequest{Items: []serve.ScoreRequest{
+	batch, err := client.ScoreBatch(context.Background(), &serve.BatchScoreRequest{Items: []serve.ScoreRequest{
 		{Job: job}, {},
 	}})
 	if err != nil {
@@ -473,7 +473,7 @@ func TestServesBatchAndMetrics(t *testing.T) {
 	if batch.Succeeded != 1 || batch.Failed != 1 {
 		t.Fatalf("batch outcome %+v", batch)
 	}
-	metrics, err := client.Metrics()
+	metrics, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestFaultProfileFlag(t *testing.T) {
 	defer stop()
 
 	for i := 0; i < 3; i++ {
-		_, err := client.Score(&serve.ScoreRequest{Job: job})
+		_, err := client.Score(context.Background(), &serve.ScoreRequest{Job: job})
 		se, ok := err.(*serve.StatusError)
 		if !ok || se.Code != http.StatusInternalServerError {
 			t.Fatalf("score %d under rate-1 error profile: %v, want injected 500", i, err)
@@ -554,10 +554,10 @@ func TestFaultProfileFlag(t *testing.T) {
 			t.Fatalf("score %d error does not identify the injection: %s", i, se.Message)
 		}
 	}
-	if err := client.Health(); err != nil {
+	if err := client.Health(context.Background()); err != nil {
 		t.Fatalf("health under fault profile: %v", err)
 	}
-	metrics, err := client.Metrics()
+	metrics, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestAdmissionFlags(t *testing.T) {
 	results := make(chan outcome, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, err := client.Score(&serve.ScoreRequest{Job: job})
+			_, err := client.Score(context.Background(), &serve.ScoreRequest{Job: job})
 			results <- outcome{err: err}
 		}()
 	}
@@ -648,7 +648,7 @@ func TestPolicyFlagAndModelsEndpoint(t *testing.T) {
 	client := serve.NewClient("http://" + addr.String())
 
 	// Unnamed requests follow the -policy chain, not the built-in order.
-	resp, err := client.Score(&serve.ScoreRequest{Job: job})
+	resp, err := client.Score(context.Background(), &serve.ScoreRequest{Job: job})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,7 +656,7 @@ func TestPolicyFlagAndModelsEndpoint(t *testing.T) {
 		t.Fatalf("policy-routed score served by %s, want %s", resp.Model, model.NameXGBSS)
 	}
 	// A request naming a model overrides the policy.
-	resp, err = client.Score(&serve.ScoreRequest{Job: job, Model: "xgboost-pl"})
+	resp, err = client.Score(context.Background(), &serve.ScoreRequest{Job: job, Model: "xgboost-pl"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +664,7 @@ func TestPolicyFlagAndModelsEndpoint(t *testing.T) {
 		t.Fatalf("named score served by %s, want %s", resp.Model, model.NameXGBPL)
 	}
 	// The daemon lists its predictor set.
-	models, err := client.Models()
+	models, err := client.Models(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +751,7 @@ func TestAutopilotModeWiring(t *testing.T) {
 	}
 	client := serve.NewClient("http://" + addr.String())
 
-	out, err := client.Telemetry(&serve.TelemetryRequest{Records: repo.All()[:10]})
+	out, err := client.Telemetry(context.Background(), &serve.TelemetryRequest{Records: repo.All()[:10]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -762,7 +762,7 @@ func TestAutopilotModeWiring(t *testing.T) {
 	// to fold all 10 samples.
 	folded := false
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		m, err := client.Metrics()
+		m, err := client.Metrics(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -813,7 +813,7 @@ func TestServesPlan(t *testing.T) {
 	client, job, stop := bootDaemon(t, nil, "-max-plan-jobs", "2")
 	defer stop()
 
-	resp, err := client.Plan(&serve.PlanRequest{
+	resp, err := client.Plan(context.Background(), &serve.PlanRequest{
 		Jobs:           []*scopesim.Job{job, job},
 		CapacityTokens: 200,
 	})
@@ -830,7 +830,7 @@ func TestServesPlan(t *testing.T) {
 	}
 
 	// The third job breaches -max-plan-jobs 2 → 400.
-	_, err = client.Plan(&serve.PlanRequest{
+	_, err = client.Plan(context.Background(), &serve.PlanRequest{
 		Jobs:           []*scopesim.Job{job, job, job},
 		CapacityTokens: 200,
 	})

@@ -77,7 +77,7 @@ func main() {
 	for job.RequestedTokens < 50 {
 		job = gen.Job()
 	}
-	resp, err := client.Score(&tasq.ScoreRequest{Job: job})
+	resp, err := client.Score(ctx, &tasq.ScoreRequest{Job: job})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,16 +94,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := client.Reload(); err != nil { // what a deploy would POST to /v1/admin/reload
+	if _, err := client.Reload(ctx); err != nil { // what a deploy would POST to /v1/admin/reload
 		log.Fatal(err)
 	}
 	fmt.Printf("\npublished v%d; v%d stays active (pinned), v%d shadows\n", v2, v1, v2)
 	for i := 0; i < 8; i++ {
-		if _, err := client.Score(&tasq.ScoreRequest{Job: gen.Job()}); err != nil {
+		if _, err := client.Score(ctx, &tasq.ScoreRequest{Job: gen.Job()}); err != nil {
 			log.Fatal(err)
 		}
 	}
-	metrics, err := client.Metrics()
+	metrics, err := client.Metrics(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,12 +119,12 @@ func main() {
 	if err := reg.Unpin(); err != nil {
 		log.Fatal(err)
 	}
-	out, err := client.Reload()
+	out, err := client.Reload(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\npromoted: active v%d, shadow cleared\n", out.ActiveVersion)
-	resp, err = client.Score(&tasq.ScoreRequest{Job: job})
+	resp, err = client.Score(ctx, &tasq.ScoreRequest{Job: job})
 	if err != nil {
 		log.Fatal(err)
 	}

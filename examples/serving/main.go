@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -49,11 +50,12 @@ func main() {
 	fmt.Printf("scoring service deployed at %s\n", baseURL)
 
 	// The client submission system scores an incoming job.
+	ctx := context.Background()
 	client := tasq.NewScoringClient(baseURL)
-	if err := client.Health(); err != nil {
+	if err := client.Health(ctx); err != nil {
 		log.Fatal(err)
 	}
-	if err := client.Ready(); err != nil {
+	if err := client.Ready(ctx); err != nil {
 		log.Fatal(err)
 	}
 	// Score an incoming job with a realistically sized request.
@@ -61,7 +63,7 @@ func main() {
 	for job.RequestedTokens < 50 {
 		job = gen.Job()
 	}
-	resp, err := client.Score(&tasq.ScoreRequest{
+	resp, err := client.Score(ctx, &tasq.ScoreRequest{
 		Job:             job,
 		CandidateTokens: []int{25, 50, 100, job.RequestedTokens},
 		Threshold:       0.01,
@@ -87,7 +89,7 @@ func main() {
 		{}, // malformed: no job
 		{Job: gen.Job()},
 	}}
-	bresp, err := client.ScoreBatch(batch)
+	bresp, err := client.ScoreBatch(ctx, batch)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func main() {
 	}
 
 	// Operational telemetry: every request above is already on /metrics.
-	metrics, err := client.Metrics()
+	metrics, err := client.Metrics(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -61,7 +62,7 @@ func fleetFixture(t *testing.T, n int) (*Fleet, *registry.Registry, []*jobrepo.R
 
 func scoreOn(t *testing.T, r *Replica, job *scopesim.Job) (*serve.ScoreResponse, error) {
 	t.Helper()
-	return serve.NewClient(r.URL()).Score(&serve.ScoreRequest{Job: job})
+	return serve.NewClient(r.URL()).Score(context.Background(), &serve.ScoreRequest{Job: job})
 }
 
 func TestFleetBootAndScore(t *testing.T) {

@@ -147,7 +147,7 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 			default:
 			}
 			job := recs[rng.Intn(len(recs))].Job
-			_, err := client.Score(&serve.ScoreRequest{Job: job})
+			_, err := client.Score(context.Background(), &serve.ScoreRequest{Job: job})
 			if err != nil && !allowed(err, http.StatusTooManyRequests,
 				http.StatusInternalServerError, http.StatusServiceUnavailable,
 				http.StatusGatewayTimeout) {
@@ -162,7 +162,7 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 	var sent int64
 	post := func(rec *jobrepo.Record) error {
 		for {
-			out, err := tclient.Telemetry(&serve.TelemetryRequest{Records: []*jobrepo.Record{rec}})
+			out, err := tclient.Telemetry(context.Background(), &serve.TelemetryRequest{Records: []*jobrepo.Record{rec}})
 			if allowed(err, http.StatusTooManyRequests) {
 				time.Sleep(time.Millisecond) // shed by the gate or the queue: try again
 				continue
@@ -276,7 +276,7 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 		return nil, fmt.Errorf("guardrail rolled back %d times, want at most once", st.Rollbacks)
 	}
 	// Clean scoring against the converged generation.
-	resp, err := serve.NewClient(ts.URL).Score(&serve.ScoreRequest{Job: recs[0].Job})
+	resp, err := serve.NewClient(ts.URL).Score(context.Background(), &serve.ScoreRequest{Job: recs[0].Job})
 	if err != nil {
 		return nil, fmt.Errorf("post-storm score: %w", err)
 	}

@@ -566,7 +566,7 @@ func runFleetOp(rng *rand.Rand, cc *serve.ClusterClient, recs []*jobrepo.Record,
 	}
 	single := func(model string) {
 		rec := recs[rng.Intn(len(recs))]
-		resp, err := cc.Score(&serve.ScoreRequest{Job: rec.Job, Model: model})
+		resp, err := cc.Score(context.Background(), &serve.ScoreRequest{Job: rec.Job, Model: model})
 		if err != nil {
 			if allowedFleetFailure(err) {
 				fail(err, 0)
@@ -596,7 +596,7 @@ func runFleetOp(rng *rand.Rand, cc *serve.ClusterClient, recs []*jobrepo.Record,
 			items[i] = serve.ScoreRequest{Job: rec.Job}
 			ids[i] = rec.Job.ID
 		}
-		resp, err := cc.ScoreBatch(&serve.BatchScoreRequest{Items: items})
+		resp, err := cc.ScoreBatch(context.Background(), &serve.BatchScoreRequest{Items: items})
 		if err != nil {
 			if allowedFleetFailure(err) {
 				// A sibling group may have executed before this one
@@ -617,7 +617,7 @@ func runFleetOp(rng *rand.Rand, cc *serve.ClusterClient, recs []*jobrepo.Record,
 		// Deliberate invalid request: a nil job must come back as a
 		// crisp 400 even mid-churn, unless its whole failover chain is
 		// down.
-		_, err := cc.Score(&serve.ScoreRequest{})
+		_, err := cc.Score(context.Background(), &serve.ScoreRequest{})
 		if code, ok := statusOf(err); ok && code == http.StatusBadRequest {
 			cnt.mu.Lock()
 			cnt.intended400++

@@ -249,7 +249,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// ---- Reconcile client-side tallies against /metrics. ----
-	text, err := serve.NewClient(ts.URL).Metrics() // no OnAttempt: the ledger is frozen
+	text, err := serve.NewClient(ts.URL).Metrics(context.Background()) // no OnAttempt: the ledger is frozen
 	if err != nil {
 		return nil, err
 	}
@@ -282,13 +282,13 @@ func Run(cfg Config) (*Result, error) {
 	// ---- Drain: new work is refused, probes stay truthful. ----
 	srv.BeginDrain()
 	drainClient := serve.NewClient(ts.URL)
-	if _, err := drainClient.Score(&serve.ScoreRequest{Job: recs[0].Job}); !allowed(err, http.StatusServiceUnavailable) {
+	if _, err := drainClient.Score(context.Background(), &serve.ScoreRequest{Job: recs[0].Job}); !allowed(err, http.StatusServiceUnavailable) {
 		return nil, fmt.Errorf("score while draining: %v, want 503", err)
 	}
-	if err := drainClient.Ready(); !allowed(err, http.StatusServiceUnavailable) {
+	if err := drainClient.Ready(context.Background()); !allowed(err, http.StatusServiceUnavailable) {
 		return nil, fmt.Errorf("readyz while draining: %v, want 503", err)
 	}
-	if err := drainClient.Health(); err != nil {
+	if err := drainClient.Health(context.Background()); err != nil {
 		return nil, fmt.Errorf("healthz while draining: %v", err)
 	}
 
@@ -352,7 +352,7 @@ func saturate(addr, url string, recs []*jobrepo.Record, led *ledger, cnt *counte
 		}
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		text, err := serve.NewClient(url).Metrics()
+		text, err := serve.NewClient(url).Metrics(context.Background())
 		if err != nil {
 			return err
 		}
@@ -509,7 +509,7 @@ func runOp(rng *rand.Rand, client *serve.Client, recs []*jobrepo.Record, cnt *co
 			}
 			wantOK, conflict, bad = false, false, true
 		}
-		resp, err := client.Score(req)
+		resp, err := client.Score(context.Background(), req)
 		checkSingle(resp, err, wantOK, conflict, bad, cnt, errs, oracle, jobID)
 	case opRoll < 60: // batch, mixed item validity
 		req := &serve.BatchScoreRequest{}
@@ -530,7 +530,7 @@ func runOp(rng *rand.Rand, client *serve.Client, recs []*jobrepo.Record, cnt *co
 			}
 			req.Items = append(req.Items, item)
 		}
-		resp, err := client.ScoreBatch(req)
+		resp, err := client.ScoreBatch(context.Background(), req)
 		switch {
 		case err == nil:
 			recordBatch(resp, cnt, errs, expect, oracle, ids)
@@ -545,11 +545,11 @@ func runOp(rng *rand.Rand, client *serve.Client, recs []*jobrepo.Record, cnt *co
 		}
 	case opRoll < 70: // reads
 		if rng.Intn(2) == 0 {
-			if _, err := client.Metrics(); err != nil && !errors.Is(err, serve.ErrCircuitOpen) {
+			if _, err := client.Metrics(context.Background()); err != nil && !errors.Is(err, serve.ErrCircuitOpen) {
 				errs.set(fmt.Errorf("metrics op: %v", err))
 			}
 		} else {
-			resp, err := client.Models()
+			resp, err := client.Models(context.Background())
 			switch {
 			case err == nil:
 				if resp.ModelVersion != 1 && resp.ModelVersion != 2 {
@@ -564,12 +564,12 @@ func runOp(rng *rand.Rand, client *serve.Client, recs []*jobrepo.Record, cnt *co
 			}
 		}
 	case opRoll < 78: // probes never shed and never break
-		if err := client.Ready(); err != nil {
+		if err := client.Ready(context.Background()); err != nil {
 			errs.set(fmt.Errorf("readyz op: %v", err))
 		}
 	case opRoll < 88: // admin reload: ok, or a 500 from an injected
 		// registry fault (the previous generation keeps serving either way)
-		_, err := client.Reload()
+		_, err := client.Reload(context.Background())
 		switch {
 		case err == nil, errors.Is(err, serve.ErrCircuitOpen):
 			if errors.Is(err, serve.ErrCircuitOpen) {
@@ -587,7 +587,7 @@ func runOp(rng *rand.Rand, client *serve.Client, recs []*jobrepo.Record, cnt *co
 			Threshold:       0.005 + rng.Float64()*0.05,
 			CandidateTokens: []int{1 + rng.Intn(3), 8 + rng.Intn(8), 32 + rng.Intn(32), 128},
 		}
-		resp, err := client.Score(req)
+		resp, err := client.Score(context.Background(), req)
 		checkSingle(resp, err, true, false, false, cnt, errs, oracle, req.Job.ID)
 	}
 }

@@ -8,6 +8,7 @@ package harness
 // schedule and invariants.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -474,9 +475,9 @@ func checkScore(resp *serve.ScoreResponse, versions map[int]bool, oracle curveOr
 
 // recoverScores scores every job once the storm has cleared: each must
 // succeed and match versions and the oracle. It returns how many did.
-func recoverScores(score func(*serve.ScoreRequest) (*serve.ScoreResponse, error), recs []*jobrepo.Record, versions map[int]bool, oracle curveOracle) (int, error) {
+func recoverScores(score func(context.Context, *serve.ScoreRequest) (*serve.ScoreResponse, error), recs []*jobrepo.Record, versions map[int]bool, oracle curveOracle) (int, error) {
 	for i, rec := range recs {
-		resp, err := score(&serve.ScoreRequest{Job: rec.Job})
+		resp, err := score(context.Background(), &serve.ScoreRequest{Job: rec.Job})
 		if err == nil {
 			err = checkScore(resp, versions, oracle, rec.Job.ID)
 		}

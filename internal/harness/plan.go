@@ -400,7 +400,7 @@ func RunPlanSoak(cfg PlanSoakConfig) (*PlanSoakResult, error) {
 		req := soakRequest(cfg.Seed, i, pool, min(planSoakJobs, 200))
 		req.Policy = "optimal"
 		req.Strategy = soakStrategies[i%len(soakStrategies)]
-		wire, err := client.Plan(req)
+		wire, err := client.Plan(context.Background(), req)
 		if err != nil {
 			return nil, fmt.Errorf("HTTP plan %d (%s): %w", i, req.Strategy, err)
 		}

@@ -126,8 +126,8 @@ type Outcome struct {
 }
 
 // Pool is a fixed-capacity token ledger — the one piece of accounting
-// every simulator and the scopesim executor share. A pool built with
-// NewPoolQuota additionally caps each tenant's concurrently held
+// every simulator and the scopesim executor share. A pool built with a
+// non-empty quota additionally caps each tenant's concurrently held
 // tokens. It is not goroutine-safe; each simulation owns its pool.
 type Pool struct {
 	capacity int
@@ -136,14 +136,8 @@ type Pool struct {
 	held     map[string]int
 }
 
-// NewPool returns a ledger with capacity free tokens and no tenant
-// quotas.
-func NewPool(capacity int) (*Pool, error) {
-	return NewPoolQuota(capacity, nil)
-}
-
 // NewPoolQuota returns a ledger with capacity free tokens whose tenants
-// are additionally bounded by quota.
+// are additionally bounded by quota (nil: no tenant quotas).
 func NewPoolQuota(capacity int, quota Quota) (*Pool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("%w: %d", ErrBadCapacity, capacity)
@@ -169,8 +163,7 @@ func (p *Pool) Free() int { return p.free }
 func (p *Pool) InUse() int { return p.capacity - p.free }
 
 // TenantInUse returns the tokens currently held by one tenant. Claims
-// made through the quota-blind Acquire/AcquireUpTo entry points belong
-// to the empty tenant.
+// made through the quota-blind AcquireUpTo belong to the empty tenant.
 func (p *Pool) TenantInUse(tenant string) int {
 	if p.held == nil {
 		if tenant == "" {
@@ -206,11 +199,9 @@ func (p *Pool) FitsTenant(tenant string, n int) bool {
 	return true
 }
 
-// Acquire claims exactly n tokens or fails without claiming any — the
-// guaranteed-token admission the FCFS simulator models.
-func (p *Pool) Acquire(n int) error { return p.AcquireTenant("", n) }
-
-// AcquireTenant is Acquire charged against tenant's quota.
+// AcquireTenant claims exactly n tokens for tenant, within its quota, or
+// fails without claiming any — the guaranteed-token admission the FCFS
+// simulator models. The empty tenant is the unquoted caller.
 func (p *Pool) AcquireTenant(tenant string, n int) error {
 	if p.tryAcquire(tenant, n) {
 		return nil
@@ -254,11 +245,8 @@ func (p *Pool) AcquireUpTo(want int) int {
 	return want
 }
 
-// Release returns n tokens to the pool; releasing more than is
-// outstanding is a ledger bug and fails.
-func (p *Pool) Release(n int) error { return p.ReleaseTenant("", n) }
-
-// ReleaseTenant is Release credited back to tenant's quota.
+// ReleaseTenant returns n tokens to the pool, credited back to tenant's
+// quota; releasing more than is outstanding is a ledger bug and fails.
 func (p *Pool) ReleaseTenant(tenant string, n int) error {
 	if n < 0 || p.free+n > p.capacity {
 		return fmt.Errorf("%w: release %d with %d of %d free", ErrBadAllocation, n, p.free, p.capacity)

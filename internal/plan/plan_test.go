@@ -10,23 +10,23 @@ import (
 )
 
 func TestPoolLedger(t *testing.T) {
-	if _, err := NewPool(0); !errors.Is(err, ErrBadCapacity) {
+	if _, err := NewPoolQuota(0, nil); !errors.Is(err, ErrBadCapacity) {
 		t.Fatalf("zero capacity: %v", err)
 	}
-	p, err := NewPool(10)
+	p, err := NewPoolQuota(10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Capacity() != 10 || p.Free() != 10 || p.InUse() != 0 {
 		t.Fatalf("fresh pool: cap=%d free=%d used=%d", p.Capacity(), p.Free(), p.InUse())
 	}
-	if err := p.Acquire(4); err != nil {
+	if err := p.AcquireTenant("", 4); err != nil {
 		t.Fatal(err)
 	}
 	if p.Free() != 6 || p.InUse() != 4 {
 		t.Fatalf("after acquire: free=%d used=%d", p.Free(), p.InUse())
 	}
-	if err := p.Acquire(7); !errors.Is(err, ErrBadAllocation) {
+	if err := p.AcquireTenant("", 7); !errors.Is(err, ErrBadAllocation) {
 		t.Fatalf("over-acquire: %v", err)
 	}
 	if p.Free() != 6 {
@@ -41,10 +41,10 @@ func TestPoolLedger(t *testing.T) {
 	if got := p.AcquireUpTo(-3); got != 0 {
 		t.Fatalf("negative want granted %d", got)
 	}
-	if err := p.Release(11); !errors.Is(err, ErrBadAllocation) {
+	if err := p.ReleaseTenant("", 11); !errors.Is(err, ErrBadAllocation) {
 		t.Fatalf("over-release: %v", err)
 	}
-	if err := p.Release(10); err != nil {
+	if err := p.ReleaseTenant("", 10); err != nil {
 		t.Fatal(err)
 	}
 	if !p.Fits(10) || p.Fits(11) || p.Fits(0) {
@@ -53,17 +53,17 @@ func TestPoolLedger(t *testing.T) {
 }
 
 func TestSimulateFCFSZeroCapacityPool(t *testing.T) {
-	_, err := SimulateFCFS(0, []Allocation{{ID: "a", Tokens: 1, DurationSeconds: 1}})
+	_, err := SimulateFCFSQuota(0, nil, []Allocation{{ID: "a", Tokens: 1, DurationSeconds: 1}})
 	if !errors.Is(err, ErrBadCapacity) {
 		t.Fatalf("zero-capacity pool: %v", err)
 	}
-	if _, err := SimulateFCFS(-5, nil); !errors.Is(err, ErrBadCapacity) {
+	if _, err := SimulateFCFSQuota(-5, nil, nil); !errors.Is(err, ErrBadCapacity) {
 		t.Fatalf("negative-capacity pool: %v", err)
 	}
 }
 
 func TestSimulateFCFSJobLargerThanPool(t *testing.T) {
-	_, err := SimulateFCFS(10, []Allocation{{ID: "big", Tokens: 20, DurationSeconds: 1}})
+	_, err := SimulateFCFSQuota(10, nil, []Allocation{{ID: "big", Tokens: 20, DurationSeconds: 1}})
 	if !errors.Is(err, ErrBadAllocation) {
 		t.Fatalf("oversize request: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestSimulateFCFSEqualArrivalTieBreaking(t *testing.T) {
 		{ID: "second", ArrivalSecond: 5, Tokens: 8, DurationSeconds: 3},
 		{ID: "third", ArrivalSecond: 5, Tokens: 8, DurationSeconds: 3},
 	}
-	outs, err := SimulateFCFS(10, allocs)
+	outs, err := SimulateFCFSQuota(10, nil, allocs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSimulateFCFSNoBackfilling(t *testing.T) {
 		{ID: "blocked-big", ArrivalSecond: 1, Tokens: 10, DurationSeconds: 1},
 		{ID: "small-later", ArrivalSecond: 2, Tokens: 1, DurationSeconds: 1},
 	}
-	outs, err := SimulateFCFS(10, allocs)
+	outs, err := SimulateFCFSQuota(10, nil, allocs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +108,16 @@ func TestSimulateFCFSNoBackfilling(t *testing.T) {
 }
 
 func TestSimulateFCFSValidation(t *testing.T) {
-	if _, err := SimulateFCFS(10, []Allocation{{ID: "z", Tokens: 0, DurationSeconds: 1}}); !errors.Is(err, ErrBadAllocation) {
+	if _, err := SimulateFCFSQuota(10, nil, []Allocation{{ID: "z", Tokens: 0, DurationSeconds: 1}}); !errors.Is(err, ErrBadAllocation) {
 		t.Fatalf("zero tokens: %v", err)
 	}
-	if _, err := SimulateFCFS(10, []Allocation{{ID: "n", Tokens: 1, DurationSeconds: -1}}); !errors.Is(err, ErrBadAllocation) {
+	if _, err := SimulateFCFSQuota(10, nil, []Allocation{{ID: "n", Tokens: 1, DurationSeconds: -1}}); !errors.Is(err, ErrBadAllocation) {
 		t.Fatalf("negative duration: %v", err)
 	}
-	if _, err := SimulateFCFS(10, []Allocation{{ID: "a", ArrivalSecond: -1, Tokens: 1, DurationSeconds: 1}}); !errors.Is(err, ErrBadAllocation) {
+	if _, err := SimulateFCFSQuota(10, nil, []Allocation{{ID: "a", ArrivalSecond: -1, Tokens: 1, DurationSeconds: 1}}); !errors.Is(err, ErrBadAllocation) {
 		t.Fatalf("negative arrival: %v", err)
 	}
-	outs, err := SimulateFCFS(10, nil)
+	outs, err := SimulateFCFSQuota(10, nil, nil)
 	if err != nil || len(outs) != 0 {
 		t.Fatalf("empty simulation: %v %v", outs, err)
 	}

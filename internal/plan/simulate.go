@@ -9,19 +9,14 @@ import (
 	"tasq/internal/eventq"
 )
 
-// SimulateFCFS runs the allocations through a fixed-capacity token pool
-// with FCFS admission: a job is admitted when its full token request is
-// free; later arrivals cannot jump the queue (no backfilling), which
-// models SCOPE's guaranteed-token admission. Arrival ties are broken by
-// input order (stable), and outcomes are returned in input order. Retry
-// legs on the allocations are ignored — SimulateRetry honors them.
-func SimulateFCFS(capacity int, allocs []Allocation) ([]Outcome, error) {
-	return simulate(capacity, nil, allocs, fcfs)
-}
-
-// SimulateFCFSQuota is SimulateFCFS with per-tenant quotas enforced at
-// admission: the queue head additionally waits until its tenant's
-// concurrently held tokens would stay within quota.
+// SimulateFCFSQuota runs the allocations through a fixed-capacity token
+// pool with FCFS admission: a job is admitted when its full token request
+// is free and its tenant's concurrently held tokens would stay within
+// quota (nil: no quotas); later arrivals cannot jump the queue (no
+// backfilling), which models SCOPE's guaranteed-token admission. Arrival
+// ties are broken by input order (stable), and outcomes are returned in
+// input order. Retry legs on the allocations are ignored — SimulateRetry
+// honors them.
 func SimulateFCFSQuota(capacity int, quota Quota, allocs []Allocation) ([]Outcome, error) {
 	return simulate(capacity, quota, allocs, fcfs)
 }

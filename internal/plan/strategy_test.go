@@ -92,7 +92,7 @@ func TestSimulateBackfillDoesBackfill(t *testing.T) {
 		t.Fatalf("big job started %d, want 10", outs[1].StartSecond)
 	}
 	// FCFS on the same batch refuses the jump.
-	fcfs, err := SimulateFCFS(10, allocs)
+	fcfs, err := SimulateFCFSQuota(10, nil, allocs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestBackfillFallback(t *testing.T) {
 		{ID: "sla", ArrivalSecond: 1, Tokens: 10, DurationSeconds: 1, DeadlineSecond: 7},
 		{ID: "filler", ArrivalSecond: 1, Tokens: 4, DurationSeconds: 100},
 	}
-	fcfs, err := SimulateFCFS(10, allocs)
+	fcfs, err := SimulateFCFSQuota(10, nil, allocs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestClusterRunSerializesWhenFull(t *testing.T) {
 		{ID: "b", ArrivalSecond: 0, Tokens: 100, DurationSeconds: 10},
 		{ID: "c", ArrivalSecond: 0, Tokens: 100, DurationSeconds: 10},
 	}
-	scheds, err := plan.SimulateFCFS(100, subs)
+	scheds, err := plan.SimulateFCFSQuota(100, nil, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestClusterRunParallelWhenFits(t *testing.T) {
 		{ID: "a", ArrivalSecond: 0, Tokens: 50, DurationSeconds: 10},
 		{ID: "b", ArrivalSecond: 0, Tokens: 50, DurationSeconds: 10},
 	}
-	scheds, err := plan.SimulateFCFS(100, subs)
+	scheds, err := plan.SimulateFCFSQuota(100, nil, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestClusterRunRespectsArrivals(t *testing.T) {
 		{ID: "late", ArrivalSecond: 100, Tokens: 5, DurationSeconds: 5},
 		{ID: "early", ArrivalSecond: 0, Tokens: 5, DurationSeconds: 5},
 	}
-	scheds, err := plan.SimulateFCFS(10, subs)
+	scheds, err := plan.SimulateFCFSQuota(10, nil, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +141,13 @@ func TestClusterRunRespectsArrivals(t *testing.T) {
 }
 
 func TestClusterRunErrors(t *testing.T) {
-	if _, err := plan.SimulateFCFS(0, nil); err == nil {
+	if _, err := plan.SimulateFCFSQuota(0, nil, nil); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
-	if _, err := plan.SimulateFCFS(10, []plan.Allocation{{ID: "big", Tokens: 20, DurationSeconds: 1}}); err == nil {
+	if _, err := plan.SimulateFCFSQuota(10, nil, []plan.Allocation{{ID: "big", Tokens: 20, DurationSeconds: 1}}); err == nil {
 		t.Fatal("oversize request accepted")
 	}
-	if _, err := plan.SimulateFCFS(10, []plan.Allocation{{ID: "neg", Tokens: 5, DurationSeconds: -1}}); err == nil {
+	if _, err := plan.SimulateFCFSQuota(10, nil, []plan.Allocation{{ID: "neg", Tokens: 5, DurationSeconds: -1}}); err == nil {
 		t.Fatal("negative duration accepted")
 	}
 }
@@ -159,11 +159,11 @@ func TestSmallerRequestsReduceWait(t *testing.T) {
 		fat = append(fat, plan.Allocation{ID: "f", ArrivalSecond: i, Tokens: 80, DurationSeconds: 30})
 		thin = append(thin, plan.Allocation{ID: "t", ArrivalSecond: i, Tokens: 40, DurationSeconds: 33})
 	}
-	fs, err := plan.SimulateFCFS(100, fat)
+	fs, err := plan.SimulateFCFSQuota(100, nil, fat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := plan.SimulateFCFS(100, thin)
+	ts, err := plan.SimulateFCFSQuota(100, nil, thin)
 	if err != nil {
 		t.Fatal(err)
 	}

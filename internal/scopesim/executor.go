@@ -149,7 +149,7 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 	runs := buf[:0]
 	// The free-token ledger is the shared allocation core's Pool — the
 	// same accounting the FCFS cluster simulator admits jobs with.
-	pool, err := plan.NewPool(tokens)
+	pool, err := plan.NewPoolQuota(tokens, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +200,7 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 		// Process all completions at this instant.
 		for events.Len() > 0 && events.At() == next {
 			_, ev := events.Pop()
-			if err := pool.Release(ev.count); err != nil {
+			if err := pool.ReleaseTenant("", ev.count); err != nil {
 				return nil, fmt.Errorf("scopesim: job %s ledger corrupt at t=%d: %w", job.ID, t, err)
 			}
 			remaining[ev.stage] -= ev.count

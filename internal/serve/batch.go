@@ -110,19 +110,9 @@ func (s *Server) scoreItem(i int, req *ScoreRequest) (res BatchItemResult) {
 // ScoreBatch submits several jobs in one request. The returned response
 // carries per-item results; an item-level failure is reported in its
 // BatchItemResult, not as a Go error.
-func (c *Client) ScoreBatch(req *BatchScoreRequest) (*BatchScoreResponse, error) {
-	return c.ScoreBatchCtx(context.Background(), req)
-}
-
-// ScoreBatchCtx is ScoreBatch honoring the caller's deadline and
-// cancellation.
-func (c *Client) ScoreBatchCtx(ctx context.Context, req *BatchScoreRequest) (*BatchScoreResponse, error) {
-	var out BatchScoreResponse
+func (c *Client) ScoreBatch(ctx context.Context, req *BatchScoreRequest) (*BatchScoreResponse, error) {
 	// A batch is retried only when the service provably refused it whole
 	// (admission shed); a transport error or 500 may hide a partially
 	// executed batch, which must not be blindly resubmitted.
-	if err := c.postJSON(ctx, "/v1/score/batch", retryAtomic, req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postJSON[BatchScoreResponse](ctx, c, "/v1/score/batch", retryAtomic, req)
 }

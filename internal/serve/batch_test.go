@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -65,7 +66,7 @@ func TestBatchScoreMixedItems(t *testing.T) {
 		{Job: validJob("ok-2"), Threshold: -0.1}, // negative threshold → per-item 400
 		{Job: validJob("ok-3"), CandidateTokens: []int{25, 50}},
 	}}
-	resp, err := client.ScoreBatch(req)
+	resp, err := client.ScoreBatch(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestBatchScoreInternalFailureIsolated(t *testing.T) {
 	_, ts := fakeServer(t, &fakeScorer{err: errors.New("model exploded")})
 	client := NewClient(ts.URL)
 
-	resp, err := client.ScoreBatch(&BatchScoreRequest{Items: []ScoreRequest{
+	resp, err := client.ScoreBatch(context.Background(), &BatchScoreRequest{Items: []ScoreRequest{
 		{Job: validJob("a")},
 		{},
 	}})
@@ -124,14 +125,14 @@ func TestBatchEnvelopeValidation(t *testing.T) {
 	client := NewClient(ts.URL)
 
 	// Empty batch.
-	_, err := client.ScoreBatch(&BatchScoreRequest{})
+	_, err := client.ScoreBatch(context.Background(), &BatchScoreRequest{})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != 400 {
 		t.Fatalf("empty batch: %v", err)
 	}
 	// Oversized batch.
 	big := &BatchScoreRequest{Items: make([]ScoreRequest, 3)}
-	if _, err := client.ScoreBatch(big); !errors.As(err, &se) || se.Code != 400 {
+	if _, err := client.ScoreBatch(context.Background(), big); !errors.As(err, &se) || se.Code != 400 {
 		t.Fatalf("oversized batch: %v", err)
 	}
 	// Wrong method.
@@ -154,7 +155,7 @@ func TestBatchOrderPreservedAcrossPool(t *testing.T) {
 	for i := range req.Items {
 		req.Items[i] = ScoreRequest{Job: validJob(fmt.Sprintf("job-%03d", i)), CandidateTokens: []int{i + 1}}
 	}
-	resp, err := client.ScoreBatch(req)
+	resp, err := client.ScoreBatch(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestServerConcurrentHammer(t *testing.T) {
 			for i := 0; i < 15; i++ {
 				switch w % 3 {
 				case 0:
-					if _, err := client.Score(&ScoreRequest{Job: validJob("single")}); err != nil {
+					if _, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("single")}); err != nil {
 						errCh <- err
 						return
 					}
@@ -193,7 +194,7 @@ func TestServerConcurrentHammer(t *testing.T) {
 					req := &BatchScoreRequest{Items: []ScoreRequest{
 						{Job: validJob("b0")}, {}, {Job: validJob("b1")},
 					}}
-					resp, err := client.ScoreBatch(req)
+					resp, err := client.ScoreBatch(context.Background(), req)
 					if err != nil {
 						errCh <- err
 						return
@@ -203,7 +204,7 @@ func TestServerConcurrentHammer(t *testing.T) {
 						return
 					}
 				default:
-					if _, err := client.Metrics(); err != nil {
+					if _, err := client.Metrics(context.Background()); err != nil {
 						errCh <- err
 						return
 					}
@@ -237,7 +238,7 @@ func TestTrainedServerConcurrentBatch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				if w%2 == 0 {
-					if _, err := client.Score(&ScoreRequest{Job: recs[w%len(recs)].Job}); err != nil {
+					if _, err := client.Score(context.Background(), &ScoreRequest{Job: recs[w%len(recs)].Job}); err != nil {
 						errCh <- err
 						return
 					}
@@ -247,7 +248,7 @@ func TestTrainedServerConcurrentBatch(t *testing.T) {
 					{Job: recs[(w+i)%len(recs)].Job},
 					{Job: recs[(w+i+1)%len(recs)].Job},
 				}}
-				resp, err := client.ScoreBatch(req)
+				resp, err := client.ScoreBatch(context.Background(), req)
 				if err != nil {
 					errCh <- err
 					return
@@ -296,7 +297,7 @@ func TestBatchItemPanicFailsOnlyItsItem(t *testing.T) {
 		client := NewClient(ts.URL)
 		boom := validJob("boom")
 		boom.Stages[0].Tasks = 9 // a plan no cached curve covers
-		resp, err := client.ScoreBatch(&BatchScoreRequest{Items: []ScoreRequest{
+		resp, err := client.ScoreBatch(context.Background(), &BatchScoreRequest{Items: []ScoreRequest{
 			{Job: validJob("ok-0")}, {Job: boom}, {Job: validJob("ok-2")}, {Job: validJob("ok-3")},
 		}})
 		if err != nil {
@@ -317,10 +318,10 @@ func TestBatchItemPanicFailsOnlyItsItem(t *testing.T) {
 		if !strings.Contains(resp.Results[1].Error, "panicked") {
 			t.Fatalf("workers=%d: panicking item's error %q", workers, resp.Results[1].Error)
 		}
-		if _, err := client.Score(&ScoreRequest{Job: validJob("after")}); err != nil {
+		if _, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("after")}); err != nil {
 			t.Fatalf("workers=%d: server stopped serving after an item panic: %v", workers, err)
 		}
-		text, err := client.Metrics()
+		text, err := client.Metrics(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -302,12 +302,7 @@ func (cc *ClusterClient) noteRouted(id string, failover bool) {
 
 // Score routes a single scoring request to the key's owner, failing over
 // clockwise around the ring past members that are down.
-func (cc *ClusterClient) Score(req *ScoreRequest) (*ScoreResponse, error) {
-	return cc.ScoreCtx(context.Background(), req)
-}
-
-// ScoreCtx is Score honoring the caller's deadline and cancellation.
-func (cc *ClusterClient) ScoreCtx(ctx context.Context, req *ScoreRequest) (*ScoreResponse, error) {
+func (cc *ClusterClient) Score(ctx context.Context, req *ScoreRequest) (*ScoreResponse, error) {
 	order := cc.sequenceFor(req.Model, req.Job)
 	if len(order) == 0 {
 		return nil, ErrNoMembers
@@ -318,7 +313,7 @@ func (cc *ClusterClient) ScoreCtx(ctx context.Context, req *ScoreRequest) (*Scor
 		if c == nil {
 			continue
 		}
-		resp, err := c.ScoreCtx(ctx, req)
+		resp, err := c.Score(ctx, req)
 		cc.observe(id)
 		if err == nil {
 			cc.noteRouted(id, i > 0)
@@ -332,18 +327,14 @@ func (cc *ClusterClient) ScoreCtx(ctx context.Context, req *ScoreRequest) (*Scor
 	return nil, lastErr
 }
 
-// ScoreBatch scatter-gathers a batch across the fleet by per-item key.
-func (cc *ClusterClient) ScoreBatch(req *BatchScoreRequest) (*BatchScoreResponse, error) {
-	return cc.ScoreBatchCtx(context.Background(), req)
-}
-
-// ScoreBatchCtx splits the batch into per-owner sub-batches, scores them
-// concurrently on their shards (preserving cache affinity), and stitches
-// the results back in input order. A sub-batch whose member is down
+// ScoreBatch scatter-gathers a batch across the fleet by per-item key: it
+// splits the batch into per-owner sub-batches, scores them concurrently
+// on their shards (preserving cache affinity), and stitches the results
+// back in input order. A sub-batch whose member is down
 // fails over along its first item's ring sequence when the refusal
 // provably preceded execution; any sub-batch that ultimately fails fails
 // the whole call, matching the single-envelope contract.
-func (cc *ClusterClient) ScoreBatchCtx(ctx context.Context, req *BatchScoreRequest) (*BatchScoreResponse, error) {
+func (cc *ClusterClient) ScoreBatch(ctx context.Context, req *BatchScoreRequest) (*BatchScoreResponse, error) {
 	if len(req.Items) == 0 {
 		// Let a member answer with its canonical 400 rather than invent one.
 		order := cc.sequenceFor("", nil)
@@ -354,7 +345,7 @@ func (cc *ClusterClient) ScoreBatchCtx(ctx context.Context, req *BatchScoreReque
 		if c == nil {
 			return nil, ErrNoMembers
 		}
-		return c.ScoreBatchCtx(ctx, req)
+		return c.ScoreBatch(ctx, req)
 	}
 
 	// Group item indices by owning member under the current membership.
@@ -396,7 +387,7 @@ func (cc *ClusterClient) ScoreBatchCtx(ctx context.Context, req *BatchScoreReque
 				if c == nil {
 					continue
 				}
-				gr.resp, gr.err = c.ScoreBatchCtx(ctx, sub)
+				gr.resp, gr.err = c.ScoreBatch(ctx, sub)
 				cc.observe(id)
 				if gr.err == nil {
 					cc.noteRouted(id, id != gr.owner)
@@ -462,9 +453,9 @@ func (cc *ClusterClient) Probe(ctx context.Context) []string {
 		if b != nil && !b.Allow() {
 			continue // still cooling down, or another probe in flight
 		}
-		err := c.ReadyCtx(ctx)
+		err := c.Ready(ctx)
 		if b != nil {
-			b.Record(err == nil)
+			b.record(err == nil)
 		}
 		if err != nil {
 			continue

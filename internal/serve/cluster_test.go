@@ -104,7 +104,7 @@ func TestClusterRoutingAffinity(t *testing.T) {
 
 	// Same job, many calls: exactly one member serves them all.
 	for i := 0; i < 6; i++ {
-		if _, err := cc.Score(&ScoreRequest{Job: recs[0].Job}); err != nil {
+		if _, err := cc.Score(context.Background(), &ScoreRequest{Job: recs[0].Job}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestClusterRoutingAffinity(t *testing.T) {
 
 	// Many jobs: the keyspace spreads.
 	for _, rec := range recs {
-		if _, err := cc.Score(&ScoreRequest{Job: rec.Job}); err != nil {
+		if _, err := cc.Score(context.Background(), &ScoreRequest{Job: rec.Job}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func TestClusterFailoverEjectionReadmission(t *testing.T) {
 	// Scores keep succeeding via failover, and within a few requests the
 	// victim's breaker (threshold 2) opens and ejects it.
 	for i := 0; i < 4; i++ {
-		if _, err := cc.Score(&ScoreRequest{Job: job}); err != nil {
+		if _, err := cc.Score(context.Background(), &ScoreRequest{Job: job}); err != nil {
 			t.Fatalf("score %d during member death: %v", i, err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestClusterFailoverEjectionReadmission(t *testing.T) {
 	}
 
 	// While ejected, its requests go straight to the survivor — no errors.
-	if _, err := cc.Score(&ScoreRequest{Job: job}); err != nil {
+	if _, err := cc.Score(context.Background(), &ScoreRequest{Job: job}); err != nil {
 		t.Fatalf("score while ejected: %v", err)
 	}
 
@@ -220,7 +220,7 @@ func TestClusterOverloadIsNotDown(t *testing.T) {
 	if err := cc.AddMember("only", NewClient(overloaded.URL)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := cc.Score(&ScoreRequest{})
+	_, err := cc.Score(context.Background(), &ScoreRequest{})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded member: %v, want 429", err)
@@ -251,11 +251,11 @@ func TestClusterBatchScatterGather(t *testing.T) {
 		}
 		req.Items = append(req.Items, item)
 	}
-	got, err := cc.ScoreBatch(req)
+	got, err := cc.ScoreBatch(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := solo.ScoreBatch(req)
+	want, err := solo.ScoreBatch(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +285,10 @@ func TestClusterBatchScatterGather(t *testing.T) {
 // ErrNoMembers rather than hanging or panicking.
 func TestClusterNoMembers(t *testing.T) {
 	cc := NewClusterClient(&fakePicker{})
-	if _, err := cc.Score(&ScoreRequest{}); !errors.Is(err, ErrNoMembers) {
+	if _, err := cc.Score(context.Background(), &ScoreRequest{}); !errors.Is(err, ErrNoMembers) {
 		t.Fatalf("Score on empty cluster: %v", err)
 	}
-	if _, err := cc.ScoreBatch(&BatchScoreRequest{Items: []ScoreRequest{{}}}); !errors.Is(err, ErrNoMembers) {
+	if _, err := cc.ScoreBatch(context.Background(), &BatchScoreRequest{Items: []ScoreRequest{{}}}); !errors.Is(err, ErrNoMembers) {
 		t.Fatalf("ScoreBatch on empty cluster: %v", err)
 	}
 	if got := cc.Probe(context.Background()); got != nil {

@@ -8,8 +8,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 )
 
@@ -55,17 +53,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 // Cluster fetches the server's fleet identity and serving state.
-func (c *Client) Cluster() (*ClusterStatus, error) { return c.ClusterCtx(context.Background()) }
-
-// ClusterCtx is Cluster honoring the caller's deadline and cancellation.
-func (c *Client) ClusterCtx(ctx context.Context) (*ClusterStatus, error) {
-	body, err := c.do(ctx, http.MethodGet, "/v1/cluster", nil, retryIdempotent)
-	if err != nil {
-		return nil, err
-	}
-	var out ClusterStatus
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("serve: decoding response: %w", err)
-	}
-	return &out, nil
+func (c *Client) Cluster(ctx context.Context) (*ClusterStatus, error) {
+	return decoded[ClusterStatus](c.do(ctx, http.MethodGet, "/v1/cluster", nil, retryIdempotent))
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -44,7 +45,7 @@ func TestClusterInfoEndpoint(t *testing.T) {
 
 	// Unloaded: identity answers even before a model is installed, and
 	// honestly reports not-ready.
-	st, err := client.Cluster()
+	st, err := client.Cluster(context.Background())
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
@@ -63,7 +64,7 @@ func TestClusterInfoEndpoint(t *testing.T) {
 	if err := srv.SetShadow(p, 4); err != nil {
 		t.Fatal(err)
 	}
-	st, err = client.Cluster()
+	st, err = client.Cluster(context.Background())
 	if err != nil {
 		t.Fatalf("cluster after load: %v", err)
 	}
@@ -89,7 +90,7 @@ func TestClusterInfoDisabled(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	_, err = NewClient(ts.URL).Cluster()
+	_, err = NewClient(ts.URL).Cluster(context.Background())
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
 		t.Fatalf("cluster on non-fleet server: want 404, got %v", err)

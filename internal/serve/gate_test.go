@@ -156,7 +156,7 @@ func TestAdmissionQueueDeadline(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := client.Score(&ScoreRequest{Job: validJob("hold")})
+		_, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("hold")})
 		first <- err
 	}()
 	<-sc.started // the slot is occupied
@@ -194,12 +194,12 @@ func TestAdmissionShed429(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := client.Score(&ScoreRequest{Job: validJob("hold")})
+		_, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("hold")})
 		first <- err
 	}()
 	<-sc.started
 
-	_, err := client.Score(&ScoreRequest{Job: validJob("shed")})
+	_, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("shed")})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated score: %v, want 429", err)
@@ -213,7 +213,7 @@ func TestAdmissionShed429(t *testing.T) {
 		t.Fatalf("blocked request failed after release: %v", err)
 	}
 
-	metrics, err := client.Metrics()
+	metrics, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestBeginDrainFinishesQueued(t *testing.T) {
 	for _, id := range []string{"executing", "queued"} {
 		id := id
 		go func() {
-			_, err := client.Score(&ScoreRequest{Job: validJob(id)})
+			_, err := client.Score(context.Background(), &ScoreRequest{Job: validJob(id)})
 			results <- err
 		}()
 	}
@@ -245,7 +245,7 @@ func TestBeginDrainFinishesQueued(t *testing.T) {
 	srv.BeginDrain()
 
 	// New work is refused with 503 draining…
-	_, err := client.Score(&ScoreRequest{Job: validJob("late")})
+	_, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("late")})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain score: %v, want 503", err)
@@ -254,10 +254,10 @@ func TestBeginDrainFinishesQueued(t *testing.T) {
 		t.Fatalf("post-drain message %q", se.Message)
 	}
 	// …and /readyz flipped, but the probe endpoints still answer.
-	if err := client.Health(); err != nil {
+	if err := client.Health(context.Background()); err != nil {
 		t.Fatalf("health during drain: %v", err)
 	}
-	if err := client.Ready(); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+	if err := client.Ready(context.Background()); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("ready during drain: %v, want 503", err)
 	}
 
@@ -321,7 +321,7 @@ func TestGateConcurrentSoak(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				_, err := client.Score(&ScoreRequest{Job: validJob("soak")})
+				_, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("soak")})
 				status := http.StatusOK
 				if err != nil {
 					var se *StatusError
@@ -366,15 +366,15 @@ func TestGatedShedsAreInstrumented(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		client.Score(&ScoreRequest{Job: validJob("hold")})
+		client.Score(context.Background(), &ScoreRequest{Job: validJob("hold")})
 		close(done)
 	}()
 	<-sc.started
-	client.Score(&ScoreRequest{Job: validJob("shed")}) // 429
+	client.Score(context.Background(), &ScoreRequest{Job: validJob("shed")}) // 429
 	close(sc.release)
 	<-done
 
-	metrics, err := client.Metrics()
+	metrics, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,10 +392,10 @@ func TestWithFaultInjectorSingle(t *testing.T) {
 	client := NewClient(ts.URL)
 
 	var se *StatusError
-	if _, err := client.Score(&ScoreRequest{Job: validJob("j")}); !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
+	if _, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("j")}); !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
 		t.Fatalf("injected score: %v, want 500", err)
 	}
-	resp, err := client.ScoreBatch(&BatchScoreRequest{Items: []ScoreRequest{{Job: validJob("b")}}})
+	resp, err := client.ScoreBatch(context.Background(), &BatchScoreRequest{Items: []ScoreRequest{{Job: validJob("b")}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestWithFaultInjectorSingle(t *testing.T) {
 	}
 
 	inj.SetEnabled(false)
-	if _, err := client.Score(&ScoreRequest{Job: validJob("j2")}); err != nil {
+	if _, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("j2")}); err != nil {
 		t.Fatalf("score after disabling injector: %v", err)
 	}
 	if err := inj.Verify(); err != nil {

@@ -396,17 +396,8 @@ func (s *Server) plan(req *PlanRequest) (*PlanResponse, error) {
 }
 
 // Plan submits a batch of jobs for cluster planning.
-func (c *Client) Plan(req *PlanRequest) (*PlanResponse, error) {
-	return c.PlanCtx(context.Background(), req)
-}
-
-// PlanCtx is Plan honoring the caller's deadline and cancellation.
-func (c *Client) PlanCtx(ctx context.Context, req *PlanRequest) (*PlanResponse, error) {
-	var out PlanResponse
+func (c *Client) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, error) {
 	// Planning is a pure function of the request — idempotent, so
 	// transient failures (including transport errors) are retried.
-	if err := c.postJSON(ctx, "/v1/plan", retryIdempotent, req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postJSON[PlanResponse](ctx, c, "/v1/plan", retryIdempotent, req)
 }

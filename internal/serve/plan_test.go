@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -47,7 +48,7 @@ func TestPlanEndToEnd1000Jobs(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		req.Jobs = append(req.Jobs, planJob(fmt.Sprintf("job-%04d", i)))
 	}
-	resp, err := client.Plan(req)
+	resp, err := client.Plan(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestPlanErrorStatusContract(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ts := fakeServer(t, tc.scorer, tc.opts...)
-			_, err := NewClient(ts.URL).Plan(&tc.req)
+			_, err := NewClient(ts.URL).Plan(context.Background(), &tc.req)
 			var se *StatusError
 			if !errors.As(err, &se) {
 				t.Fatalf("error %v (type %T), want *StatusError", err, err)
@@ -250,7 +251,7 @@ func TestPlanModelRouting(t *testing.T) {
 	for _, r := range recs[:8] {
 		req.Jobs = append(req.Jobs, r.Job)
 	}
-	resp, err := client.Plan(req)
+	resp, err := client.Plan(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +272,11 @@ func TestPlanModelRouting(t *testing.T) {
 
 	var se *StatusError
 	req.Model = "no-such-predictor"
-	if _, err := client.Plan(req); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+	if _, err := client.Plan(context.Background(), req); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("unknown model: %v, want 400", err)
 	}
 	req.Model = "GNN" // known name, skipped at training time
-	if _, err := client.Plan(req); !errors.As(err, &se) || se.Code != http.StatusConflict {
+	if _, err := client.Plan(context.Background(), req); !errors.As(err, &se) || se.Code != http.StatusConflict {
 		t.Fatalf("untrained model: %v, want 409", err)
 	}
 }
@@ -295,7 +296,7 @@ func TestPlanUnloadedAndDraining(t *testing.T) {
 	srv, ts := fakeServer(t, &fakeScorer{curve: planCurve})
 	srv.BeginDrain()
 	var se *StatusError
-	_, err = NewClient(ts.URL).Plan(&PlanRequest{Jobs: []*scopesim.Job{planJob("d")}, CapacityTokens: 100})
+	_, err = NewClient(ts.URL).Plan(context.Background(), &PlanRequest{Jobs: []*scopesim.Job{planJob("d")}, CapacityTokens: 100})
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining plan: %v, want 503", err)
 	}
@@ -310,16 +311,16 @@ func TestPlanMetrics(t *testing.T) {
 	_, ts := fakeServer(t, &fakeScorer{curve: planCurve})
 	client := NewClient(ts.URL)
 
-	if _, err := client.Plan(&PlanRequest{
+	if _, err := client.Plan(context.Background(), &PlanRequest{
 		Jobs:           []*scopesim.Job{planJob("a"), planJob("b"), planJob("c")},
 		CapacityTokens: 400,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Plan(&PlanRequest{CapacityTokens: 0}); err == nil {
+	if _, err := client.Plan(context.Background(), &PlanRequest{CapacityTokens: 0}); err == nil {
 		t.Fatal("bad plan accepted")
 	}
-	if _, err := client.Plan(&PlanRequest{
+	if _, err := client.Plan(context.Background(), &PlanRequest{
 		Jobs:           []*scopesim.Job{planJob("d")},
 		CapacityTokens: 400,
 		Strategy:       "lifo",
@@ -327,7 +328,7 @@ func TestPlanMetrics(t *testing.T) {
 		t.Fatal("bad strategy accepted")
 	}
 
-	metrics, err := client.Metrics()
+	metrics, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +369,7 @@ func TestPlanStrategiesEndToEnd(t *testing.T) {
 		Quotas:         map[string]int{"acme": 60, "globex": 100},
 	}
 
-	fcfs, err := client.Plan(req)
+	fcfs, err := client.Plan(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestPlanStrategiesEndToEnd(t *testing.T) {
 	}
 
 	req.Strategy = "backfill"
-	packed, err := client.Plan(req)
+	packed, err := client.Plan(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestPlanStrategiesEndToEnd(t *testing.T) {
 	}
 
 	req.Strategy = "retry"
-	retry, err := client.Plan(req)
+	retry, err := client.Plan(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,10 +461,10 @@ func TestPlanRefusesUnpricedPeakBaseline(t *testing.T) {
 	}
 	client := NewClient(ts.URL)
 	var se *StatusError
-	if _, err := client.Plan(req); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+	if _, err := client.Plan(context.Background(), req); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("HTTP plan: %v, want 400", err)
 	}
-	metrics, err := client.Metrics()
+	metrics, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,17 +182,8 @@ func (s *Server) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 
 // Reload asks the service to sync against its model registry now and
 // returns the resulting generations.
-func (c *Client) Reload() (*ReloadResponse, error) {
-	return c.ReloadCtx(context.Background())
-}
-
-// ReloadCtx is Reload honoring the caller's deadline and cancellation.
-func (c *Client) ReloadCtx(ctx context.Context) (*ReloadResponse, error) {
-	var out ReloadResponse
+func (c *Client) Reload(ctx context.Context) (*ReloadResponse, error) {
 	// A registry sync is idempotent: re-running it converges on the same
 	// generation.
-	if err := c.postJSON(ctx, "/v1/admin/reload", retryIdempotent, struct{}{}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postJSON[ReloadResponse](ctx, c, "/v1/admin/reload", retryIdempotent, struct{}{})
 }

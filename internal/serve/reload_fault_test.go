@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -54,14 +55,14 @@ func TestReloadCorruptArtifactKeepsServing(t *testing.T) {
 	if v := srv.ActiveVersion(); v != 1 {
 		t.Fatalf("active version %d after failed sync, want 1", v)
 	}
-	resp, err := client.Score(&ScoreRequest{Job: job})
+	resp, err := client.Score(context.Background(), &ScoreRequest{Job: job})
 	if err != nil {
 		t.Fatalf("scoring after failed sync: %v", err)
 	}
 	if resp.ModelVersion != 1 || !resp.CurveValue().Valid() {
 		t.Fatalf("response %+v, want a valid v1 score", resp)
 	}
-	metrics, err := client.Metrics()
+	metrics, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +72,14 @@ func TestReloadCorruptArtifactKeepsServing(t *testing.T) {
 
 	// A second failing pass counts again; admin reload surfaces the error
 	// as a 500 while scoring still works.
-	if _, err := client.Reload(); err == nil {
+	if _, err := client.Reload(context.Background()); err == nil {
 		t.Fatal("admin reload against corrupt v2 succeeded")
 	}
-	metrics, _ = client.Metrics()
+	metrics, _ = client.Metrics(context.Background())
 	if !strings.Contains(metrics, obs.MetricReloadFailures+" 2") {
 		t.Fatalf("second failure not counted:\n%s", metrics)
 	}
-	if _, err := client.Score(&ScoreRequest{Job: job}); err != nil {
+	if _, err := client.Score(context.Background(), &ScoreRequest{Job: job}); err != nil {
 		t.Fatalf("scoring after second failed sync: %v", err)
 	}
 }

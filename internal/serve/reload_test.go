@@ -73,7 +73,7 @@ func waitForMetric(t *testing.T, client *Client, want string) string {
 	deadline := time.Now().Add(15 * time.Second)
 	var last string
 	for time.Now().Before(deadline) {
-		m, err := client.Metrics()
+		m, err := client.Metrics(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 			defer wg.Done()
 			job := recs[w%len(recs)].Job
 			for !stop.Load() {
-				resp, err := client.Score(&ScoreRequest{Job: job})
+				resp, err := client.Score(context.Background(), &ScoreRequest{Job: job})
 				if err != nil {
 					errCh <- err
 					return
@@ -182,7 +182,7 @@ func TestShadowScoringDivergenceMetrics(t *testing.T) {
 
 	const n = 6
 	for i := 0; i < n; i++ {
-		if _, err := client.Score(&ScoreRequest{Job: recs[i%len(recs)].Job}); err != nil {
+		if _, err := client.Score(context.Background(), &ScoreRequest{Job: recs[i%len(recs)].Job}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,11 +219,11 @@ func TestShadowSampleRate(t *testing.T) {
 	srv.setShadow(shadowed, 7)
 	client := NewClient(ts.URL)
 	for i := 0; i < 8; i++ {
-		if _, err := client.Score(&ScoreRequest{Job: validJob("s")}); err != nil {
+		if _, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("s")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m, err := client.Metrics()
+	m, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +237,11 @@ func TestShadowSampleRate(t *testing.T) {
 	srvOff.setShadow(shadowed, 9)
 	clientOff := NewClient(tsOff.URL)
 	for i := 0; i < 4; i++ {
-		if _, err := clientOff.Score(&ScoreRequest{Job: validJob("s")}); err != nil {
+		if _, err := clientOff.Score(context.Background(), &ScoreRequest{Job: validJob("s")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mOff, err := clientOff.Metrics()
+	mOff, err := clientOff.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +254,10 @@ func TestShadowFailureCounted(t *testing.T) {
 	srv, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
 	srv.setShadow(&fakeScorer{err: errors.New("candidate broken")}, 3)
 	client := NewClient(ts.URL)
-	if _, err := client.Score(&ScoreRequest{Job: validJob("f")}); err != nil {
+	if _, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("f")}); err != nil {
 		t.Fatalf("active scoring must not be affected by a broken shadow: %v", err)
 	}
-	m, err := client.Metrics()
+	m, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +276,10 @@ func TestUnloadedServerAnswers503(t *testing.T) {
 	client := NewClient(ts.URL)
 
 	var se *StatusError
-	if _, err := client.Score(&ScoreRequest{Job: validJob("u")}); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+	if _, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("u")}); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("unloaded score error %v, want 503", err)
 	}
-	if err := client.Ready(); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+	if err := client.Ready(context.Background()); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("unloaded readyz %v, want 503", err)
 	}
 
@@ -288,10 +288,10 @@ func TestUnloadedServerAnswers503(t *testing.T) {
 	if err := srv.SetActive(p, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Ready(); err != nil {
+	if err := client.Ready(context.Background()); err != nil {
 		t.Fatalf("ready after first load: %v", err)
 	}
-	resp, err := client.Score(&ScoreRequest{Job: validJob("u")})
+	resp, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("u")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestAdminReloadEndpoint(t *testing.T) {
 	if _, err := reg.PublishPipeline(p2, registry.Manifest{}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := client.Reload()
+	out, err := client.Reload(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestAdminReloadEndpoint(t *testing.T) {
 
 func TestAdminReloadWithoutRegistry(t *testing.T) {
 	_, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
-	_, err := NewClient(ts.URL).Reload()
+	_, err := NewClient(ts.URL).Reload(context.Background())
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusNotImplemented {
 		t.Fatalf("reload without registry: %v, want 501", err)

@@ -167,18 +167,14 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// Record feeds an externally observed outcome into the breaker. The
-// client's own retry loop records automatically; Record exists for
-// out-of-band observations — the ClusterClient's health probe hits
-// /readyz outside the breaker (retryNone bypasses it, so a probe can
-// reach an open-circuited member) and reports the verdict here, which is
-// what closes the circuit again on half-open probe success.
-func (b *Breaker) Record(ok bool) { b.record(ok) }
-
 // record feeds an attempt outcome back. Closed: failures count up to the
 // trip threshold, a success resets them. Half-open: the probe's outcome
 // closes or re-opens the circuit. Open: late results from requests
-// launched before the trip are ignored.
+// launched before the trip are ignored. Besides the client's own retry
+// loop, the ClusterClient's health probe records here: it hits /readyz
+// outside the breaker (retryNone bypasses it, so a probe can reach an
+// open-circuited member) and reports the verdict, which is what closes
+// the circuit again on half-open probe success.
 func (b *Breaker) record(ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -119,7 +120,7 @@ func TestClientRetriesUntilSuccess(t *testing.T) {
 	h := newRetryHarness(t, "1", http.StatusTooManyRequests, http.StatusTooManyRequests, http.StatusOK)
 	c, sleeps, attempts := resilientClient(h.ts.URL, 7)
 
-	resp, err := c.Score(&ScoreRequest{Job: validJob("r")})
+	resp, err := c.Score(context.Background(), &ScoreRequest{Job: validJob("r")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestClientRetryBackoffSchedule(t *testing.T) {
 		http.StatusServiceUnavailable, http.StatusOK)
 	c, sleeps, _ := resilientClient(h.ts.URL, 7)
 
-	if _, err := c.Score(&ScoreRequest{Job: validJob("r")}); err != nil {
+	if _, err := c.Score(context.Background(), &ScoreRequest{Job: validJob("r")}); err != nil {
 		t.Fatal(err)
 	}
 	want := []time.Duration{44024996, 94477818, 183825738}
@@ -162,7 +163,7 @@ func TestClientNoRetryOnClientErrors(t *testing.T) {
 	for _, status := range []int{http.StatusBadRequest, http.StatusConflict, http.StatusNotFound} {
 		h := newRetryHarness(t, "", status, http.StatusOK)
 		c, sleeps, attempts := resilientClient(h.ts.URL, 7)
-		_, err := c.Score(&ScoreRequest{Job: validJob("r")})
+		_, err := c.Score(context.Background(), &ScoreRequest{Job: validJob("r")})
 		var se *StatusError
 		if !errors.As(err, &se) || se.Code != status {
 			t.Fatalf("status %d: got %v", status, err)
@@ -183,7 +184,7 @@ func TestClientRetryBudget(t *testing.T) {
 	c, sleeps, attempts := resilientClient(h.ts.URL, 7)
 	c.Retry.Budget = 100 * time.Millisecond // covers the 44ms first delay, not 44+94ms
 
-	_, err := c.Score(&ScoreRequest{Job: validJob("r")})
+	_, err := c.Score(context.Background(), &ScoreRequest{Job: validJob("r")})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("got %v, want the final 503", err)
@@ -202,7 +203,7 @@ func TestBatchRetrySafety(t *testing.T) {
 	// Shed whole → safe to retry.
 	h := newRetryHarness(t, "1", http.StatusTooManyRequests, http.StatusOK)
 	c, _, attempts := resilientClient(h.ts.URL, 7)
-	resp, err := c.ScoreBatch(req)
+	resp, err := c.ScoreBatch(context.Background(), req)
 	if err != nil || resp.Succeeded != 1 {
 		t.Fatalf("shed batch retry: %v %+v", err, resp)
 	}
@@ -213,7 +214,7 @@ func TestBatchRetrySafety(t *testing.T) {
 	// 500 → never blind-retried.
 	h = newRetryHarness(t, "", http.StatusInternalServerError, http.StatusOK)
 	c, _, attempts = resilientClient(h.ts.URL, 7)
-	_, err = c.ScoreBatch(req)
+	_, err = c.ScoreBatch(context.Background(), req)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
 		t.Fatalf("batch 500: %v", err)
@@ -226,7 +227,7 @@ func TestBatchRetrySafety(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	c, _, attempts = resilientClient(dead.URL, 7)
-	if _, err := c.ScoreBatch(req); err == nil {
+	if _, err := c.ScoreBatch(context.Background(), req); err == nil {
 		t.Fatal("batch against dead server succeeded")
 	}
 	if len(*attempts) != 1 || (*attempts)[0] != 0 {
@@ -240,7 +241,7 @@ func TestSingleScoreRetriesTransportErrors(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	c, sleeps, attempts := resilientClient(dead.URL, 7)
-	if _, err := c.Score(&ScoreRequest{Job: validJob("r")}); err == nil {
+	if _, err := c.Score(context.Background(), &ScoreRequest{Job: validJob("r")}); err == nil {
 		t.Fatal("score against dead server succeeded")
 	}
 	if len(*attempts) != DefaultRetryAttempts || len(*sleeps) != DefaultRetryAttempts-1 {
@@ -336,14 +337,14 @@ func TestClientBreakerIntegration(t *testing.T) {
 	c.Breaker = newBreaker(2, time.Hour)
 
 	for i := 0; i < 2; i++ {
-		if _, err := c.Score(&ScoreRequest{Job: validJob("r")}); err == nil {
+		if _, err := c.Score(context.Background(), &ScoreRequest{Job: validJob("r")}); err == nil {
 			t.Fatal("500 reported as success")
 		}
 	}
 	if c.Breaker.State() != BreakerOpen {
 		t.Fatalf("breaker %v after two 500s, want open", c.Breaker.State())
 	}
-	if _, err := c.Score(&ScoreRequest{Job: validJob("r")}); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := c.Score(context.Background(), &ScoreRequest{Job: validJob("r")}); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open-breaker call: %v, want ErrCircuitOpen", err)
 	}
 	if len(*attempts) != 2 {
@@ -354,7 +355,7 @@ func TestClientBreakerIntegration(t *testing.T) {
 	}
 	// Probes bypass the breaker: health must reach the wire and report
 	// the service's real state even while scoring is short-circuited.
-	if err := c.Health(); errors.Is(err, ErrCircuitOpen) {
+	if err := c.Health(context.Background()); errors.Is(err, ErrCircuitOpen) {
 		t.Fatal("health probe short-circuited by the breaker")
 	}
 	if got := h.requests.Load(); got != 3 {
@@ -367,7 +368,7 @@ func TestClientBreakerIntegration(t *testing.T) {
 	c2, _, _ := resilientClient(h2.ts.URL, 7)
 	c2.Retry = nil
 	c2.Breaker = newBreaker(1, time.Hour)
-	if _, err := c2.Score(&ScoreRequest{Job: validJob("r")}); err == nil {
+	if _, err := c2.Score(context.Background(), &ScoreRequest{Job: validJob("r")}); err == nil {
 		t.Fatal("429 reported as success")
 	}
 	if c2.Breaker.State() != BreakerClosed {

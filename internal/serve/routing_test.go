@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -38,7 +39,7 @@ func TestScoreModelRouting(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := client.Score(&ScoreRequest{Job: job, Model: tc.reqModel})
+			resp, err := client.Score(context.Background(), &ScoreRequest{Job: job, Model: tc.reqModel})
 			if tc.wantStatus != 0 {
 				var se *StatusError
 				if !errors.As(err, &se) || se.Code != tc.wantStatus {
@@ -71,7 +72,7 @@ func TestBatchPerItemModelRouting(t *testing.T) {
 	client := NewClient(ts.URL)
 	job := recs[0].Job
 
-	resp, err := client.ScoreBatch(&BatchScoreRequest{Items: []ScoreRequest{
+	resp, err := client.ScoreBatch(context.Background(), &BatchScoreRequest{Items: []ScoreRequest{
 		{Job: job},                      // policy default
 		{Job: job, Model: "xgboost pl"}, // named
 		{Job: job, Model: "resnet"},     // unknown -> 400
@@ -111,7 +112,7 @@ func TestBatchPerItemModelRouting(t *testing.T) {
 func TestModelsEndpoint(t *testing.T) {
 	ts, _ := trainedServer(t)
 	client := NewClient(ts.URL)
-	resp, err := client.Models()
+	resp, err := client.Models(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestModelsEndpoint(t *testing.T) {
 func TestModelsEndpointWithoutLister(t *testing.T) {
 	_, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
 	client := NewClient(ts.URL)
-	resp, err := client.Models()
+	resp, err := client.Models(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestModelsEndpointWithoutLister(t *testing.T) {
 	unloaded := httptest.NewServer(srv.Handler())
 	t.Cleanup(unloaded.Close)
 	var se *StatusError
-	if _, err := NewClient(unloaded.URL).Models(); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+	if _, err := NewClient(unloaded.URL).Models(context.Background()); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("unloaded /v1/models: %v, want 503", err)
 	}
 }
@@ -185,7 +186,7 @@ func TestModelRoutingRequiresRouter(t *testing.T) {
 	_, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
 	client := NewClient(ts.URL)
 	var se *StatusError
-	if _, err := client.Score(&ScoreRequest{Job: validJob("j"), Model: "NN"}); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+	if _, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("j"), Model: "NN"}); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("named model on non-router scorer: %v, want 400", err)
 	}
 }
@@ -198,7 +199,7 @@ func TestModelRoutingRequiresRouter(t *testing.T) {
 func TestAllPredictorsScoreEndToEnd(t *testing.T) {
 	ts, recs := trainedServer(t)
 	client := NewClient(ts.URL)
-	models, err := client.Models()
+	models, err := client.Models(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestAllPredictorsScoreEndToEnd(t *testing.T) {
 	// valid job.
 	job := recs[0].Job
 	for _, rec := range recs {
-		if _, err := client.Score(&ScoreRequest{Job: rec.Job, Model: model.NameAutoToken}); err == nil {
+		if _, err := client.Score(context.Background(), &ScoreRequest{Job: rec.Job, Model: model.NameAutoToken}); err == nil {
 			job = rec.Job
 			break
 		}
@@ -220,7 +221,7 @@ func TestAllPredictorsScoreEndToEnd(t *testing.T) {
 			continue
 		}
 		trained++
-		resp, err := client.Score(&ScoreRequest{Job: job, Model: info.Name})
+		resp, err := client.Score(context.Background(), &ScoreRequest{Job: job, Model: info.Name})
 		if err != nil {
 			t.Fatalf("scoring through %s: %v", info.Name, err)
 		}
@@ -235,7 +236,7 @@ func TestAllPredictorsScoreEndToEnd(t *testing.T) {
 		t.Fatalf("only %d trained predictors exercised", trained)
 	}
 
-	metrics, err := client.Metrics()
+	metrics, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

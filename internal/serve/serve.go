@@ -633,7 +633,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	resp, err := s.scoreSingle(&req)
+	resp, err := s.ScoreLocal(&req)
 	if err != nil {
 		http.Error(w, err.Error(), httpStatus(err))
 		return
@@ -642,10 +642,14 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	putScoreResponse(resp)
 }
 
-// scoreSingle runs the single-score endpoint's request: the injector's
-// score-site faults apply here (batch items draw from their own site so
-// the schedules stay independent), then the shared scoring path runs.
-func (s *Server) scoreSingle(req *ScoreRequest) (*ScoreResponse, error) {
+// ScoreLocal scores one request in process, bypassing HTTP — the
+// single-score endpoint's path, and the entry point for embedders (and
+// the fleet benchmarks) that colocate the caller with a member. The
+// injector's score-site faults apply here (batch items draw from their
+// own site so the schedules stay independent), then the shared scoring
+// path runs. The returned response is pooled: call Release when done
+// with it and touch nothing afterwards.
+func (s *Server) ScoreLocal(req *ScoreRequest) (*ScoreResponse, error) {
 	if d := s.inj.Latency(); d > 0 {
 		time.Sleep(d)
 	}
@@ -654,14 +658,6 @@ func (s *Server) scoreSingle(req *ScoreRequest) (*ScoreResponse, error) {
 		return nil, fmt.Errorf("serve: scoring: %w", err)
 	}
 	return s.score(req)
-}
-
-// ScoreLocal scores one request in process, bypassing HTTP — the entry
-// point for embedders (and the fleet benchmarks) that colocate the
-// caller with a member. The returned response is pooled: call Release
-// when done with it and touch nothing afterwards.
-func (s *Server) ScoreLocal(req *ScoreRequest) (*ScoreResponse, error) {
-	return s.scoreSingle(req)
 }
 
 // ModelsResponse lists the predictors the loaded pipeline can serve.
@@ -930,28 +926,30 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 	return body, nil
 }
 
-// postJSON marshals req, posts it to path and decodes the response into
-// out.
-func (c *Client) postJSON(ctx context.Context, path string, kind retryKind, req, out any) error {
+// postJSON marshals req, posts it to path through c and decodes the
+// response into a new T.
+func postJSON[T any](ctx context.Context, c *Client, path string, kind retryKind, req any) (*T, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	body, err := c.do(ctx, http.MethodPost, path, payload, kind)
+	return decoded[T](c.do(ctx, http.MethodPost, path, payload, kind))
+}
+
+// decoded decodes the body of a call that returned no error into a new T.
+func decoded[T any](body []byte, err error) (*T, error) {
 	if err != nil {
-		return err
+		return nil, err
 	}
+	out := new(T)
 	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("serve: decoding response: %w", err)
+		return nil, fmt.Errorf("serve: decoding response: %w", err)
 	}
-	return nil
+	return out, nil
 }
 
 // Health checks the service liveness endpoint.
-func (c *Client) Health() error { return c.HealthCtx(context.Background()) }
-
-// HealthCtx is Health honoring the caller's deadline and cancellation.
-func (c *Client) HealthCtx(ctx context.Context) error {
+func (c *Client) Health(ctx context.Context) error {
 	if _, err := c.do(ctx, http.MethodGet, "/healthz", nil, retryNone); err != nil {
 		var se *StatusError
 		if errors.As(err, &se) {
@@ -964,19 +962,13 @@ func (c *Client) HealthCtx(ctx context.Context) error {
 
 // Ready checks the service readiness endpoint; a draining or overloaded
 // service returns a *StatusError carrying the status code.
-func (c *Client) Ready() error { return c.ReadyCtx(context.Background()) }
-
-// ReadyCtx is Ready honoring the caller's deadline and cancellation.
-func (c *Client) ReadyCtx(ctx context.Context) error {
+func (c *Client) Ready(ctx context.Context) error {
 	_, err := c.do(ctx, http.MethodGet, "/readyz", nil, retryNone)
 	return err
 }
 
 // Metrics fetches the Prometheus text exposition of the service.
-func (c *Client) Metrics() (string, error) { return c.MetricsCtx(context.Background()) }
-
-// MetricsCtx is Metrics honoring the caller's deadline and cancellation.
-func (c *Client) MetricsCtx(ctx context.Context) (string, error) {
+func (c *Client) Metrics(ctx context.Context) (string, error) {
 	body, err := c.do(ctx, http.MethodGet, "/metrics", nil, retryIdempotent)
 	if err != nil {
 		return "", err
@@ -985,37 +977,15 @@ func (c *Client) MetricsCtx(ctx context.Context) (string, error) {
 }
 
 // Score submits a job for PCC prediction.
-func (c *Client) Score(req *ScoreRequest) (*ScoreResponse, error) {
-	return c.ScoreCtx(context.Background(), req)
-}
-
-// ScoreCtx is Score honoring the caller's deadline and cancellation.
-func (c *Client) ScoreCtx(ctx context.Context, req *ScoreRequest) (*ScoreResponse, error) {
-	var out ScoreResponse
+func (c *Client) Score(ctx context.Context, req *ScoreRequest) (*ScoreResponse, error) {
 	// Scoring is a pure function of the request — idempotent, so
 	// transient failures (including transport errors) are retried.
-	if err := c.postJSON(ctx, "/v1/score", retryIdempotent, req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postJSON[ScoreResponse](ctx, c, "/v1/score", retryIdempotent, req)
 }
 
 // Models lists the predictors the service can score with.
-func (c *Client) Models() (*ModelsResponse, error) {
-	return c.ModelsCtx(context.Background())
-}
-
-// ModelsCtx is Models honoring the caller's deadline and cancellation.
-func (c *Client) ModelsCtx(ctx context.Context) (*ModelsResponse, error) {
-	body, err := c.do(ctx, http.MethodGet, "/v1/models", nil, retryIdempotent)
-	if err != nil {
-		return nil, err
-	}
-	var out ModelsResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("serve: decoding response: %w", err)
-	}
-	return &out, nil
+func (c *Client) Models(ctx context.Context) (*ModelsResponse, error) {
+	return decoded[ModelsResponse](c.do(ctx, http.MethodGet, "/v1/models", nil, retryIdempotent))
 }
 
 // Curve converts the response curve back to a pcc.Curve.

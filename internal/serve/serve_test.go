@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -10,7 +11,9 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tasq/internal/jobrepo"
 	"tasq/internal/pcc"
@@ -54,7 +57,7 @@ func TestNewServerNilPipeline(t *testing.T) {
 func TestHealthEndpoint(t *testing.T) {
 	ts, _ := trainedServer(t)
 	client := NewClient(ts.URL)
-	if err := client.Health(); err != nil {
+	if err := client.Health(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong method.
@@ -72,7 +75,7 @@ func TestScoreEndToEnd(t *testing.T) {
 	ts, recs := trainedServer(t)
 	client := NewClient(ts.URL)
 	job := recs[0].Job
-	resp, err := client.Score(&ScoreRequest{Job: job})
+	resp, err := client.Score(context.Background(), &ScoreRequest{Job: job})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestScoreEndToEnd(t *testing.T) {
 func TestScoreWithCandidates(t *testing.T) {
 	ts, recs := trainedServer(t)
 	client := NewClient(ts.URL)
-	resp, err := client.Score(&ScoreRequest{
+	resp, err := client.Score(context.Background(), &ScoreRequest{
 		Job:             recs[1].Job,
 		CandidateTokens: []int{10, 50, 100},
 		Threshold:       0.02,
@@ -126,14 +129,14 @@ func TestScoreBadRequests(t *testing.T) {
 	ts, recs := trainedServer(t)
 	client := NewClient(ts.URL)
 
-	if _, err := client.Score(&ScoreRequest{}); err == nil {
+	if _, err := client.Score(context.Background(), &ScoreRequest{}); err == nil {
 		t.Fatal("missing job accepted")
 	}
-	if _, err := client.Score(&ScoreRequest{Job: recs[0].Job, CandidateTokens: []int{0}}); err == nil {
+	if _, err := client.Score(context.Background(), &ScoreRequest{Job: recs[0].Job, CandidateTokens: []int{0}}); err == nil {
 		t.Fatal("zero candidate accepted")
 	}
 	invalid := &scopesim.Job{ID: "bad", Stages: []scopesim.Stage{{ID: 0, Tasks: 0, TaskSeconds: 1}}}
-	if _, err := client.Score(&ScoreRequest{Job: invalid}); err == nil {
+	if _, err := client.Score(context.Background(), &ScoreRequest{Job: invalid}); err == nil {
 		t.Fatal("invalid job accepted")
 	}
 
@@ -159,11 +162,66 @@ func TestScoreBadRequests(t *testing.T) {
 
 func TestClientAgainstDeadServer(t *testing.T) {
 	client := NewClient("http://127.0.0.1:1") // nothing listens here
-	if err := client.Health(); err == nil {
+	if err := client.Health(context.Background()); err == nil {
 		t.Fatal("health against dead server succeeded")
 	}
-	if _, err := client.Score(&ScoreRequest{}); err == nil {
+	if _, err := client.Score(context.Background(), &ScoreRequest{}); err == nil {
 		t.Fatal("score against dead server succeeded")
+	}
+}
+
+// TestClientHonoursCancelledContext: every client route given an already
+// cancelled context fails with context.Canceled before a request leaves
+// the process, and neither retries nor counts the cancellation against
+// the breaker (threshold 1 here, so one recorded failure would open it).
+func TestClientHonoursCancelledContext(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Write([]byte("{}"))
+	}))
+	defer ts.Close()
+	breaker, err := NewBreaker(1, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(ts.URL)
+	client.Retry = DefaultRetryPolicy(1)
+	client.Breaker = breaker
+	cc := NewClusterClient(&fakePicker{})
+	if err := cc.AddMember("a", client); err != nil {
+		t.Fatal(err)
+	}
+	batch := &BatchScoreRequest{Items: []ScoreRequest{{}}}
+	routes := []struct {
+		name string
+		call func(context.Context) error
+	}{
+		{"Health", client.Health},
+		{"Ready", client.Ready},
+		{"Metrics", func(ctx context.Context) error { _, err := client.Metrics(ctx); return err }},
+		{"Score", func(ctx context.Context) error { _, err := client.Score(ctx, &ScoreRequest{}); return err }},
+		{"Models", func(ctx context.Context) error { _, err := client.Models(ctx); return err }},
+		{"ScoreBatch", func(ctx context.Context) error { _, err := client.ScoreBatch(ctx, batch); return err }},
+		{"Plan", func(ctx context.Context) error { _, err := client.Plan(ctx, &PlanRequest{}); return err }},
+		{"Reload", func(ctx context.Context) error { _, err := client.Reload(ctx); return err }},
+		{"Telemetry", func(ctx context.Context) error { _, err := client.Telemetry(ctx, &TelemetryRequest{}); return err }},
+		{"Cluster", func(ctx context.Context) error { _, err := client.Cluster(ctx); return err }},
+		{"ClusterClient.Score", func(ctx context.Context) error { _, err := cc.Score(ctx, &ScoreRequest{}); return err }},
+		{"ClusterClient.ScoreBatch", func(ctx context.Context) error { _, err := cc.ScoreBatch(ctx, batch); return err }},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, r := range routes {
+		if err := r.call(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err %v, want context.Canceled", r.name, err)
+		}
+		if n := hits.Load(); n != 0 {
+			t.Fatalf("%s: the server saw %d requests, want 0", r.name, n)
+		}
+		if st := breaker.State(); st != BreakerClosed {
+			t.Fatalf("%s: breaker %v, want closed", r.name, st)
+		}
 	}
 }
 
@@ -253,7 +311,7 @@ func TestErrorStatusContract(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ts := fakeServer(t, tc.scorer)
-			_, err := NewClient(ts.URL).Score(&tc.req)
+			_, err := NewClient(ts.URL).Score(context.Background(), &tc.req)
 			var se *StatusError
 			if !errors.As(err, &se) {
 				t.Fatalf("error %v (type %T), want *StatusError", err, err)
@@ -267,7 +325,7 @@ func TestErrorStatusContract(t *testing.T) {
 
 func TestZeroThresholdAndMaxTokensStillDefault(t *testing.T) {
 	_, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
-	resp, err := NewClient(ts.URL).Score(&ScoreRequest{Job: validJob("d")})
+	resp, err := NewClient(ts.URL).Score(context.Background(), &ScoreRequest{Job: validJob("d")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +337,11 @@ func TestZeroThresholdAndMaxTokensStillDefault(t *testing.T) {
 func TestReadyzDrain(t *testing.T) {
 	srv, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
 	client := NewClient(ts.URL)
-	if err := client.Ready(); err != nil {
+	if err := client.Ready(context.Background()); err != nil {
 		t.Fatalf("fresh server not ready: %v", err)
 	}
 	srv.SetReady(false)
-	err := client.Ready()
+	err := client.Ready(context.Background())
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining readyz: %v", err)
@@ -292,11 +350,11 @@ func TestReadyzDrain(t *testing.T) {
 		t.Fatalf("draining readyz body: %q", se.Message)
 	}
 	// Scoring still works while draining: in-flight work completes.
-	if _, err := client.Score(&ScoreRequest{Job: validJob("drain")}); err != nil {
+	if _, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("drain")}); err != nil {
 		t.Fatalf("score during drain: %v", err)
 	}
 	srv.SetReady(true)
-	if err := client.Ready(); err != nil {
+	if err := client.Ready(context.Background()); err != nil {
 		t.Fatalf("re-ready: %v", err)
 	}
 }
@@ -306,7 +364,7 @@ func TestReadyzDrain(t *testing.T) {
 // family's first series registers it, which must not lose the text.
 func TestEveryMetricFamilyCarriesHelp(t *testing.T) {
 	_, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
-	out, err := NewClient(ts.URL).Metrics()
+	out, err := NewClient(ts.URL).Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +393,7 @@ func TestMetricsEndpointShape(t *testing.T) {
 	_, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
 	client := NewClient(ts.URL)
 
-	before, err := client.Metrics()
+	before, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,20 +410,20 @@ func TestMetricsEndpointShape(t *testing.T) {
 
 	// Script: 3 good scores, 1 bad score, 1 batch of 2.
 	for i := 0; i < 3; i++ {
-		if _, err := client.Score(&ScoreRequest{Job: validJob("m")}); err != nil {
+		if _, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("m")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := client.Score(&ScoreRequest{}); err == nil {
+	if _, err := client.Score(context.Background(), &ScoreRequest{}); err == nil {
 		t.Fatal("bad request accepted")
 	}
-	if _, err := client.ScoreBatch(&BatchScoreRequest{Items: []ScoreRequest{
+	if _, err := client.ScoreBatch(context.Background(), &BatchScoreRequest{Items: []ScoreRequest{
 		{Job: validJob("m1")}, {Job: validJob("m2")},
 	}}); err != nil {
 		t.Fatal(err)
 	}
 
-	after, err := client.Metrics()
+	after, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +466,7 @@ func TestScoreConcurrent(t *testing.T) {
 		go func(w int) {
 			job := recs[w%len(recs)].Job
 			for i := 0; i < 10; i++ {
-				if _, err := client.Score(&ScoreRequest{Job: job}); err != nil {
+				if _, err := client.Score(context.Background(), &ScoreRequest{Job: job}); err != nil {
 					errs <- err
 					return
 				}

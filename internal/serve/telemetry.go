@@ -117,19 +117,9 @@ func (s *Server) initTelemetryMetrics() {
 }
 
 // Telemetry submits a batch of observed-run records to the service's
-// learning loop.
-func (c *Client) Telemetry(req *TelemetryRequest) (*TelemetryResponse, error) {
-	return c.TelemetryCtx(context.Background(), req)
-}
-
-// TelemetryCtx is Telemetry honoring the caller's deadline and
-// cancellation. Like batch scoring it is retried only when the service
+// learning loop. Like batch scoring it is retried only when the service
 // provably refused the batch whole; a partially accepted batch is safe to
 // resubmit anyway, because the retraining window deduplicates by job ID.
-func (c *Client) TelemetryCtx(ctx context.Context, req *TelemetryRequest) (*TelemetryResponse, error) {
-	var out TelemetryResponse
-	if err := c.postJSON(ctx, "/v1/telemetry", retryAtomic, req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+func (c *Client) Telemetry(ctx context.Context, req *TelemetryRequest) (*TelemetryResponse, error) {
+	return postJSON[TelemetryResponse](ctx, c, "/v1/telemetry", retryAtomic, req)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -68,7 +69,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	ts, srv := telemetryServer(t, sink)
 	recs := telemetryRecords(t, 41, 5)
 
-	out, err := NewClient(ts.URL).Telemetry(&TelemetryRequest{Records: recs})
+	out, err := NewClient(ts.URL).Telemetry(context.Background(), &TelemetryRequest{Records: recs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if sink.len() != 5 {
 		t.Fatalf("sink holds %d records", sink.len())
 	}
-	text, err := NewClient(ts.URL).Metrics()
+	text, err := NewClient(ts.URL).Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestTelemetryRejectsInvalidRecords(t *testing.T) {
 	recs := telemetryRecords(t, 43, 3)
 	// One valid, one structurally broken, one nil.
 	bad := &jobrepo.Record{Job: recs[1].Job, ObservedTokens: 0}
-	out, err := NewClient(ts.URL).Telemetry(&TelemetryRequest{
+	out, err := NewClient(ts.URL).Telemetry(context.Background(), &TelemetryRequest{
 		Records: []*jobrepo.Record{recs[0], bad, nil},
 	})
 	if err != nil {
@@ -115,7 +116,7 @@ func TestTelemetryBackpressure(t *testing.T) {
 	sink := &captureSink{cap: 2}
 	ts, _ := telemetryServer(t, sink)
 	recs := telemetryRecords(t, 47, 5)
-	_, err := NewClient(ts.URL).Telemetry(&TelemetryRequest{Records: recs})
+	_, err := NewClient(ts.URL).Telemetry(context.Background(), &TelemetryRequest{Records: recs})
 	var se *StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("error %T %v, want StatusError", err, err)
@@ -139,7 +140,7 @@ func TestTelemetryWithoutSink(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	recs := telemetryRecords(t, 53, 1)
-	_, err = NewClient(ts.URL).Telemetry(&TelemetryRequest{Records: recs})
+	_, err = NewClient(ts.URL).Telemetry(context.Background(), &TelemetryRequest{Records: recs})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusNotImplemented {
 		t.Fatalf("error %v, want 501 StatusError", err)
@@ -152,7 +153,7 @@ func TestTelemetryRequestValidation(t *testing.T) {
 	for name, req := range map[string]*TelemetryRequest{
 		"empty batch": {},
 	} {
-		_, err := client.Telemetry(req)
+		_, err := client.Telemetry(context.Background(), req)
 		var se *StatusError
 		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 			t.Fatalf("%s: error %v, want 400", name, err)

@@ -100,7 +100,7 @@ type Cluster struct {
 
 // Run simulates the submissions and returns their schedules in input order.
 func (c *Cluster) Run(subs []Submission) ([]plan.Outcome, error) {
-	return plan.SimulateFCFS(c.Capacity, subs)
+	return plan.SimulateFCFSQuota(c.Capacity, nil, subs)
 }
 
 // NewExecutor returns a deterministic cluster executor.

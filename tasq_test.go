@@ -1,6 +1,7 @@
 package tasq_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -92,10 +93,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := tasq.NewScoringClient(ts.URL)
-	if err := client.Health(); err != nil {
+	if err := client.Health(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Score(&tasq.ScoreRequest{Job: newJob})
+	resp, err := client.Score(context.Background(), &tasq.ScoreRequest{Job: newJob})
 	if err != nil {
 		t.Fatal(err)
 	}
