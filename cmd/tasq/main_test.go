@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -147,6 +148,65 @@ func stdoutOf(t *testing.T, args ...string) string {
 		t.Fatal(err)
 	}
 	return string(out)
+}
+
+// helpFlags runs one tasq command line with -h and returns the flags it
+// lists.
+func helpFlags(t *testing.T, args ...string) map[string]bool {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	err = run(append(args, "-h"))
+	os.Stderr = saved
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("tasq %v -h: %v, want the flag list", args, err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(string(out), -1) {
+		defined[m[1]] = true
+	}
+	return defined
+}
+
+// TestREADMEExamplesUseDefinedFlags: every flag on a README line that
+// runs a tasq subcommand is one that subcommand defines.
+func TestREADMEExamplesUseDefinedFlags(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	command := regexp.MustCompile(`^(?:go run \./cmd/)?tasq ([a-z]+(?: (?:list|show|pin|unpin|gc))?)\b(.*)$`)
+	flagArg := regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w-]*)`)
+	defined := map[string]map[string]bool{}
+	checked := 0
+	for _, line := range strings.Split(string(readme), "\n") {
+		m := command.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		args, _, _ := strings.Cut(m[2], " #")
+		if defined[m[1]] == nil {
+			defined[m[1]] = helpFlags(t, strings.Fields(m[1])...)
+		}
+		for _, f := range flagArg.FindAllStringSubmatch(args, -1) {
+			checked++
+			if !defined[m[1]][f[1]] {
+				t.Errorf("README runs %q: tasq %s defines no -%s", line, m[1], f[1])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no tasq example line with flags found in README.md")
+	}
 }
 
 // TestCLIPlanLocalMatchesServed: tasq plan has one behaviour. The same

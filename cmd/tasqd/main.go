@@ -48,9 +48,10 @@
 // previous generation exactly once on an error spike.
 //
 // Scoring endpoints sit behind a bounded admission gate (-max-inflight,
-// -max-queue, -queue-wait): beyond the concurrency limit requests wait in
-// a FIFO queue, and overflow or queue-deadline expiry is shed with 429 +
-// Retry-After or 504 instead of queueing unboundedly.
+// -max-queue): beyond the concurrency limit requests wait in a FIFO
+// queue, for at most serve.DefaultQueueWait, and overflow or
+// queue-deadline expiry is shed with 429 + Retry-After or 504 instead of
+// queueing unboundedly.
 //
 // The daemon shuts down gracefully: on SIGINT/SIGTERM it flips /readyz to
 // draining and the admission gate to refusing new scoring work (503),
@@ -81,7 +82,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -126,6 +126,19 @@ func logSettings(fs *flag.FlagSet) {
 	obs.NewLogger(log.Writer()).Log("settings", settings)
 }
 
+// httpServer bounds how long a connection may take to send a request,
+// to take its response and to sit idle between requests. The header
+// limit is net/http's DefaultMaxHeaderBytes, 1 MiB.
+func httpServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadTimeout:       30 * time.Second,
+		ReadHeaderTimeout: 10 * time.Second,
+		WriteTimeout:      60 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -144,16 +157,8 @@ func run(ctx context.Context, args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown deadline for in-flight requests")
 	grace := fs.Duration("grace", 0, "wait after flipping /readyz to draining before closing the listener")
-	readTimeout := fs.Duration("read-timeout", 30*time.Second, "max time to read a request (header + body)")
-	writeTimeout := fs.Duration("write-timeout", 60*time.Second, "max time to write a response")
-	idleTimeout := fs.Duration("idle-timeout", 120*time.Second, "keep-alive idle connection timeout")
-	maxHeaderBytes := fs.Int("max-header-bytes", 1<<20, "request header size limit")
-	workers := fs.Int("workers", runtime.NumCPU(), "batch-scoring and plan-resolution worker pool size")
 	maxInFlight := fs.Int("max-inflight", serve.DefaultMaxInFlight, "max concurrently executing scoring requests")
 	maxQueue := fs.Int("max-queue", serve.DefaultMaxQueue, "max scoring requests queued behind the in-flight limit before shedding 429 (0 = no queue)")
-	curveCache := fs.Int("curve-cache", serve.DefaultCurveCacheCap, "memoized-curve cache capacity per model generation (0 disables)")
-	maxPlanJobs := fs.Int("max-plan-jobs", serve.DefaultMaxPlanJobs, "max jobs accepted per POST /v1/plan request; the 16 MiB request-body bound binds first, at about 1,880 jobs of 8.9 KB")
-	queueWait := fs.Duration("queue-wait", serve.DefaultQueueWait, "max time a scoring request may wait in the admission queue before shedding 504")
 	autopilotOn := fs.Bool("autopilot", false, "close the learning loop: ingest /v1/telemetry, detect drift, retrain, auto-promote with a rollback guardrail (requires -registry)")
 	driftThreshold := fs.Float64("drift-threshold", drift.DefaultConfig().Threshold, "relative-error EWMA above which the drift alarm fires a retrain (autopilot mode)")
 	promoteMinN := fs.Int("promote-min-n", autopilot.DefaultMachineConfig().PromoteMinN, "paired error samples required before a candidate may be auto-promoted (autopilot mode)")
@@ -168,6 +173,12 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *poll <= 0 {
 		return fmt.Errorf("-poll %v: must be positive", *poll)
+	}
+	if *drain < 0 {
+		return fmt.Errorf("-drain %v: must be at least 0", *drain)
+	}
+	if *grace < 0 {
+		return fmt.Errorf("-grace %v: must be at least 0", *grace)
 	}
 	if *autopilotOn && *registryDir == "" {
 		return errors.New("-autopilot requires -registry (the loop retrains into and promotes within a registry)")
@@ -184,10 +195,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	opts := []serve.Option{
 		serve.WithShadowSampleRate(*shadowSample),
-		serve.WithWorkers(*workers),
-		serve.WithAdmission(*maxInFlight, *maxQueue, *queueWait),
-		serve.WithCurveCache(*curveCache),
-		serve.WithMaxPlanJobs(*maxPlanJobs),
+		serve.WithAdmission(*maxInFlight, *maxQueue, serve.DefaultQueueWait),
 	}
 	if !*quiet {
 		opts = append(opts, serve.WithLogger(obs.NewLogger(os.Stderr)))
@@ -322,14 +330,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	log.Printf("tasqd: serving %s on %s", source, ln.Addr())
 
-	httpSrv := &http.Server{
-		Handler:           srv.Handler(),
-		ReadTimeout:       *readTimeout,
-		ReadHeaderTimeout: 10 * time.Second,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
-		MaxHeaderBytes:    *maxHeaderBytes,
-	}
+	httpSrv := httpServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
@@ -348,9 +349,7 @@ func run(ctx context.Context, args []string) error {
 	// to the drain deadline.
 	log.Printf("tasqd: draining (grace %s, deadline %s)", *grace, *drain)
 	srv.BeginDrain()
-	if *grace > 0 {
-		time.Sleep(*grace)
-	}
+	time.Sleep(*grace)
 	shCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(shCtx); err != nil {

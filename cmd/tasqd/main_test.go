@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"log"
 	"math"
@@ -15,7 +16,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"reflect"
-	"runtime"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -54,27 +55,28 @@ func TestRunBadAddr(t *testing.T) {
 // TestRefusedSettings pins that a setting meaning nothing is refused,
 // through the server constructors and through tasqd at startup, with an
 // error naming it, where it used to be coerced to a default silently.
-// Rows without an option have no second route. tasqd runs in
-// autopilot mode and must refuse before it opens the registry or creates
+// Rows without an option have no constructor route, rows without a flag
+// no tasqd route. tasqd runs in autopilot mode and must refuse before it opens the registry or creates
 // the telemetry window, so the registry directory stays empty.
 func TestRefusedSettings(t *testing.T) {
 	for _, tc := range []struct {
 		name, flag, value string
 		opt               serve.Option
 	}{
-		{"workers", "workers", "-3", serve.WithWorkers(-3)},
-		{"workers", "workers", "0", serve.WithWorkers(0)},
+		{"workers", "", "-3", serve.WithWorkers(-3)},
+		{"workers", "", "0", serve.WithWorkers(0)},
 		{"max-inflight", "max-inflight", "0", serve.WithAdmission(0, serve.DefaultMaxQueue, serve.DefaultQueueWait)},
 		{"max-queue", "max-queue", "-1", serve.WithAdmission(serve.DefaultMaxInFlight, -1, serve.DefaultQueueWait)},
 		{"max-queue", "max-queue", "-2", serve.WithAdmission(serve.DefaultMaxInFlight, -2, serve.DefaultQueueWait)},
-		{"queue-wait", "queue-wait", "0s", serve.WithAdmission(serve.DefaultMaxInFlight, serve.DefaultMaxQueue, 0)},
-		{"queue-wait", "queue-wait", "-1s", serve.WithAdmission(serve.DefaultMaxInFlight, serve.DefaultMaxQueue, -time.Second)},
+		{"queue-wait", "", "0s", serve.WithAdmission(serve.DefaultMaxInFlight, serve.DefaultMaxQueue, 0)},
+		{"queue-wait", "", "-1s", serve.WithAdmission(serve.DefaultMaxInFlight, serve.DefaultMaxQueue, -time.Second)},
 		{"shadow-sample", "shadow-sample", "7", serve.WithShadowSampleRate(7)},
 		{"shadow-sample", "shadow-sample", "-0.5", serve.WithShadowSampleRate(-0.5)},
 		{"shadow-sample", "shadow-sample", "NaN", serve.WithShadowSampleRate(math.NaN())},
-		{"curve-cache", "curve-cache", "-5", serve.WithCurveCache(-5)},
-		{"max-plan-jobs", "max-plan-jobs", "0", serve.WithMaxPlanJobs(0)},
+		{"max-plan-jobs", "", "0", serve.WithMaxPlanJobs(0)},
 		{"poll", "poll", "0s", nil},
+		{"drain", "drain", "-1s", nil},
+		{"grace", "grace", "-1s", nil},
 		{"drift-threshold", "drift-threshold", "0", nil},
 		{"drift-threshold", "drift-threshold", "-0.1", nil},
 		{"drift-threshold", "drift-threshold", "NaN", nil},
@@ -110,10 +112,10 @@ func TestRefusedSettings(t *testing.T) {
 }
 
 // TestDefaultSettingsLine reads the settings line tasqd logs with no
-// flags: one JSON line holding every flag's effective value, which must be
-// what the server ran with before the defaults had one owner — default
-// admission (256 in flight, 512 queued, 2 s wait), NumCPU workers, a
-// 4,096-entry curve cache, 4,096 plan jobs, every request shadowed.
+// flags: one JSON line holding each of its 18 flags' effective values,
+// which must be what the server ran with before the defaults had one
+// owner — default admission (256 in flight, 512 queued), every request
+// shadowed. TestServerDefaults pins the settings tasqd has no flag for.
 func TestDefaultSettingsLine(t *testing.T) {
 	var buf bytes.Buffer
 	prev := log.Writer()
@@ -140,16 +142,113 @@ func TestDefaultSettingsLine(t *testing.T) {
 	want := map[string]any{
 		"addr": ":8080", "model": "model.gob", "registry": "", "poll": "10s",
 		"shadow-sample": 1.0, "drain": "15s", "grace": "0s",
-		"read-timeout": "30s", "write-timeout": "1m0s", "idle-timeout": "2m0s",
-		"max-header-bytes": float64(1 << 20), "workers": float64(runtime.NumCPU()),
-		"max-inflight": 256.0, "max-queue": 512.0, "queue-wait": "2s",
-		"curve-cache": 4096.0, "max-plan-jobs": 4096.0,
+		"max-inflight": 256.0, "max-queue": 512.0,
 		"autopilot": false, "drift-threshold": 0.5, "promote-min-n": 32.0,
 		"guardrail-window": 64.0, "fault-profile": "", "policy": "",
 		"cluster-id": "", "peers": "", "quiet": false,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("settings line\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestHTTPServerLimits pins the daemon's listener: 30 s to read a request
+// (10 s for its header), 60 s to write a response, 120 s idle, and
+// net/http's 1 MiB header limit.
+func TestHTTPServerLimits(t *testing.T) {
+	s := httpServer(nil)
+	got := []time.Duration{s.ReadTimeout, s.ReadHeaderTimeout, s.WriteTimeout, s.IdleTimeout}
+	want := []time.Duration{30 * time.Second, 10 * time.Second, 60 * time.Second, 120 * time.Second}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("read, read-header, write, idle timeouts %v, want %v", got, want)
+	}
+	if s.MaxHeaderBytes != 0 || http.DefaultMaxHeaderBytes != 1<<20 {
+		t.Errorf("header limit %d (net/http default %d), want net/http's 1 MiB", s.MaxHeaderBytes, http.DefaultMaxHeaderBytes)
+	}
+}
+
+// helpText runs tasqd -h and returns what it prints.
+func helpText(t *testing.T) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	err = run(context.Background(), []string{"-h"})
+	os.Stderr = saved
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("tasqd -h: %v, want the flag list", err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestREADMEFlagTable: README's tasqd flag table is tasqd -h, row for row
+// (name, default, meaning), and every flag on a README line that runs
+// tasqd is one tasqd defines. -h omits a zero default; the table spells it
+// out for the flag's type.
+func TestREADMEFlagTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := map[string]string{"": "false", "string": `""`, "duration": "0s", "int": "0", "float": "0"}
+	var want []string
+	defined := map[string]bool{}
+	for _, block := range strings.Split(helpText(t), "\n  -")[1:] {
+		head, usage, _ := strings.Cut(strings.TrimSpace(block), "\n    \t")
+		name, typ, _ := strings.Cut(head, " ")
+		def := zero[typ]
+		if i := strings.LastIndex(usage, " (default "); i >= 0 && strings.HasSuffix(usage, ")") {
+			usage, def = usage[:i], usage[i+len(" (default "):len(usage)-1]
+		}
+		want = append(want, fmt.Sprintf("| `-%s` | `%s` | %s |", name, def, usage))
+		defined[name] = true
+	}
+	if len(want) != 18 {
+		t.Errorf("tasqd -h lists %d flags, want 18", len(want))
+	}
+
+	lines := strings.Split(string(readme), "\n")
+	var got []string
+	for i, line := range lines {
+		if line == "| Flag | Default | Meaning |" {
+			for _, row := range lines[i+2:] {
+				if !strings.HasPrefix(row, "|") {
+					break
+				}
+				got = append(got, row)
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("README flag table\n%s\nwant, from tasqd -h,\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	command := regexp.MustCompile(`^(?:go run \./cmd/)?tasqd( .*)?$`)
+	flagArg := regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w-]*)`)
+	checked := 0
+	for _, line := range lines {
+		m := command.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		args, _, _ := strings.Cut(m[1], " #")
+		for _, f := range flagArg.FindAllStringSubmatch(args, -1) {
+			checked++
+			if !defined[f[1]] {
+				t.Errorf("README runs %q: tasqd defines no -%s", line, f[1])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("no tasqd example line with flags found in README.md")
 	}
 }
 
@@ -452,7 +551,7 @@ func TestServesBatchAndMetrics(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-model", modelPath, "-addr", "127.0.0.1:0", "-quiet", "-workers", "2"})
+		done <- run(ctx, []string{"-model", modelPath, "-addr", "127.0.0.1:0", "-quiet"})
 	}()
 	var addr net.Addr
 	select {
@@ -808,9 +907,9 @@ func TestAutopilotModeWiring(t *testing.T) {
 }
 
 // TestServesPlan boots tasqd over a trained model and plans a small batch
-// through POST /v1/plan, with -max-plan-jobs enforcing the request cap.
+// through POST /v1/plan.
 func TestServesPlan(t *testing.T) {
-	client, job, stop := bootDaemon(t, nil, "-max-plan-jobs", "2")
+	client, job, stop := bootDaemon(t, nil)
 	defer stop()
 
 	resp, err := client.Plan(context.Background(), &serve.PlanRequest{
@@ -827,15 +926,5 @@ func TestServesPlan(t *testing.T) {
 		if pj.Tokens < 1 || pj.Tokens > 200 || pj.PredictedRuntimeSeconds < 1 {
 			t.Fatalf("planned job %d: %+v", i, pj)
 		}
-	}
-
-	// The third job breaches -max-plan-jobs 2 → 400.
-	_, err = client.Plan(context.Background(), &serve.PlanRequest{
-		Jobs:           []*scopesim.Job{job, job, job},
-		CapacityTokens: 200,
-	})
-	var se *serve.StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
-		t.Fatalf("over-cap plan: %v, want 400", err)
 	}
 }

@@ -134,7 +134,7 @@ func BenchmarkScoreSingle(b *testing.B) {
 		} {
 			b.Run(m.slug, func(b *testing.B) {
 				p, recs := fullPipeline()
-				f := benchFixtureOver(b, p, recs, WithCurveCache(0))
+				f := benchFixtureOver(b, p, recs, withCurveCache(0))
 				for _, req := range f.reqs {
 					req.Model = m.name
 				}

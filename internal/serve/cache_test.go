@@ -134,7 +134,7 @@ func TestCurveCacheHitAndCounters(t *testing.T) {
 }
 
 func TestCurveCacheDisabled(t *testing.T) {
-	srv, _ := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, WithCurveCache(0))
+	srv, _ := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, withCurveCache(0))
 	req := &ScoreRequest{Job: cacheJob(0)}
 	for i := 0; i < 3; i++ {
 		if _, err := srv.score(req); err != nil {
@@ -150,7 +150,7 @@ func TestCurveCacheDisabled(t *testing.T) {
 func TestCurveCacheLRUEviction(t *testing.T) {
 	// Capacity under the shard count collapses to one shard, making the
 	// LRU order exact.
-	srv, _ := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, WithCurveCache(3))
+	srv, _ := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, withCurveCache(3))
 	score := func(i int) {
 		t.Helper()
 		if _, err := srv.score(&ScoreRequest{Job: cacheJob(i)}); err != nil {
@@ -224,7 +224,7 @@ func TestCurveCacheInvalidJobStillRejected(t *testing.T) {
 func TestCurveCacheConcurrentEviction(t *testing.T) {
 	// Far more distinct jobs than capacity, hammered concurrently: every
 	// response must still carry the exact fake curve (run with -race).
-	srv, _ := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, WithCurveCache(8))
+	srv, _ := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, withCurveCache(8))
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -283,7 +283,7 @@ func trainedCachePipeline(tb testing.TB) (*trainer.Pipeline, []*jobrepo.Record) 
 func TestCurveCacheHitByteIdentical(t *testing.T) {
 	p, recs := trainedCachePipeline(t)
 	cachedSrv, cachedTS := pipelineServer(t, p)
-	_, uncachedTS := pipelineServer(t, p, WithCurveCache(0))
+	_, uncachedTS := pipelineServer(t, p, withCurveCache(0))
 
 	for i, rec := range recs[:8] {
 		payload, err := json.Marshal(&ScoreRequest{Job: rec.Job})
@@ -303,6 +303,13 @@ func TestCurveCacheHitByteIdentical(t *testing.T) {
 	if hits, _, _, _ := cacheCounters(cachedSrv); hits < 8 {
 		t.Fatalf("cache hits %d, want >= 8 (the identity test must exercise the hit path)", hits)
 	}
+}
+
+// withCurveCache sets the per-generation curve-cache capacity, which
+// servers otherwise take from DefaultCurveCacheCap; 0 disables
+// memoization, so every request runs the full predictor.
+func withCurveCache(capacity int) Option {
+	return func(s *Server) { s.cacheCap = capacity }
 }
 
 func pipelineServer(t *testing.T, p *trainer.Pipeline, opts ...Option) (*Server, *httptest.Server) {

@@ -237,6 +237,6 @@ func (s *Server) gated(h http.Handler) http.Handler {
 // finish. In-flight work is never cut off; the process exits when the
 // HTTP server's Shutdown completes.
 func (s *Server) BeginDrain() {
-	s.SetReady(false)
+	s.ready.Store(false)
 	s.gate.drain()
 }

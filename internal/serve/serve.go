@@ -362,16 +362,9 @@ func WithShadowSampleRate(rate float64) Option {
 	return func(s *Server) { s.shadowRate = rate }
 }
 
-// WithCurveCache bounds the per-generation memoized-curve cache to
-// roughly capacity entries (default DefaultCurveCacheCap); 0 disables
-// memoization, so every request runs the full predictor.
-func WithCurveCache(capacity int) Option {
-	return func(s *Server) { s.cacheCap = capacity }
-}
-
 // validate refuses settings that mean nothing instead of coercing them to
-// a default nobody asked for. Each setting is named after its tasqd flag,
-// where it has one.
+// a default nobody asked for. Each setting is named in tasqd's flag
+// style, after its flag where it has one.
 func (s *Server) validate() error {
 	bad := func(name string, v any, want string) error {
 		return fmt.Errorf("serve: %s %v: must be %s", name, v, want)
@@ -387,8 +380,6 @@ func (s *Server) validate() error {
 		return bad("queue-wait", s.queueWait, "positive")
 	case !(s.shadowRate >= 0 && s.shadowRate <= 1):
 		return bad("shadow-sample", s.shadowRate, "in [0, 1]")
-	case s.cacheCap < 0:
-		return bad("curve-cache", s.cacheCap, "at least 0 (0 disables)")
 	case s.maxPlanJobs < 1:
 		return bad("max-plan-jobs", s.maxPlanJobs, "at least 1")
 	}
@@ -562,11 +553,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry exposes the server's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// SetReady flips the /readyz probe; the serving process sets it to false
-// when draining so load balancers stop routing new work here while
-// in-flight requests complete.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // Ready reports the current readiness state.
 func (s *Server) Ready() bool { return s.ready.Load() }

@@ -9,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -334,13 +336,16 @@ func TestZeroThresholdAndMaxTokensStillDefault(t *testing.T) {
 	}
 }
 
+// TestReadyzDrain checks what BeginDrain, tasqd's one way to drain,
+// shows a caller: /readyz answers 503 "draining", and a new score is
+// refused by the admission gate with 503.
 func TestReadyzDrain(t *testing.T) {
 	srv, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}})
 	client := NewClient(ts.URL)
 	if err := client.Ready(context.Background()); err != nil {
 		t.Fatalf("fresh server not ready: %v", err)
 	}
-	srv.SetReady(false)
+	srv.BeginDrain()
 	err := client.Ready(context.Background())
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
@@ -349,13 +354,28 @@ func TestReadyzDrain(t *testing.T) {
 	if !strings.Contains(se.Message, "draining") {
 		t.Fatalf("draining readyz body: %q", se.Message)
 	}
-	// Scoring still works while draining: in-flight work completes.
-	if _, err := client.Score(context.Background(), &ScoreRequest{Job: validJob("drain")}); err != nil {
-		t.Fatalf("score during drain: %v", err)
+	_, err = client.Score(context.Background(), &ScoreRequest{Job: validJob("drain")})
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		t.Fatalf("score during drain: %v, want 503", err)
 	}
-	srv.SetReady(true)
-	if err := client.Ready(context.Background()); err != nil {
-		t.Fatalf("re-ready: %v", err)
+	if !strings.Contains(se.Message, "draining") {
+		t.Fatalf("score during drain message %q", se.Message)
+	}
+}
+
+// TestServerDefaults pins what a server runs with when no option sets a
+// value, which is what tasqd runs with for every setting it has no flag
+// for: 256 in flight, 512 queued, a 2 s queue wait, NumCPU workers, a
+// 4,096-entry curve cache, 4,096 jobs per plan, every request shadowed.
+func TestServerDefaults(t *testing.T) {
+	srv, err := NewUnloadedServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []any{srv.maxInFlight, srv.maxQueue, srv.queueWait, srv.workers, srv.cacheCap, srv.maxPlanJobs, srv.shadowRate}
+	want := []any{256, 512, 2 * time.Second, runtime.NumCPU(), 4096, 4096, 1.0}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("defaults %v, want %v", got, want)
 	}
 }
 
