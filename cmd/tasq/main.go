@@ -282,6 +282,13 @@ func cmdRegistry(args []string) error {
 		return fmt.Errorf("usage: tasq registry <list|show|pin|unpin|gc> [flags]")
 	}
 	action := args[0]
+	// The action is checked before the registry opens, since opening
+	// creates the directory.
+	switch action {
+	case "list", "show", "pin", "unpin", "gc":
+	default:
+		return fmt.Errorf("unknown registry action %q (want list, show, pin, unpin or gc)", action)
+	}
 	fs := flag.NewFlagSet("registry "+action, flag.ContinueOnError)
 	dir := fs.String("dir", "models", "registry directory")
 	version := fs.Int("version", 0, "target version (show, pin)")
@@ -351,15 +358,13 @@ func cmdRegistry(args []string) error {
 		}
 		fmt.Println("unpinned")
 		return nil
-	case "gc":
+	default: // "gc"
 		removed, err := reg.GC(*keep)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("removed %d version(s) %v, kept %d\n", len(removed), removed, *keep)
 		return nil
-	default:
-		return fmt.Errorf("unknown registry action %q (want list, show, pin, unpin or gc)", action)
 	}
 }
 

@@ -393,6 +393,29 @@ func TestCLIRegistryLifecycle(t *testing.T) {
 	}
 }
 
+// TestRegistryRefusesBeforeOpening holds an unknown registry action to
+// being refused before the registry opens: opening creates the -dir
+// directory, which a mistyped action must not leave behind.
+func TestRegistryRefusesBeforeOpening(t *testing.T) {
+	for _, action := range []string{"-h", "lst"} {
+		t.Run(action, func(t *testing.T) {
+			dir := t.TempDir()
+			t.Chdir(dir)
+			err := run([]string{"registry", action})
+			if want := fmt.Sprintf("unknown registry action %q", action); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("tasq registry %s: err %v, want %q", action, err, want)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 0 {
+				t.Fatalf("tasq registry %s left %d entries behind, first %q", action, len(entries), entries[0].Name())
+			}
+		})
+	}
+}
+
 func TestParseLoss(t *testing.T) {
 	for _, ok := range []string{"LF1", "lf2", "LF3", ""} {
 		if _, err := parseLoss(ok); err != nil {

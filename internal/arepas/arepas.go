@@ -51,18 +51,19 @@ func Simulate(orig skyline.Skyline, newAlloc int) (skyline.Skyline, error) {
 		}
 		var area int
 		for t := sec.Start; t < sec.End; t++ {
-			area += orig[t]
+			area += int(orig[t])
 		}
 		// Lengthen the section: flat at newAlloc for ceil(area/newAlloc)
 		// seconds preserves the section's area up to the final second.
+		// newAlloc is under the peak here, so it fits a skyline second.
 		newLen := (area + newAlloc - 1) / newAlloc
 		for i := 0; i < newLen; i++ {
-			out = append(out, newAlloc)
+			out = append(out, int32(newAlloc))
 		}
 		// The final second may be partially filled; adjust it so the
 		// section's area is exactly preserved.
 		if rem := area % newAlloc; rem != 0 {
-			out[len(out)-1] = rem
+			out[len(out)-1] = int32(rem)
 		}
 	}
 	return out, nil
@@ -83,8 +84,8 @@ func SimulateRuntime(orig skyline.Skyline, newAlloc int) (int, error) {
 		switch {
 		case v < 0:
 			return 0, fmt.Errorf("arepas: invalid input skyline: %w", orig.Validate())
-		case v > newAlloc:
-			area += v
+		case int(v) > newAlloc:
+			area += int(v)
 		default:
 			seconds += (area+newAlloc-1)/newAlloc + 1
 			area = 0

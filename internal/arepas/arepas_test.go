@@ -115,7 +115,7 @@ func TestSimulateNeverExceedsAllocationProperty(t *testing.T) {
 			return true // identity case: original may legitimately exceed nothing
 		}
 		for _, v := range got {
-			if v > alloc {
+			if int(v) > alloc {
 				return false
 			}
 		}
@@ -165,7 +165,7 @@ func TestSimulateUnderSectionsUnchangedProperty(t *testing.T) {
 			if sec.Over {
 				var area int
 				for t := sec.Start; t < sec.End; t++ {
-					area += s[t]
+					area += int(s[t])
 				}
 				pos += (area + alloc - 1) / alloc
 				continue
@@ -293,7 +293,7 @@ func TestAugmentForXGBoostBadAllocation(t *testing.T) {
 func randomSkyline(rng *rand.Rand, n, maxTok int) skyline.Skyline {
 	s := make(skyline.Skyline, n)
 	for i := range s {
-		s[i] = rng.Intn(maxTok + 1)
+		s[i] = int32(rng.Intn(maxTok + 1))
 	}
 	return s
 }
@@ -333,7 +333,7 @@ func TestSimulateRuntimeIsLenOfSimulate(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // a valley: zero seconds count as themselves
 			default:
-				s[i] = rng.Intn(peak + 1)
+				s[i] = int32(rng.Intn(peak + 1))
 			}
 		}
 		var newAlloc int
@@ -349,12 +349,12 @@ func TestSimulateRuntimeIsLenOfSimulate(t *testing.T) {
 			if n > 0 { // one over-run reaching the last second
 				newAlloc = 1 + rng.Intn(peak)
 				for i := n - 1 - rng.Intn(n); i < n; i++ {
-					s[i] = newAlloc + 1 + rng.Intn(peak)
+					s[i] = int32(newAlloc + 1 + rng.Intn(peak))
 				}
 			}
 		case 4:
 			if n > 0 { // invalid: a negative second, sometimes behind an over-run
-				s[rng.Intn(n)] = -1 - rng.Intn(5)
+				s[rng.Intn(n)] = int32(-1 - rng.Intn(5))
 			}
 			newAlloc = rng.Intn(peak + 1)
 		default:

@@ -11,7 +11,7 @@ func benchSkyline(n int) skyline.Skyline {
 	rng := rand.New(rand.NewSource(1))
 	s := make(skyline.Skyline, n)
 	for i := range s {
-		s[i] = rng.Intn(200)
+		s[i] = int32(rng.Intn(200))
 	}
 	return s
 }

@@ -16,7 +16,7 @@ func skylineFromBytes(data []byte) skyline.Skyline {
 	}
 	s := make(skyline.Skyline, len(data))
 	for i, b := range data {
-		s[i] = int(b)
+		s[i] = int32(b)
 	}
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"tasq/internal/jobrepo"
@@ -233,6 +234,10 @@ func FuzzWindowLoad(f *testing.F) {
 	}
 	f.Add(good)
 	f.Add(good[:len(good)-5])
+	// Lines whose integers overflow the held job's 32-bit fields.
+	f.Add(bytes.Replace(good, []byte(`"skyline":[`), []byte(`"skyline":[2147483648,`), 1))
+	f.Add(regexp.MustCompile(`"Tasks":\d+`).ReplaceAll(good, []byte(`"Tasks":2147483648`)))
+	f.Add(regexp.MustCompile(`"Kind":\d+`).ReplaceAll(good, []byte(`"Kind":32768`)))
 	f.Add([]byte("not json\n{}\nnull\n{\"Job\":{}}"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -294,8 +294,8 @@ func Figure6And7() (*Figure6And7Result, error) {
 func (r *Figure6And7Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figures 6/7 — AREPAS section behaviour at %d tokens:\n", r.NewAlloc)
-	fmt.Fprintf(&b, "  original  (%2ds, area %d): %v\n", r.Original.Runtime(), r.Original.Area(), []int(r.Original))
-	fmt.Fprintf(&b, "  simulated (%2ds, area %d): %v\n", r.Simulated.Runtime(), r.Simulated.Area(), []int(r.Simulated))
+	fmt.Fprintf(&b, "  original  (%2ds, area %d): %v\n", r.Original.Runtime(), r.Original.Area(), []int32(r.Original))
+	fmt.Fprintf(&b, "  simulated (%2ds, area %d): %v\n", r.Simulated.Runtime(), r.Simulated.Area(), []int32(r.Simulated))
 	return b.String()
 }
 

@@ -189,7 +189,8 @@ func FillNormalizedAdjacency(a *linalg.Matrix, job *scopesim.Job) {
 		d[i*n+i] = 1
 	}
 	for i := range job.Operators {
-		for _, c := range job.Operators[i].Children {
+		for _, c32 := range job.Operators[i].Children {
+			c := int(c32)
 			if c < 0 || c >= n || c == i || d[i*n+c] != 0 {
 				continue
 			}
@@ -199,7 +200,8 @@ func FillNormalizedAdjacency(a *linalg.Matrix, job *scopesim.Job) {
 		}
 	}
 	for i := range job.Operators {
-		for _, c := range job.Operators[i].Children {
+		for _, c32 := range job.Operators[i].Children {
+			c := int(c32)
 			if c < 0 || c >= n || c == i {
 				continue
 			}

@@ -219,7 +219,7 @@ func TestNormalizedAdjacency(t *testing.T) {
 
 func TestNormalizedAdjacencyIsolatedNode(t *testing.T) {
 	j := &scopesim.Job{
-		Stages: []scopesim.Stage{{ID: 0, Tasks: 1, TaskSeconds: 1, Operators: []int{0}}},
+		Stages: []scopesim.Stage{{ID: 0, Tasks: 1, TaskSeconds: 1, Operators: []int32{0}}},
 		Operators: []scopesim.Operator{
 			{ID: 0, Kind: scopesim.OpExtract, Partitioning: scopesim.PartitionHash, Stage: 0},
 		},
@@ -417,9 +417,9 @@ func refNormalizedAdjacency(job *scopesim.Job) *linalg.Matrix {
 	for i := range job.Operators {
 		a.Set(i, i, 1)
 		for _, c := range job.Operators[i].Children {
-			if c >= 0 && c < n {
-				a.Set(i, c, 1)
-				a.Set(c, i, 1)
+			if c >= 0 && int(c) < n {
+				a.Set(i, int(c), 1)
+				a.Set(int(c), i, 1)
 			}
 		}
 	}
@@ -458,8 +458,8 @@ func TestFillMatchesAllocatingReference(t *testing.T) {
 	// pair, a self-loop and out-of-range children.
 	odd := *jobs[0]
 	odd.Operators = append([]scopesim.Operator(nil), odd.Operators...)
-	odd.Operators[0].Children = []int{1, 1, 0, -3, len(odd.Operators)}
-	odd.Operators[1].Children = []int{0, 2}
+	odd.Operators[0].Children = []int32{1, 1, 0, -3, int32(len(odd.Operators))}
+	odd.Operators[1].Children = []int32{0, 2}
 	jobs = append(jobs, &odd, &scopesim.Job{ID: "empty"})
 
 	for _, job := range jobs {

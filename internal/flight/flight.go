@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -229,7 +230,7 @@ func overuse(s skyline.Skyline, alloc int, rng *rand.Rand) skyline.Skyline {
 		end = len(out)
 	}
 	for t := start; t < end; t++ {
-		out[t] = alloc + 1 + rng.Intn(alloc/4+2)
+		out[t] = int32(min(alloc+1+rng.Intn(alloc/4+2), math.MaxInt32))
 	}
 	return out
 }

@@ -44,7 +44,7 @@ func SimulateJockey(job *scopesim.Job, tokens int) (int, error) {
 	}
 	var total int
 	for _, st := range job.Stages {
-		waves := (st.Tasks + tokens - 1) / tokens
+		waves := (int(st.Tasks) + tokens - 1) / tokens
 		total += waves * st.TaskSeconds
 	}
 	return total, nil
@@ -63,7 +63,7 @@ func SimulateAmdahl(job *scopesim.Job, tokens int) (int, error) {
 	var total float64
 	for _, st := range job.Stages {
 		serial := float64(st.TaskSeconds)
-		parallel := float64((st.Tasks - 1) * st.TaskSeconds)
+		parallel := float64((int(st.Tasks) - 1) * st.TaskSeconds)
 		total += serial + parallel/float64(tokens)
 	}
 	return int(math.Round(total)), nil
@@ -107,7 +107,7 @@ func Precompute(job *scopesim.Job, allocations []int) (*Table, error) {
 	var done float64
 	for _, s := range order {
 		st := job.Stages[s]
-		done += float64(st.Tasks * st.TaskSeconds)
+		done += float64(int(st.Tasks) * st.TaskSeconds)
 		t.Progress = append(t.Progress, done/totalWork)
 	}
 	for _, alloc := range allocations {
@@ -120,7 +120,7 @@ func Precompute(job *scopesim.Job, allocations []int) (*Table, error) {
 		for i := len(order) - 1; i >= 0; i-- {
 			row[i] = remaining
 			st := job.Stages[order[i]]
-			waves := (st.Tasks + alloc - 1) / alloc
+			waves := (int(st.Tasks) + alloc - 1) / alloc
 			remaining += waves * st.TaskSeconds
 		}
 		t.Remaining = append(t.Remaining, row)

@@ -12,14 +12,14 @@ import (
 func chainJob(widths, durations []int) *scopesim.Job {
 	j := &scopesim.Job{ID: "chain", RequestedTokens: 10}
 	for i := range widths {
-		st := scopesim.Stage{ID: i, Tasks: widths[i], TaskSeconds: durations[i]}
+		st := scopesim.Stage{ID: int32(i), Tasks: int32(widths[i]), TaskSeconds: durations[i]}
 		if i > 0 {
-			st.Deps = []int{i - 1}
+			st.Deps = []int32{int32(i - 1)}
 		}
-		st.Operators = []int{i}
+		st.Operators = []int32{int32(i)}
 		j.Stages = append(j.Stages, st)
 		j.Operators = append(j.Operators, scopesim.Operator{
-			ID: i, Kind: scopesim.OpFilter, Partitioning: scopesim.PartitionHash, Stage: i,
+			ID: int32(i), Kind: scopesim.OpFilter, Partitioning: scopesim.PartitionHash, Stage: int32(i),
 		})
 	}
 	return j

@@ -27,7 +27,7 @@ func parallelJob(id string) *scopesim.Job {
 		RequestedTokens: 50,
 		Stages: []scopesim.Stage{
 			{ID: 0, Tasks: 200, TaskSeconds: 3},
-			{ID: 1, Tasks: 80, TaskSeconds: 2, Deps: []int{0}},
+			{ID: 1, Tasks: 80, TaskSeconds: 2, Deps: []int32{0}},
 		},
 	}
 }

@@ -123,8 +123,8 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 	remaining := make([]int, n) // tasks not yet finished
 	for i, st := range job.Stages {
 		pendingDeps[i] = len(st.Deps)
-		unstarted[i] = st.Tasks
-		remaining[i] = st.Tasks
+		unstarted[i] = int(st.Tasks)
+		remaining[i] = int(st.Tasks)
 		for _, d := range st.Deps {
 			dependents[d] = append(dependents[d], i)
 		}
@@ -217,8 +217,11 @@ func (e *Executor) run(job *Job, tokens int, rng *rand.Rand, noise Noise) (*Exec
 
 	sky := make(skyline.Skyline, 0, t)
 	for _, r := range runs {
+		if r.used > math.MaxInt32 {
+			return nil, fmt.Errorf("scopesim: job %s runs %d tasks at once, more than a skyline second holds", job.ID, r.used)
+		}
 		for len(sky) < r.until {
-			sky = append(sky, r.used)
+			sky = append(sky, int32(r.used))
 		}
 	}
 	return &Execution{

@@ -10,11 +10,11 @@ import (
 // start only after all stages in Deps have finished — the barrier structure
 // that carves valleys into job skylines.
 type Stage struct {
-	ID          int
-	Tasks       int   // number of parallel tasks (the stage's width)
-	TaskSeconds int   // work per task, in token-seconds
-	Deps        []int // stage IDs that must complete first
-	Operators   []int // operator IDs pipelined into this stage
+	ID          int32
+	Tasks       int32   // number of parallel tasks (the stage's width)
+	TaskSeconds int     // work per task, in token-seconds
+	Deps        []int32 // stage IDs that must complete first
+	Operators   []int32 // operator IDs pipelined into this stage
 }
 
 // Job is one SCOPE job: a DAG of operators grouped into stages, plus the
@@ -36,7 +36,7 @@ type Job struct {
 // acyclic, and every stage has positive work.
 func (j *Job) Validate() error {
 	for i, op := range j.Operators {
-		if op.ID != i {
+		if int(op.ID) != i {
 			return fmt.Errorf("scopesim: job %s: operator %d has ID %d", j.ID, i, op.ID)
 		}
 		if !op.Kind.Valid() {
@@ -45,20 +45,20 @@ func (j *Job) Validate() error {
 		if !op.Partitioning.Valid() {
 			return fmt.Errorf("scopesim: job %s: operator %d has invalid partitioning %d", j.ID, i, int(op.Partitioning))
 		}
-		if op.Stage < 0 || op.Stage >= len(j.Stages) {
+		if op.Stage < 0 || int(op.Stage) >= len(j.Stages) {
 			return fmt.Errorf("scopesim: job %s: operator %d assigned to stage %d of %d", j.ID, i, op.Stage, len(j.Stages))
 		}
 		for _, c := range op.Children {
-			if c < 0 || c >= len(j.Operators) {
+			if c < 0 || int(c) >= len(j.Operators) {
 				return fmt.Errorf("scopesim: job %s: operator %d has child %d out of range", j.ID, i, c)
 			}
-			if c == i {
+			if int(c) == i {
 				return fmt.Errorf("scopesim: job %s: operator %d is its own child", j.ID, i)
 			}
 		}
 	}
 	for i, st := range j.Stages {
-		if st.ID != i {
+		if int(st.ID) != i {
 			return fmt.Errorf("scopesim: job %s: stage %d has ID %d", j.ID, i, st.ID)
 		}
 		if st.Tasks < 1 {
@@ -68,10 +68,10 @@ func (j *Job) Validate() error {
 			return fmt.Errorf("scopesim: job %s: stage %d has task seconds %d", j.ID, i, st.TaskSeconds)
 		}
 		for _, d := range st.Deps {
-			if d < 0 || d >= len(j.Stages) {
+			if d < 0 || int(d) >= len(j.Stages) {
 				return fmt.Errorf("scopesim: job %s: stage %d depends on %d out of range", j.ID, i, d)
 			}
-			if d == i {
+			if int(d) == i {
 				return fmt.Errorf("scopesim: job %s: stage %d depends on itself", j.ID, i)
 			}
 		}
@@ -91,7 +91,7 @@ func (j *Job) StageOrder() ([]int, error) {
 	for i, st := range j.Stages {
 		indeg[i] = len(st.Deps)
 		for _, d := range st.Deps {
-			if d >= 0 && d < n {
+			if d >= 0 && int(d) < n {
 				dependents[d] = append(dependents[d], i)
 			}
 		}
@@ -125,7 +125,7 @@ func (j *Job) StageOrder() ([]int, error) {
 func (j *Job) TotalWork() int {
 	var w int
 	for _, st := range j.Stages {
-		w += st.Tasks * st.TaskSeconds
+		w += int(st.Tasks) * st.TaskSeconds
 	}
 	return w
 }
@@ -137,8 +137,8 @@ func (j *Job) TotalWork() int {
 func (j *Job) PeakParallelism() int {
 	var p int
 	for _, st := range j.Stages {
-		if st.Tasks > p {
-			p = st.Tasks
+		if int(st.Tasks) > p {
+			p = int(st.Tasks)
 		}
 	}
 	return p
@@ -180,7 +180,7 @@ func (j *Job) AdjacencyMatrix() [][]float64 {
 	}
 	for i, op := range j.Operators {
 		for _, c := range op.Children {
-			if c >= 0 && c < n {
+			if c >= 0 && int(c) < n {
 				adj[i][c] = 1
 			}
 		}

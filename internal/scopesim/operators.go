@@ -12,8 +12,9 @@ import "fmt"
 
 // OpKind identifies one of the 35 physical operator types of SCOPE
 // (J. Zhou et al., §4.4/§5.2), the vocabulary of the paper's categorical
-// features.
-type OpKind int
+// features. It is signed and 16-bit, which costs an Operator nothing over
+// 8 bits, so a kind outside the 35 still decodes and fails Validate.
+type OpKind int16
 
 // The physical operators. NumOpKinds is the one-hot dimension.
 const (
@@ -99,7 +100,7 @@ func (k OpKind) CostWeight() float64 {
 
 // PartitionMethod is one of SCOPE's four data-partitioning schemes, the
 // second categorical feature family of Table 1.
-type PartitionMethod int
+type PartitionMethod int8
 
 // The partitioning methods. NumPartitionMethods is the one-hot dimension.
 const (
@@ -138,21 +139,23 @@ type OpMetrics struct {
 	TotalCost                float64 // cumulative cost including this operator
 
 	// Discrete features.
-	NumPartitions          int // degree of data parallelism
-	NumPartitioningColumns int
-	NumSortColumns         int
+	NumPartitions          int32 // degree of data parallelism
+	NumPartitioningColumns int32
+	NumSortColumns         int32
 }
 
-// Operator is one node of a SCOPE job's physical execution DAG.
+// Operator is one node of a SCOPE job's physical execution DAG. Its
+// integers are as narrow as their values (DESIGN.md, "Held jobs"), since
+// history holds many jobs; widen them to int before any sum or product.
 type Operator struct {
-	ID           int
+	ID           int32
 	Kind         OpKind
 	Partitioning PartitionMethod
 	// Children are the IDs of operators feeding this one (edges point
 	// child → parent in dataflow order).
-	Children []int
+	Children []int32
 	// Stage is the index of the job stage this operator is pipelined into.
-	Stage int
+	Stage int32
 	// Est holds the compile-time estimates, the featurization input. The
 	// executor never reads them: it runs the job's Stages.
 	Est OpMetrics

@@ -14,17 +14,17 @@ import (
 func chainJob(id string, widths, durations []int) *Job {
 	j := &Job{ID: id, RequestedTokens: 10}
 	for i := range widths {
-		st := Stage{ID: i, Tasks: widths[i], TaskSeconds: durations[i]}
+		st := Stage{ID: int32(i), Tasks: int32(widths[i]), TaskSeconds: durations[i]}
 		if i > 0 {
-			st.Deps = []int{i - 1}
+			st.Deps = []int32{int32(i - 1)}
 		}
-		st.Operators = []int{i}
+		st.Operators = []int32{int32(i)}
 		j.Stages = append(j.Stages, st)
 		j.Operators = append(j.Operators, Operator{
-			ID:           i,
+			ID:           int32(i),
 			Kind:         OpFilter,
 			Partitioning: PartitionHash,
-			Stage:        i,
+			Stage:        int32(i),
 		})
 	}
 	return j
@@ -89,14 +89,14 @@ func TestJobValidate(t *testing.T) {
 		{"bad kind", func(j *Job) { j.Operators[0].Kind = OpKind(99) }},
 		{"bad partitioning", func(j *Job) { j.Operators[0].Partitioning = PartitionMethod(9) }},
 		{"bad stage ref", func(j *Job) { j.Operators[0].Stage = 5 }},
-		{"child out of range", func(j *Job) { j.Operators[0].Children = []int{9} }},
-		{"self child", func(j *Job) { j.Operators[0].Children = []int{0} }},
+		{"child out of range", func(j *Job) { j.Operators[0].Children = []int32{9} }},
+		{"self child", func(j *Job) { j.Operators[0].Children = []int32{0} }},
 		{"bad stage id", func(j *Job) { j.Stages[1].ID = 3 }},
 		{"zero tasks", func(j *Job) { j.Stages[0].Tasks = 0 }},
 		{"zero duration", func(j *Job) { j.Stages[0].TaskSeconds = 0 }},
-		{"dep out of range", func(j *Job) { j.Stages[0].Deps = []int{5} }},
-		{"self dep", func(j *Job) { j.Stages[0].Deps = []int{0} }},
-		{"cycle", func(j *Job) { j.Stages[0].Deps = []int{1} }},
+		{"dep out of range", func(j *Job) { j.Stages[0].Deps = []int32{5} }},
+		{"self dep", func(j *Job) { j.Stages[0].Deps = []int32{0} }},
+		{"cycle", func(j *Job) { j.Stages[0].Deps = []int32{1} }},
 	}
 	for _, tc := range cases {
 		j := chainJob("bad", []int{4, 2}, []int{3, 5})
@@ -112,9 +112,9 @@ func TestStageOrderTopological(t *testing.T) {
 	j := &Job{ID: "diamond"}
 	j.Stages = []Stage{
 		{ID: 0, Tasks: 1, TaskSeconds: 1},
-		{ID: 1, Tasks: 1, TaskSeconds: 1, Deps: []int{0}},
-		{ID: 2, Tasks: 1, TaskSeconds: 1, Deps: []int{0}},
-		{ID: 3, Tasks: 1, TaskSeconds: 1, Deps: []int{1, 2}},
+		{ID: 1, Tasks: 1, TaskSeconds: 1, Deps: []int32{0}},
+		{ID: 2, Tasks: 1, TaskSeconds: 1, Deps: []int32{0}},
+		{ID: 3, Tasks: 1, TaskSeconds: 1, Deps: []int32{1, 2}},
 	}
 	order, err := j.StageOrder()
 	if err != nil {
@@ -126,7 +126,7 @@ func TestStageOrderTopological(t *testing.T) {
 	}
 	for _, st := range j.Stages {
 		for _, d := range st.Deps {
-			if pos[d] >= pos[st.ID] {
+			if pos[int(d)] >= pos[int(st.ID)] {
 				t.Fatalf("order %v violates dep %d → %d", order, d, st.ID)
 			}
 		}
@@ -152,8 +152,8 @@ func TestTotalWorkPeakCriticalPath(t *testing.T) {
 
 func TestAdjacencyMatrix(t *testing.T) {
 	j := chainJob("j", []int{1, 1, 1}, []int{1, 1, 1})
-	j.Operators[1].Children = []int{0}
-	j.Operators[2].Children = []int{1}
+	j.Operators[1].Children = []int32{0}
+	j.Operators[2].Children = []int32{1}
 	adj := j.AdjacencyMatrix()
 	if adj[1][0] != 1 || adj[2][1] != 1 {
 		t.Fatalf("missing edges: %v", adj)
@@ -246,9 +246,9 @@ func TestExecutorDiamondConcurrency(t *testing.T) {
 	j := &Job{ID: "diamond"}
 	j.Stages = []Stage{
 		{ID: 0, Tasks: 2, TaskSeconds: 2},
-		{ID: 1, Tasks: 4, TaskSeconds: 3, Deps: []int{0}},
-		{ID: 2, Tasks: 4, TaskSeconds: 3, Deps: []int{0}},
-		{ID: 3, Tasks: 1, TaskSeconds: 2, Deps: []int{1, 2}},
+		{ID: 1, Tasks: 4, TaskSeconds: 3, Deps: []int32{0}},
+		{ID: 2, Tasks: 4, TaskSeconds: 3, Deps: []int32{0}},
+		{ID: 3, Tasks: 1, TaskSeconds: 2, Deps: []int32{1, 2}},
 	}
 	var ex Executor
 	res, err := ex.Run(j, 8)
@@ -339,7 +339,7 @@ func TestExecutorPoolLedgerConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s, used := range res.Skyline {
-			if used < 0 || used > tokens {
+			if used < 0 || int(used) > tokens {
 				t.Fatalf("job %s second %d uses %d of %d tokens", j.ID, s, used, tokens)
 			}
 		}
@@ -488,24 +488,24 @@ func randomDAGJob(rng *rand.Rand, stages int) *Job {
 	j := &Job{ID: "rand", RequestedTokens: 10}
 	for i := 0; i < stages; i++ {
 		st := Stage{
-			ID:          i,
-			Tasks:       1 + rng.Intn(25),
+			ID:          int32(i),
+			Tasks:       int32(1 + rng.Intn(25)),
 			TaskSeconds: 1 + rng.Intn(12),
 		}
 		// Depend on a random subset of earlier stages (at least the
 		// previous one half the time, to keep chains long).
 		for d := 0; d < i; d++ {
 			if rng.Float64() < 0.4 {
-				st.Deps = append(st.Deps, d)
+				st.Deps = append(st.Deps, int32(d))
 			}
 		}
-		st.Operators = []int{i}
+		st.Operators = []int32{int32(i)}
 		j.Stages = append(j.Stages, st)
 		j.Operators = append(j.Operators, Operator{
-			ID:           i,
+			ID:           int32(i),
 			Kind:         OpKind(rng.Intn(NumOpKinds)),
 			Partitioning: PartitionMethod(rng.Intn(NumPartitionMethods)),
-			Stage:        i,
+			Stage:        int32(i),
 		})
 	}
 	return j

@@ -45,9 +45,9 @@ func TestScoreKeyDiscriminates(t *testing.T) {
 			Template:        "tmpl-1",
 			Operators: []scopesim.Operator{
 				{ID: 0, Kind: scopesim.OpExtract, Stage: 0, Est: scopesim.OpMetrics{OutputCardinality: 10}},
-				{ID: 1, Kind: scopesim.OpProcess, Stage: 0, Children: []int{0}},
+				{ID: 1, Kind: scopesim.OpProcess, Stage: 0, Children: []int32{0}},
 			},
-			Stages: []scopesim.Stage{{ID: 0, Tasks: 4, TaskSeconds: 2, Operators: []int{0, 1}}},
+			Stages: []scopesim.Stage{{ID: 0, Tasks: 4, TaskSeconds: 2, Operators: []int32{0, 1}}},
 		}
 	}
 	ref := scoreKey("", base())
@@ -75,7 +75,7 @@ func TestScoreKeyDiscriminates(t *testing.T) {
 		"est partitions":  func(j *scopesim.Job) { j.Operators[0].Est.NumPartitions = 8 },
 		"stage tasks":     func(j *scopesim.Job) { j.Stages[0].Tasks = 5 },
 		"stage seconds":   func(j *scopesim.Job) { j.Stages[0].TaskSeconds = 3 },
-		"stage operators": func(j *scopesim.Job) { j.Stages[0].Operators = []int{0} },
+		"stage operators": func(j *scopesim.Job) { j.Stages[0].Operators = []int32{0} },
 	}
 	for name, mutate := range mutations {
 		j := base()

@@ -63,6 +63,14 @@ func fuzzHandler(f *testing.F, seeds ...string) http.Handler {
 	return srv.Handler()
 }
 
+// addWireBoundSeeds seeds f with body (J standing for the job) once per
+// wireBoundCases edit of fuzzJob.
+func addWireBoundSeeds(f *testing.F, body string) {
+	for _, c := range wireBoundCases {
+		f.Add([]byte(strings.ReplaceAll(body, "J", strings.Replace(fuzzJob, c.from, c.to, 1))))
+	}
+}
+
 // postTyped sends body to route and fails unless the answer is one of the
 // typed statuses the route may give.
 func postTyped(t *testing.T, h http.Handler, route string, body []byte, typed ...int) {
@@ -83,6 +91,7 @@ func FuzzScoreRequest(f *testing.F) {
 		`{"job":J,"model":"nn"}`,
 	)
 	f.Add(readLegacy(f, "legacy_score.json"))
+	addWireBoundSeeds(f, `{"job":J}`)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		postTyped(t, h, "/v1/score", body, http.StatusOK, http.StatusBadRequest, http.StatusConflict)
 	})
@@ -103,7 +112,9 @@ func FuzzTelemetryRequest(f *testing.F) {
 	h := fuzzHandler(f,
 		`{"records":[{"job":J,"observed_tokens":4,"runtime_seconds":3,"skyline":[4,4,2]}]}`,
 		`{"records":[{"job":J,"observed_tokens":4,"runtime_seconds":3,"skyline":[4,4,2]},null,{"job":J}]}`,
+		`{"records":[{"job":J,"observed_tokens":4,"runtime_seconds":3,"skyline":[4,2147483648,2]}]}`,
 	)
+	addWireBoundSeeds(f, `{"records":[{"job":J,"observed_tokens":4,"runtime_seconds":3,"skyline":[4,4,2]}]}`)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		postTyped(t, h, "/v1/telemetry", body, http.StatusOK, http.StatusBadRequest)
 	})

@@ -114,7 +114,7 @@ func routeKeyJobs() (models []string, jobs []*scopesim.Job) {
 	small := &scopesim.Job{
 		ID: "ignored", RequestedTokens: 7, Template: "t",
 		Operators: []scopesim.Operator{{ID: 0, Kind: scopesim.OpExtract, Est: scopesim.OpMetrics{OutputCardinality: 1.5}}},
-		Stages:    []scopesim.Stage{{ID: 0, Tasks: 1, TaskSeconds: 1, Operators: []int{0}}},
+		Stages:    []scopesim.Stage{{ID: 0, Tasks: 1, TaskSeconds: 1, Operators: []int32{0}}},
 	}
 	large := &scopesim.Job{
 		RequestedTokens: 300, Template: "nightly-rollup/v2",
@@ -122,14 +122,14 @@ func routeKeyJobs() (models []string, jobs []*scopesim.Job) {
 			{ID: 0, Kind: scopesim.OpExtract, Partitioning: scopesim.PartitionRange, Stage: 0,
 				Est: scopesim.OpMetrics{OutputCardinality: 1e9, LeafInputCardinality: 2.5e9, AvgRowLength: 128,
 					SubtreeCost: 77.25, ExclusiveCost: 3.5, TotalCost: 80.75, NumPartitions: 5000, NumPartitioningColumns: 2}},
-			{ID: 1, Kind: scopesim.OpHashJoin, Partitioning: scopesim.PartitionHash, Stage: 1, Children: []int{0, 0},
+			{ID: 1, Kind: scopesim.OpHashJoin, Partitioning: scopesim.PartitionHash, Stage: 1, Children: []int32{0, 0},
 				Est: scopesim.OpMetrics{ChildrenInputCardinality: 1e9, NumPartitions: 64, NumSortColumns: 70}},
-			{ID: -2, Kind: scopesim.OpKind(200), Stage: 129, Children: []int{1, -1, 1 << 20},
+			{ID: -2, Kind: scopesim.OpKind(200), Stage: 129, Children: []int32{1, -1, 1 << 20},
 				Est: scopesim.OpMetrics{OutputCardinality: -1, NumPartitions: -65}},
 		},
 		Stages: []scopesim.Stage{
-			{ID: 0, Tasks: 5000, TaskSeconds: 63, Operators: []int{0}},
-			{ID: 1, Tasks: 64, TaskSeconds: 64, Deps: []int{0}, Operators: []int{1, 2}},
+			{ID: 0, Tasks: 5000, TaskSeconds: 63, Operators: []int32{0}},
+			{ID: 1, Tasks: 64, TaskSeconds: 64, Deps: []int32{0}, Operators: []int32{1, 2}},
 		},
 	}
 	return []string{"", "XGBoost-PL"}, []*scopesim.Job{small, large}

@@ -21,7 +21,7 @@ func FuzzSkylineValidate(f *testing.F) {
 		s := make(Skyline, len(data))
 		negative := false
 		for i, b := range data {
-			s[i] = int(int8(b)) // signed: exercise the invalid range too
+			s[i] = int32(int8(b)) // signed: exercise the invalid range too
 			if s[i] < 0 {
 				negative = true
 			}
@@ -43,7 +43,7 @@ func FuzzSkylineValidate(f *testing.F) {
 				t.Fatalf("sections %d and %d both Over=%v (not maximal)", i-1, i, sec.Over)
 			}
 			for j := sec.Start; j < sec.End; j++ {
-				if (s[j] > threshold) != sec.Over {
+				if (int(s[j]) > threshold) != sec.Over {
 					t.Fatalf("second %d (usage %d) misclassified by section %+v at threshold %d", j, s[j], sec, threshold)
 				}
 			}

@@ -15,8 +15,9 @@ import (
 
 // Skyline is a job's token usage per second. S[t] is the number of tokens
 // the job used during second t. Usage is non-negative; the slice's length
-// is the job's run time in seconds.
-type Skyline []int
+// is the job's run time in seconds. A second is 32-bit to halve what a held
+// skyline costs; every method computes and returns in int.
+type Skyline []int32
 
 // Validate returns an error if the skyline contains negative usage.
 func (s Skyline) Validate() error {
@@ -36,7 +37,7 @@ func (s Skyline) Runtime() int { return len(s) }
 func (s Skyline) Area() int {
 	var a int
 	for _, v := range s {
-		a += v
+		a += int(v)
 	}
 	return a
 }
@@ -46,8 +47,8 @@ func (s Skyline) Area() int {
 func (s Skyline) Peak() int {
 	var p int
 	for _, v := range s {
-		if v > p {
-			p = v
+		if int(v) > p {
+			p = int(v)
 		}
 	}
 	return p
@@ -95,9 +96,9 @@ func (s Skyline) Sections(threshold int) []Section {
 		return nil
 	}
 	var out []Section
-	cur := Section{Start: 0, Over: s[0] > threshold}
+	cur := Section{Start: 0, Over: int(s[0]) > threshold}
 	for t := 1; t < len(s); t++ {
-		over := s[t] > threshold
+		over := int(s[t]) > threshold
 		if over != cur.Over {
 			cur.End = t
 			out = append(out, cur)
@@ -183,8 +184,8 @@ func (s Skyline) SummarizeBands(allocation int) BandSummary {
 func (s Skyline) OverAllocation(allocation int) int {
 	var waste int
 	for _, v := range s {
-		if v < allocation {
-			waste += allocation - v
+		if int(v) < allocation {
+			waste += allocation - int(v)
 		}
 	}
 	return waste
@@ -196,17 +197,13 @@ func (s Skyline) OverAllocation(allocation int) int {
 // resources are released as the remaining peak drops).
 func (s Skyline) AdaptivePeakAllocation() int {
 	var total int
-	remainingPeak := 0
+	var remainingPeak int32
 	// Walk backwards: the allocation at second t is the max over s[t:].
-	allocs := make([]int, len(s))
 	for t := len(s) - 1; t >= 0; t-- {
 		if s[t] > remainingPeak {
 			remainingPeak = s[t]
 		}
-		allocs[t] = remainingPeak
-	}
-	for _, a := range allocs {
-		total += a
+		total += int(remainingPeak)
 	}
 	return total
 }
@@ -231,7 +228,7 @@ func (s Skyline) Resample(width int) []float64 {
 		}
 		var sum int
 		for t := lo; t < hi; t++ {
-			sum += s[t]
+			sum += int(s[t])
 		}
 		out[i] = float64(sum) / float64(hi-lo)
 	}

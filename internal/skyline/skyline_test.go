@@ -97,7 +97,7 @@ func TestSectionsPartitionProperty(t *testing.T) {
 				return false
 			}
 			for t := sec.Start; t < sec.End; t++ {
-				if (s[t] > th) != sec.Over {
+				if (int(s[t]) > th) != sec.Over {
 					return false
 				}
 			}
@@ -219,7 +219,7 @@ func TestCloneIndependent(t *testing.T) {
 func randomSkyline(rng *rand.Rand, n, maxTok int) Skyline {
 	s := make(Skyline, n)
 	for i := range s {
-		s[i] = rng.Intn(maxTok + 1)
+		s[i] = int32(rng.Intn(maxTok + 1))
 	}
 	return s
 }

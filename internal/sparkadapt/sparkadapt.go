@@ -73,7 +73,7 @@ func (p Platform) ExecutorSkyline(s skyline.Skyline) (skyline.Skyline, error) {
 	}
 	out := make(skyline.Skyline, len(s))
 	for i, v := range s {
-		out[i] = (v + p.CoresPerExecutor - 1) / p.CoresPerExecutor
+		out[i] = int32((int(v) + p.CoresPerExecutor - 1) / p.CoresPerExecutor)
 	}
 	return out, nil
 }

@@ -103,16 +103,16 @@ func exactnessJobs(seed int64) []*scopesim.Job {
 	one := &scopesim.Job{
 		ID: "one-operator", RequestedTokens: 7,
 		Operators: []scopesim.Operator{widest.Operators[0]},
-		Stages:    []scopesim.Stage{{ID: 0, Tasks: 3, TaskSeconds: 2, Operators: []int{0}}},
+		Stages:    []scopesim.Stage{{ID: 0, Tasks: 3, TaskSeconds: 2, Operators: []int32{0}}},
 	}
 	one.Operators[0].Children = nil
 	wide := &scopesim.Job{ID: "widest", RequestedTokens: 900, Stages: widest.Stages}
 	for len(wide.Operators) < 2*len(widest.Operators) {
 		op := widest.Operators[len(wide.Operators)%len(widest.Operators)]
-		op.ID = len(wide.Operators)
+		op.ID = int32(len(wide.Operators))
 		op.Children = nil
 		if op.ID > 0 {
-			op.Children = []int{op.ID - 1, op.ID / 2, op.ID - 1}
+			op.Children = []int32{op.ID - 1, op.ID / 2, op.ID - 1}
 		}
 		wide.Operators = append(wide.Operators, op)
 	}

@@ -79,7 +79,7 @@ type template struct {
 }
 
 type templateStage struct {
-	deps    []int
+	deps    []int32
 	opKinds []scopesim.OpKind
 	parts   []scopesim.PartitionMethod
 	// widthFactor scales the stage's partition count relative to the
@@ -197,10 +197,10 @@ func (g *Generator) drawTemplate(t *template) {
 		if s > 0 {
 			// Depend on the previous stage, plus occasionally an earlier one
 			// (join fan-in), keeping the DAG connected and layered.
-			ts.deps = append(ts.deps, s-1)
+			ts.deps = append(ts.deps, int32(s-1))
 			if s > 1 && rng.Float64() < 0.35 {
 				d := rng.Intn(s - 1)
-				ts.deps = append(ts.deps, d)
+				ts.deps = append(ts.deps, int32(d))
 			}
 		}
 		numOps := 1 + rng.Intn(4)
@@ -291,7 +291,7 @@ func (g *Generator) instantiate(t *template, id string, submit time.Time) *scope
 		numOps += len(ts.opKinds)
 		numInts += 2*len(ts.deps) + 2*len(ts.opKinds) - 1
 	}
-	ints := make([]int, numInts)
+	ints := make([]int32, numInts)
 	job := &scopesim.Job{
 		ID:             id,
 		Template:       t.name,
@@ -305,7 +305,7 @@ func (g *Generator) instantiate(t *template, id string, submit time.Time) *scope
 	// its dependency stages (leaves read the input).
 	stageOutRows := make([]float64, len(t.stages))
 	opID := 0
-	var prevLastOp = make([]int, len(t.stages)) // last operator of each stage
+	var prevLastOp = make([]int32, len(t.stages)) // last operator of each stage
 	for s, ts := range t.stages {
 		inRows := input
 		if len(ts.deps) > 0 {
@@ -348,7 +348,7 @@ func (g *Generator) instantiate(t *template, id string, submit time.Time) *scope
 		}
 
 		stage := &job.Stages[s]
-		*stage = scopesim.Stage{ID: s, Tasks: tasks, TaskSeconds: taskSec}
+		*stage = scopesim.Stage{ID: int32(s), Tasks: int32(tasks), TaskSeconds: taskSec}
 		stage.Deps = append(carve(&ints, len(ts.deps)), ts.deps...)
 		stage.Operators = carve(&ints, len(ts.opKinds))
 
@@ -359,10 +359,10 @@ func (g *Generator) instantiate(t *template, id string, submit time.Time) *scope
 		for o, kind := range ts.opKinds {
 			op := &job.Operators[opID]
 			*op = scopesim.Operator{
-				ID:           opID,
+				ID:           int32(opID),
 				Kind:         kind,
 				Partitioning: ts.parts[o],
-				Stage:        s,
+				Stage:        int32(s),
 			}
 			if o == 0 {
 				op.Children = carve(&ints, len(ts.deps))
@@ -370,7 +370,7 @@ func (g *Generator) instantiate(t *template, id string, submit time.Time) *scope
 					op.Children = append(op.Children, prevLastOp[d])
 				}
 			} else {
-				op.Children = append(carve(&ints, 1), opID-1)
+				op.Children = append(carve(&ints, 1), int32(opID-1))
 			}
 			outOp := rows * perOpSel
 			op.Est = g.noisyEstimates(scopesim.OpMetrics{
@@ -379,15 +379,15 @@ func (g *Generator) instantiate(t *template, id string, submit time.Time) *scope
 				ChildrenInputCardinality: rows,
 				AvgRowLength:             t.rowLength,
 				ExclusiveCost:            rows * kind.CostWeight() * t.complexity,
-				NumPartitions:            tasks,
-				NumPartitioningColumns:   1 + rng.Intn(3),
+				NumPartitions:            int32(tasks),
+				NumPartitioningColumns:   int32(1 + rng.Intn(3)),
 				NumSortColumns:           sortColumns(kind, rng),
 			})
-			stage.Operators = append(stage.Operators, opID)
+			stage.Operators = append(stage.Operators, int32(opID))
 			rows = outOp
 			opID++
 		}
-		prevLastOp[s] = opID - 1
+		prevLastOp[s] = int32(opID - 1)
 	}
 	fillCumulativeCosts(job)
 
@@ -412,7 +412,7 @@ func (g *Generator) instantiate(t *template, id string, submit time.Time) *scope
 // filling it by append stays in place while a consumer's later append
 // reallocates instead of overwriting a neighbour. n == 0 gives nil, as
 // appending nothing to a nil slice did.
-func carve(ints *[]int, n int) []int {
+func carve(ints *[]int32, n int) []int32 {
 	if n == 0 {
 		return nil
 	}
@@ -421,10 +421,10 @@ func carve(ints *[]int, n int) []int {
 	return s
 }
 
-func sortColumns(k scopesim.OpKind, rng *rand.Rand) int {
+func sortColumns(k scopesim.OpKind, rng *rand.Rand) int32 {
 	switch k {
 	case scopesim.OpSort, scopesim.OpTopSort, scopesim.OpMergeJoin, scopesim.OpStreamGroupBy, scopesim.OpWindow:
-		return 1 + rng.Intn(4)
+		return int32(1 + rng.Intn(4))
 	default:
 		return 0
 	}

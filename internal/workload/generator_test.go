@@ -329,8 +329,8 @@ func TestFullScalePopulationShape(t *testing.T) {
 
 // intLists returns every int list of the job: each operator's Children,
 // then each stage's Deps and Operators.
-func intLists(j *scopesim.Job) []*[]int {
-	var lists []*[]int
+func intLists(j *scopesim.Job) []*[]int32 {
+	var lists []*[]int32
 	for i := range j.Operators {
 		lists = append(lists, &j.Operators[i].Children)
 	}
@@ -362,7 +362,7 @@ func TestGeneratedJobSlicesDoNotAlias(t *testing.T) {
 		for k, p := range intLists(job) {
 			grown := append(*p, -1)
 			for i := range grown {
-				grown[i] = -2 - i
+				grown[i] = int32(-2 - i)
 			}
 			if !reflect.DeepEqual(job, want) {
 				t.Fatalf("job %s: appending to int list %d changed the job", job.ID, k)

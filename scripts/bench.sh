@@ -10,7 +10,11 @@
 #                        tape, one AREPAS sweep, one boosted-tree fit, and
 #                        one autopilot-sized retrain (trainer.TrainWindow
 #                        over 4,096 records) with its peak heap; the Train
-#                        stage rows carry allocs/op and B/op too
+#                        stage rows carry allocs/op and B/op too; and the
+#                        held_job object, what generating a job allocates
+#                        and what a held job keeps (internal/workload
+#                        BenchmarkGenerate: B/job, retained_B/job and
+#                        allocs/op over its 512-job population)
 #   BENCH_serving.json   serving hot-path numbers (internal/serve
 #                        bench_test.go): cached single-score ns/op and
 #                        allocs/op, the miss path per predictor
@@ -65,6 +69,9 @@ echo "== go test (retrain kernels) -bench='Benchmark(ForwardBackward|MLPEpoch|Sw
 go test -run='^$' -bench='^Benchmark(ForwardBackward|MLPEpoch|Sweep|Train)$' -benchmem -benchtime="$kbenchtime" -count=1 \
 	./internal/ml/gnn ./internal/ml/nn ./internal/arepas ./internal/ml/gbt | tee -a "$raw" >&2
 
+echo "== go test ./internal/workload -bench=BenchmarkGenerate -benchtime=$kbenchtime" >&2
+go test -run='^$' -bench='^BenchmarkGenerate$' -benchtime="$kbenchtime" -count=1 ./internal/workload | tee -a "$raw" >&2
+
 echo "== go test ./internal/trainer -bench=BenchmarkTrainWindow -benchmem -benchtime=$wbenchtime" >&2
 go test -run='^$' -bench='^BenchmarkTrainWindow$' -benchmem -benchtime="$wbenchtime" -count=1 ./internal/trainer | tee -a "$raw" >&2
 
@@ -100,6 +107,11 @@ function jps(ns, jobsop) {
 	if (!("ns/op" in met)) next
 	ns = met["ns/op"] + 0
 	if (mode == "pipeline") {
+		if (pkg == "workload" && name == "BenchmarkGenerate") {
+			held = sprintf("{\"bytes_per_job\": %.0f, \"retained_bytes_per_job\": %.0f, \"allocs_per_op\": %.0f, \"jobs_per_op\": 512}", \
+				met["B/job"], met["retained_B/job"], met["allocs/op"])
+			next
+		}
 		if (name !~ /^BenchmarkPipeline/) {
 			# A retrain kernel, named by its package: gbt.Train, nn.MLPEpoch.
 			kname = pkg "." substr(name, 10)
@@ -164,6 +176,7 @@ END {
 			printf "}%s\n", (i < kn ? "," : "")
 		}
 		printf "  ],\n"
+		if (held != "") printf "  \"held_job\": %s,\n", held
 		e2e = 1.0
 		if (("Suite" in serial) && ("Suite" in fastest) && fastest["Suite"] > 0)
 			e2e = serial["Suite"] / fastest["Suite"]
