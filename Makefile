@@ -4,8 +4,9 @@
 #   make test      tier-1 verification (go build + go test)
 #   make race      race-detector pass over the concurrent paths
 #   make check     the one gate: fmt + vet + build + tests + race + soaks + bench
-#                  smoke + no stray processes (run before merging; scripts/check.sh
-#                  and CI run it too)
+#                  smoke + examples + no stray processes (run before merging;
+#                  scripts/check.sh and CI run it too)
+#   make examples  run every program under examples/ to a zero exit
 #   make coverage  coverage profile with the fail-below-baseline floor
 #   make chaos     deterministic chaos/soak harness under the race detector
 #   make autopilot-soak  continuous-learning loop under drift + faults (-race)
@@ -15,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt check coverage chaos autopilot-soak cluster-soak plan-soak bench bench-smoke strays
+.PHONY: build test race vet fmt check coverage chaos autopilot-soak cluster-soak plan-soak bench bench-smoke examples strays
 
 build:
 	$(GO) build ./...
@@ -95,6 +96,11 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkExecutorRun$$' -benchtime=1x -count=1 ./internal/scopesim/
 	$(GO) test -run='^$$' -bench='^BenchmarkGenerate$$' -benchtime=1x -count=1 ./internal/workload/
 
+# Runs every example to a zero exit under a timeout; `build` only compiles
+# them. About 10 s on 2 CPUs.
+examples:
+	scripts/examples.sh
+
 # Fails if any tasqd, tasq, tasq-bench, experiments, Go test binary (fuzz
 # workers included) or `go run` executable is still running: the last step
 # of check, so a stage that leaks a process fails the gate instead of the
@@ -106,5 +112,5 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 
-check: fmt vet test race chaos autopilot-soak cluster-soak plan-soak bench-smoke strays
+check: fmt vet test race chaos autopilot-soak cluster-soak plan-soak bench-smoke examples strays
 	@echo "check: ok"

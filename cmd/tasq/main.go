@@ -629,13 +629,14 @@ func cmdPlan(args []string) error {
 
 // planLocal answers the request a daemon would have been sent with the
 // planner that daemon runs, over the model file. A daemon caps the jobs of
-// one request; a local plan is as large as the repository it was given.
+// one request; PlanLocal does not, so a local plan is as large as the
+// repository it was given.
 func planLocal(modelPath string, req *serve.PlanRequest) (*serve.PlanResponse, error) {
 	p, err := trainer.LoadPipelineFile(modelPath)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := serve.NewServer(p, serve.WithMaxPlanJobs(len(req.Jobs)))
+	srv, err := serve.NewServer(p)
 	if err != nil {
 		return nil, err
 	}

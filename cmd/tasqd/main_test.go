@@ -63,8 +63,6 @@ func TestRefusedSettings(t *testing.T) {
 		name, flag, value string
 		opt               serve.Option
 	}{
-		{"workers", "", "-3", serve.WithWorkers(-3)},
-		{"workers", "", "0", serve.WithWorkers(0)},
 		{"max-inflight", "max-inflight", "0", serve.WithAdmission(0, serve.DefaultMaxQueue, serve.DefaultQueueWait)},
 		{"max-queue", "max-queue", "-1", serve.WithAdmission(serve.DefaultMaxInFlight, -1, serve.DefaultQueueWait)},
 		{"max-queue", "max-queue", "-2", serve.WithAdmission(serve.DefaultMaxInFlight, -2, serve.DefaultQueueWait)},
@@ -73,7 +71,6 @@ func TestRefusedSettings(t *testing.T) {
 		{"shadow-sample", "shadow-sample", "7", serve.WithShadowSampleRate(7)},
 		{"shadow-sample", "shadow-sample", "-0.5", serve.WithShadowSampleRate(-0.5)},
 		{"shadow-sample", "shadow-sample", "NaN", serve.WithShadowSampleRate(math.NaN())},
-		{"max-plan-jobs", "", "0", serve.WithMaxPlanJobs(0)},
 		{"poll", "poll", "0s", nil},
 		{"drain", "drain", "-1s", nil},
 		{"grace", "grace", "-1s", nil},

@@ -479,20 +479,12 @@ func (a *Autopilot) promoteLocked() {
 		a.eventf("n=%d refusing to promote quarantined v%d", a.n, cand)
 		return
 	}
-	// Record the rollback target first, then move the pin: GC protects
-	// Previous only once the record exists, and a failure between the two
-	// leaves an accurate record beside the old pin, a promotion not yet made.
-	if err := a.reg.SetPromotion(registry.PromotionRecord{
+	if err := a.reg.Promote(registry.PromotionRecord{
 		Version: cand, Previous: prev, PromotedAtN: a.n,
 		CandidateErr: candMean, ActiveErr: activeMean,
 	}); err != nil {
 		a.mach.Reset()
-		a.eventf("n=%d promote v%d record failed: %v", a.n, cand, err)
-		return
-	}
-	if err := a.reg.Pin(cand); err != nil {
-		a.mach.Reset()
-		a.eventf("n=%d promote v%d pin failed: %v", a.n, cand, err)
+		a.eventf("n=%d promote v%d failed: %v", a.n, cand, err)
 		return
 	}
 	if err := a.reg.Annotate(cand, map[string]string{
@@ -538,16 +530,13 @@ func (a *Autopilot) rollbackLocked() {
 		a.eventf("n=%d rollback requested but no previous generation", a.n)
 		return
 	}
-	if err := a.reg.Pin(prev); err != nil {
+	pinned, err := a.reg.RollBack(bad, prev, a.n)
+	if !pinned {
 		a.eventf("n=%d rollback pin v%d failed: %v", a.n, prev, err)
 		return
 	}
-	if promo, err := a.reg.Promotion(); err == nil && promo.Version == bad {
-		promo.RolledBack = true
-		promo.RolledBackAtN = a.n
-		if err := a.reg.SetPromotion(promo); err != nil {
-			a.eventf("n=%d rollback record failed: %v", a.n, err)
-		}
+	if err != nil {
+		a.eventf("n=%d rollback record failed: %v", a.n, err)
 	}
 	if err := a.reg.Annotate(bad, map[string]string{
 		"autopilot.rolled_back_at_n": strconv.FormatInt(a.n, 10),

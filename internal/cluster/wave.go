@@ -56,13 +56,15 @@ func (r *WaveResult) Promoted() bool { return r.Outcome == registry.WaveStateCom
 //     shadow, and observe feeds paired (candidate, active) error samples
 //     into the machine until it promotes or rejects — exactly at the
 //     PromoteMinN-th sample.
-//  3. Promote: the pin moves to the candidate, a promotion record names
-//     the rollback target, and members sync in order, canary first; each
-//     adoption is annotated on the candidate's manifest. Members that are
-//     down get skipped — the pin guarantees they adopt when they restart.
-//  4. Guard: guard feeds post-promotion error samples; a spike re-pins
-//     the previous generation and resyncs the fleet, a clean window
-//     annotates the wave complete.
+//  3. Promote: registry.Promote writes a promotion record naming the
+//     rollback target and moves the pin to the candidate, and members
+//     sync in order, canary first; each adoption is annotated on the
+//     candidate's manifest. Members that are down get skipped — the pin
+//     guarantees they adopt when they restart.
+//  4. Guard: guard feeds post-promotion error samples; a spike rolls
+//     back through registry.RollBack (pin first, then the record) and
+//     resyncs the fleet, a clean window clears the promotion record, as
+//     the autopilot's guard pass does, and annotates the wave complete.
 //
 // A rejected candidate leaves the fleet pinned to the previous
 // generation — frozen deliberately, since the registry's latest version
@@ -130,20 +132,14 @@ func RunWave(reg *registry.Registry, members []Syncer, candidate int,
 		return res, reg.SetWaveState(candidate, registry.WaveStateRejected, "")
 	}
 
-	// Promote: record the rollback target first, then move the pin — a
-	// crash between the two leaves an accurate promotion record and an
-	// old pin, which is merely a not-yet-promoted fleet.
-	rec := registry.PromotionRecord{
+	// Promote in the registry's one write order, the autopilot's.
+	if err := reg.Promote(registry.PromotionRecord{
 		Version:      candidate,
 		Previous:     previous,
 		PromotedAtN:  int64(m.SampleN()),
 		CandidateErr: m.CandidateMean(),
 		ActiveErr:    m.ActiveMean(),
-	}
-	if err := reg.SetPromotion(rec); err != nil {
-		return nil, err
-	}
-	if err := reg.Pin(candidate); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	if err := reg.SetWaveState(candidate, registry.WaveStatePromoting, ""); err != nil {
@@ -178,12 +174,7 @@ func RunWave(reg *registry.Registry, members []Syncer, candidate int,
 
 	if verdict == autopilot.ActionRollback {
 		res.Outcome = registry.WaveStateRolledBack
-		rec.RolledBack = true
-		rec.RolledBackAtN = int64(res.GuardSamples)
-		if err := reg.SetPromotion(rec); err != nil {
-			return nil, err
-		}
-		if err := reg.Pin(previous); err != nil {
+		if _, err := reg.RollBack(candidate, previous, int64(res.GuardSamples)); err != nil {
 			return nil, err
 		}
 		if err := reg.SetWaveState(candidate, registry.WaveStateRolledBack, ""); err != nil {
@@ -200,7 +191,11 @@ func RunWave(reg *registry.Registry, members []Syncer, candidate int,
 		return res, nil
 	}
 
+	// The promotion stuck: settle it, releasing GC's hold on previous.
 	res.Outcome = registry.WaveStateComplete
+	if err := reg.ClearPromotion(); err != nil {
+		return nil, err
+	}
 	event("guard-pass", fmt.Sprintf("v%d", candidate))
 	return res, reg.SetWaveState(candidate, registry.WaveStateComplete, "")
 }

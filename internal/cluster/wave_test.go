@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -101,12 +104,10 @@ func TestWavePromoteGuardPass(t *testing.T) {
 	if pinned, _ := reg.Pinned(); pinned != cand {
 		t.Fatalf("pinned v%d, want v%d", pinned, cand)
 	}
-	rec, err := reg.Promotion()
-	if err != nil {
-		t.Fatalf("promotion record: %v", err)
-	}
-	if rec.Version != cand || rec.Previous != 1 || rec.RolledBack {
-		t.Fatalf("promotion record %+v", rec)
+	// A completed wave settles its promotion as the autopilot's guard
+	// pass does: the record is gone, so GC may collect v1 again.
+	if rec, err := reg.Promotion(); !errors.Is(err, registry.ErrNoPromotion) {
+		t.Fatalf("promotion record %+v (%v) after a complete wave, want ErrNoPromotion", rec, err)
 	}
 	st, err := reg.WaveStatus(cand)
 	if err != nil {
@@ -179,6 +180,38 @@ func TestWaveRollback(t *testing.T) {
 	st, _ := reg.WaveStatus(cand)
 	if st.State != registry.WaveStateRolledBack {
 		t.Fatalf("wave state %q, want rolled-back", st.State)
+	}
+}
+
+// TestWaveRollbackPinFailure: a rollback moves the pin first and marks
+// the record after, as the autopilot's does, so a rollback whose pin
+// cannot be written leaves the record saying promoted, never a record
+// saying rolled back while the candidate is still pinned.
+func TestWaveRollbackPinFailure(t *testing.T) {
+	f, reg, cand := waveFixture(t, 2)
+	pinFile := filepath.Join(reg.Root(), "PINNED")
+	guard := func(n int) float64 {
+		// After the promotion, a non-empty directory where the pin file
+		// goes makes every later pin fail.
+		if n == 0 {
+			if err := os.Remove(pinFile); err != nil {
+				t.Errorf("remove pin: %v", err)
+			}
+			if err := os.MkdirAll(filepath.Join(pinFile, "blocker"), 0o755); err != nil {
+				t.Errorf("block pin: %v", err)
+			}
+		}
+		return spikingGuard(n)
+	}
+	if _, err := RunWave(reg, syncers(f), cand, betterCandidate, guard, WaveConfig{Machine: fastMachine()}); err == nil {
+		t.Fatal("wave with an unwritable pin reported success")
+	}
+	rec, err := reg.Promotion()
+	if err != nil {
+		t.Fatalf("promotion record: %v", err)
+	}
+	if rec.RolledBack || rec.Version != cand || rec.Previous != 1 {
+		t.Fatalf("promotion record %+v after a failed rollback pin, want v%d promoted over v1, unmarked", rec, cand)
 	}
 }
 

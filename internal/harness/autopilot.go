@@ -116,7 +116,7 @@ func RunAutopilot(cfg AutopilotConfig) (*AutopilotResult, error) {
 	// The serving stack around it: telemetry flows through the HTTP
 	// endpoint, and loop decisions reach serving through SyncFn only (the
 	// poll interval is effectively infinite).
-	srv, rl, ts, err := serveRegistry(reg, time.Hour, logf, serve.WithTelemetry(ap), serve.WithWorkers(4))
+	srv, rl, ts, err := serveRegistry(reg, time.Hour, logf, serve.WithTelemetry(ap))
 	if err != nil {
 		return nil, err
 	}

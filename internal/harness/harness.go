@@ -136,7 +136,6 @@ func Run(cfg Config) (*Result, error) {
 	srv, rl, ts, err := serveRegistry(reg, 2*time.Millisecond, logf,
 		serve.WithAdmission(chaosMaxInFlight, chaosMaxQueue, chaosQueueWait),
 		serve.WithFaultInjector(inj),
-		serve.WithWorkers(4),
 	)
 	if err != nil {
 		return nil, err

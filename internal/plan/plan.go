@@ -23,40 +23,54 @@ import (
 	"sort"
 )
 
-// Typed validation errors. The serving layer maps all of them to HTTP
-// 400: they mark infeasible or malformed inputs, never an internal
-// planner failure.
+// ErrInvalid is wrapped by every planner error that marks the caller's
+// input as infeasible or malformed, so errors.Is(err, ErrInvalid) is the
+// whole test for "the request's to fix"; the serving layer maps it to
+// HTTP 400. ErrStarved does not wrap it: that is an internal failure.
+var ErrInvalid = errors.New("plan: invalid input")
+
+// invalidError is a caller-fault sentinel: its own text, wrapping
+// ErrInvalid.
+type invalidError struct{ msg string }
+
+func (e *invalidError) Error() string { return e.msg }
+func (e *invalidError) Unwrap() error { return ErrInvalid }
+
+func invalid(msg string) error { return &invalidError{msg} }
+
+// Typed validation errors, each wrapping ErrInvalid.
 var (
 	// ErrBadCapacity rejects non-positive pool capacities.
-	ErrBadCapacity = errors.New("plan: pool capacity must be positive")
+	ErrBadCapacity = invalid("plan: pool capacity must be positive")
 	// ErrNoJobs rejects a plan over zero jobs.
-	ErrNoJobs = errors.New("plan: no jobs to plan")
+	ErrNoJobs = invalid("plan: no jobs to plan")
 	// ErrBadAllocation rejects token allocations outside [1, capacity],
 	// negative times, and over-releases of the pool ledger.
-	ErrBadAllocation = errors.New("plan: bad token allocation")
+	ErrBadAllocation = invalid("plan: bad token allocation")
 	// ErrBadPolicy rejects unknown allocation policies.
-	ErrBadPolicy = errors.New("plan: unknown allocation policy")
+	ErrBadPolicy = invalid("plan: unknown allocation policy")
 	// ErrBadCurve rejects planning over an invalid (non-finite or
 	// non-positive) performance characteristic curve.
-	ErrBadCurve = errors.New("plan: invalid performance curve")
+	ErrBadCurve = invalid("plan: invalid performance curve")
 	// ErrBadArrival rejects non-finite (NaN/±Inf) or negative arrival
 	// times.
-	ErrBadArrival = errors.New("plan: bad arrival time")
+	ErrBadArrival = invalid("plan: bad arrival time")
 	// ErrBadDeadline rejects negative per-job deadlines.
-	ErrBadDeadline = errors.New("plan: bad deadline")
+	ErrBadDeadline = invalid("plan: bad deadline")
 	// ErrBadQuota rejects non-positive per-tenant token quotas.
-	ErrBadQuota = errors.New("plan: bad tenant quota")
+	ErrBadQuota = invalid("plan: bad tenant quota")
 	// ErrBadStrategy rejects unknown scheduling strategies.
-	ErrBadStrategy = errors.New("plan: unknown scheduling strategy")
+	ErrBadStrategy = invalid("plan: unknown scheduling strategy")
 	// ErrCostRange rejects a batch whose provisioned cost Σ tokens×duration
 	// exceeds maxPlanTokenSeconds: the plan's sums are kept in int, and a
 	// batch this large is refused rather than allowed to wrap.
-	ErrCostRange = errors.New("plan: provisioned cost out of range")
-	// ErrStarved reports a job whose request can never be satisfied by
-	// the remaining pool — defense in depth; allocation validation makes
-	// it unreachable through the public entry points.
-	ErrStarved = errors.New("plan: job starved")
+	ErrCostRange = invalid("plan: provisioned cost out of range")
 )
+
+// ErrStarved reports a job whose request can never be satisfied by the
+// remaining pool — defense in depth; allocation validation makes it
+// unreachable through the public entry points.
+var ErrStarved = errors.New("plan: job starved")
 
 // Quota caps the tokens each named tenant may hold concurrently. Tenants
 // absent from the map (including the empty tenant) are bounded only by

@@ -47,9 +47,44 @@ type PromotionRecord struct {
 	RolledBackAtN int64 `json:"rolled_back_at_n,omitempty"`
 }
 
-// SetPromotion writes (or overwrites) the promotion record crash-safely.
+// Promote, RollBack and ClearPromotion (the settle step) are the one
+// statement of a promotion's registry write order; the autopilot and the
+// rolling wave both go through them.
+//
+// Promote writes rec as the live promotion record, then pins rec.Version:
+// GC protects rec.Previous, the rollback target, only once the record
+// exists, and a failure between the writes leaves an accurate record
+// beside the old pin, a promotion not yet made.
+func (r *Registry) Promote(rec PromotionRecord) error {
+	if err := r.setPromotion(rec); err != nil {
+		return err
+	}
+	return r.Pin(rec.Version)
+}
+
+// RollBack pins previous, then marks the promotion record rolled back at
+// atN if it names version: a failure between the writes leaves previous
+// serving under a record still saying promoted, never a record saying
+// rolled back while version is pinned. pinned reports whether the pin
+// moved; err is non-nil with pinned true when only the record failed.
+func (r *Registry) RollBack(version, previous int, atN int64) (pinned bool, err error) {
+	if err := r.Pin(previous); err != nil {
+		return false, err
+	}
+	rec, err := r.Promotion()
+	if errors.Is(err, ErrNoPromotion) {
+		return true, nil
+	}
+	if err != nil || rec.Version != version {
+		return true, err
+	}
+	rec.RolledBack, rec.RolledBackAtN = true, atN
+	return true, r.setPromotion(rec)
+}
+
+// setPromotion writes (or overwrites) the promotion record crash-safely.
 // Both referenced versions must exist.
-func (r *Registry) SetPromotion(rec PromotionRecord) error {
+func (r *Registry) setPromotion(rec PromotionRecord) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, err := r.Manifest(rec.Version); err != nil {
@@ -90,7 +125,8 @@ func (r *Registry) Promotion() (PromotionRecord, error) {
 	return rec, nil
 }
 
-// ClearPromotion removes the promotion record; no error if none exists.
+// ClearPromotion removes the promotion record once the guardrail has
+// passed, releasing GC's hold on its Previous; no error if none exists.
 func (r *Registry) ClearPromotion() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

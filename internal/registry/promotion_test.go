@@ -16,7 +16,7 @@ func TestPromotionRoundTrip(t *testing.T) {
 		Version: v2, Previous: v1, PromotedAtN: 42,
 		CandidateErr: 0.11, ActiveErr: 0.58,
 	}
-	if err := r.SetPromotion(rec); err != nil {
+	if err := r.setPromotion(rec); err != nil {
 		t.Fatal(err)
 	}
 	got, err := r.Promotion()
@@ -29,7 +29,7 @@ func TestPromotionRoundTrip(t *testing.T) {
 	// Overwrite with a rollback outcome.
 	rec.RolledBack = true
 	rec.RolledBackAtN = 77
-	if err := r.SetPromotion(rec); err != nil {
+	if err := r.setPromotion(rec); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ = r.Promotion(); !got.RolledBack || got.RolledBackAtN != 77 {
@@ -50,16 +50,57 @@ func TestPromotionRoundTrip(t *testing.T) {
 func TestSetPromotionValidatesVersions(t *testing.T) {
 	r := open(t)
 	v1 := publish(t, r, "gen one")
-	if err := r.SetPromotion(PromotionRecord{Version: 99, Previous: v1}); !errors.Is(err, ErrNotFound) {
+	if err := r.setPromotion(PromotionRecord{Version: 99, Previous: v1}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing promoted version error %v, want ErrNotFound", err)
 	}
-	if err := r.SetPromotion(PromotionRecord{Version: v1, Previous: 99}); !errors.Is(err, ErrNotFound) {
+	if err := r.setPromotion(PromotionRecord{Version: v1, Previous: 99}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing previous version error %v, want ErrNotFound", err)
 	}
 	// Previous == 0 means "no prior generation" (first-ever promotion) and
 	// needs no validation.
-	if err := r.SetPromotion(PromotionRecord{Version: v1}); err != nil {
+	if err := r.setPromotion(PromotionRecord{Version: v1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPromoteAndRollBack: Promote leaves the record and the pin on the
+// promoted version; RollBack moves the pin back and marks only a record
+// that names the version it rolls back, and needs no record at all.
+func TestPromoteAndRollBack(t *testing.T) {
+	r := open(t)
+	v1 := publish(t, r, "gen one")
+	v2 := publish(t, r, "gen two")
+	v3 := publish(t, r, "gen three")
+	if err := r.Promote(PromotionRecord{Version: v2, Previous: v1, PromotedAtN: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if pinned, _ := r.Pinned(); pinned != v2 {
+		t.Fatalf("pinned v%d after Promote, want v%d", pinned, v2)
+	}
+	// A record naming another version is left alone.
+	if pinned, err := r.RollBack(v3, v1, 9); !pinned || err != nil {
+		t.Fatalf("RollBack(v3) = %v, %v", pinned, err)
+	}
+	if rec, _ := r.Promotion(); rec.RolledBack {
+		t.Fatalf("record %+v marked by a rollback of another version", rec)
+	}
+	if pinned, err := r.RollBack(v2, v1, 9); !pinned || err != nil {
+		t.Fatalf("RollBack(v2) = %v, %v", pinned, err)
+	}
+	if rec, _ := r.Promotion(); !rec.RolledBack || rec.RolledBackAtN != 9 || rec.PromotedAtN != 5 {
+		t.Fatalf("record %+v after rollback, want rolled back at 9", rec)
+	}
+	if pinned, _ := r.Pinned(); pinned != v1 {
+		t.Fatalf("pinned v%d after RollBack, want v%d", pinned, v1)
+	}
+	if err := r.ClearPromotion(); err != nil {
+		t.Fatal(err)
+	}
+	if pinned, err := r.RollBack(v2, v1, 10); !pinned || err != nil {
+		t.Fatalf("RollBack without a record = %v, %v", pinned, err)
+	}
+	if _, err := r.Promotion(); !errors.Is(err, ErrNoPromotion) {
+		t.Fatalf("RollBack wrote a record: %v", err)
 	}
 }
 
@@ -76,7 +117,7 @@ func TestGCProtectsRollbackTarget(t *testing.T) {
 	if err := r.Pin(v6); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.SetPromotion(PromotionRecord{Version: v6, Previous: v1}); err != nil {
+	if err := r.setPromotion(PromotionRecord{Version: v6, Previous: v1}); err != nil {
 		t.Fatal(err)
 	}
 	removed, err := r.GC(1)

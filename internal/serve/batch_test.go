@@ -147,7 +147,7 @@ func TestBatchEnvelopeValidation(t *testing.T) {
 }
 
 func TestBatchOrderPreservedAcrossPool(t *testing.T) {
-	_, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, WithWorkers(4))
+	_, ts := fakeServer(t, &fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, withWorkers(4))
 	client := NewClient(ts.URL)
 
 	const n = 64
@@ -289,7 +289,7 @@ func (p *panicScorer) ScoreJobModel(name string, job *scopesim.Job) (pcc.Curve, 
 func TestBatchItemPanicFailsOnlyItsItem(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		srv, err := newServer(&panicScorer{fakeScorer: fakeScorer{curve: pcc.Curve{A: -0.5, B: 100}}, panicOn: "boom"},
-			WithWorkers(workers))
+			withWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,10 +12,10 @@ import (
 	"tasq/internal/scopesim"
 )
 
-// The serving hot path memoizes fitted curves: predicting a PCC walks the
-// boosted trees (or runs a wave simulation) over the ±40% token grid and
-// fits a power law, all of which is a pure function of (predictor, job
-// content). Production scoring traffic is dominated by recurring jobs —
+// The serving hot path memoizes fitted curves: predicting a PCC extracts
+// the job's features and runs a network, or walks the boosted trees over
+// the ±40% token grid and fits a power law, all of which is a pure
+// function of (predictor, job content). Production scoring traffic is dominated by recurring jobs —
 // the same compiled plan resubmitted on a schedule — so one bounded,
 // LRU-evicted cache per loaded model generation turns the steady state
 // into a key build plus a map probe.
@@ -26,8 +26,9 @@ import (
 //     name (normalized the way the Mux resolves it), the job's requested
 //     tokens (the anchoring reference), its template (AutoToken's group
 //     signature), the full operator set with compile-time estimates (the
-//     featurization of Table 1) and the stage DAG (the simulator
-//     baselines execute it). Identity fields predictors never consume —
+//     featurization of Table 1) and the stage DAG (no served predictor
+//     reads it, but Job.Validate checks it, so it is keyed for the same
+//     400 contract as the IDs; see appendScoreKey). Identity fields predictors never consume —
 //     job ID, virtual cluster, submit time — are deliberately excluded so
 //     recurring resubmissions of one plan share an entry. Lookup is by
 //     exact comparison of both halves of the key, never by hash alone, so

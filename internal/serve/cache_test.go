@@ -312,6 +312,12 @@ func withCurveCache(capacity int) Option {
 	return func(s *Server) { s.cacheCap = capacity }
 }
 
+// withWorkers bounds the batch-scoring and plan-resolution worker pool,
+// which servers otherwise size to runtime.NumCPU().
+func withWorkers(n int) Option {
+	return func(s *Server) { s.workers = n }
+}
+
 func pipelineServer(t *testing.T, p *trainer.Pipeline, opts ...Option) (*Server, *httptest.Server) {
 	t.Helper()
 	srv, err := NewServer(p, opts...)

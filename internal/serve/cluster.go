@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"syscall"
 
 	"tasq/internal/scopesim"
 )
@@ -226,7 +225,8 @@ func (cc *ClusterClient) sequenceFor(model string, job *scopesim.Job) []string {
 // proxy with nothing behind it). Overload (429/504) is not down — the
 // member is alive and managing load; spilling its backpressure onto
 // another shard would just thrash that shard's cache. Context
-// cancellation is the caller giving up, never the member's fault.
+// cancellation is the caller giving up, never the member's fault. Down is
+// not refused: whether a failed call ran nothing is refused's question.
 func memberDown(err error) bool {
 	if err == nil {
 		return false
@@ -244,32 +244,13 @@ func memberDown(err error) bool {
 	return true // transport error: response never arrived
 }
 
-// batchRefused classifies a batch failure as provably refused before any
-// item ran, making failover to another member safe. Transport errors
-// don't qualify (items may have executed before the connection died) —
-// with one exception: a refused connection, where no request was ever
-// sent. This mirrors the single-member retryAtomic contract.
-func batchRefused(err error) bool {
-	if errors.Is(err, ErrCircuitOpen) || errors.Is(err, syscall.ECONNREFUSED) {
-		return true
-	}
-	var se *StatusError
-	if errors.As(err, &se) {
-		switch se.Code {
-		case http.StatusTooManyRequests, http.StatusBadGateway,
-			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			return true
-		}
-	}
-	return false
-}
-
-// batchFailover reports whether a refused sub-batch should move to the
-// next member rather than surface: only when the member itself is down.
-// Overload refusals (429/504) surface to the caller — same reasoning as
-// memberDown.
+// batchFailover reports whether a failed sub-batch should move to the
+// next member rather than surface: only when the call was refused (so no
+// item ran, the rule the client's atomic retry follows too) and the
+// member itself is down. Overload refusals (429/504) surface to the
+// caller — same reasoning as memberDown.
 func batchFailover(err error) bool {
-	return batchRefused(err) && memberDown(err)
+	return refused(err) && memberDown(err)
 }
 
 // observe runs after every attempt against a member: if its breaker has

@@ -53,7 +53,7 @@ const fuzzJob = `{"ID":"j","Operators":[{"Kind":0,"Est":{"OutputCardinality":100
 // fuzzHandler seeds f with the given requests (J standing for fuzzJob)
 // plus two malformed bodies, and returns the handler under test.
 func fuzzHandler(f *testing.F, seeds ...string) http.Handler {
-	srv, err := NewServer(fuzzPipeline(), WithTelemetry(acceptSink{}), WithWorkers(1))
+	srv, err := NewServer(fuzzPipeline(), WithTelemetry(acceptSink{}), withWorkers(1))
 	if err != nil {
 		f.Fatal(err)
 	}

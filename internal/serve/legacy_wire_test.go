@@ -110,7 +110,7 @@ func TestLegacyBodiesDecode(t *testing.T) {
 			}
 
 			sink := &captureSink{}
-			srv, err := NewServer(fuzzPipeline(), WithTelemetry(sink), WithWorkers(1))
+			srv, err := NewServer(fuzzPipeline(), WithTelemetry(sink), withWorkers(1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 
 	"tasq/internal/obs"
@@ -11,16 +12,11 @@ import (
 	"tasq/internal/scopesim"
 )
 
-// DefaultMaxPlanJobs is the default per-request job cap on /v1/plan.
-// The request-body bound binds first for jobs of the usual size: at about
-// 8.9 KB a job, 16 MiB holds about 1,880 of them (TestWireSize).
+// DefaultMaxPlanJobs is the per-request job cap on POST /v1/plan; an
+// in-process PlanLocal has none. The request-body bound binds first for
+// jobs of the usual size: at about 8.9 KB a job, 16 MiB holds about 1,880
+// of them (TestWireSize).
 const DefaultMaxPlanJobs = 4096
-
-// WithMaxPlanJobs caps the number of jobs accepted per plan request
-// (default DefaultMaxPlanJobs; at least 1).
-func WithMaxPlanJobs(n int) Option {
-	return func(s *Server) { s.maxPlanJobs = n }
-}
 
 // planFanOutMinJobs is the plan size from which curve resolution fans out
 // over the worker pool. A warm lookup costs about a microsecond, so below
@@ -189,7 +185,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.planMet[planInvalidStrategy].rejected.Inc()
 		return
 	}
-	resp, err := s.plan(&req)
+	if len(req.Jobs) > DefaultMaxPlanJobs {
+		s.planMetrics(req.Strategy).rejected.Inc()
+		http.Error(w, fmt.Sprintf("serve: plan of %d jobs exceeds the per-request cap %d", len(req.Jobs), DefaultMaxPlanJobs), http.StatusBadRequest)
+		return
+	}
+	resp, err := s.PlanLocal(&req)
 	if err != nil {
 		http.Error(w, err.Error(), httpStatus(err))
 		return
@@ -197,34 +198,35 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// PlanLocal plans one request in process, bypassing HTTP — the entry
-// point for embedders and the planner soak, which pushes ~10⁶ simulated
-// jobs through here without paying for JSON.
-func (s *Server) PlanLocal(req *PlanRequest) (*PlanResponse, error) {
-	return s.plan(req)
+// planMetrics returns the tasq_plan_* series of a request's strategy, or
+// the "invalid" series for a strategy that does not parse.
+func (s *Server) planMetrics(strategy string) *planStrategyMetrics {
+	if st, err := plan.ParseStrategy(strategy); err == nil {
+		return s.planMet[st.String()]
+	}
+	return s.planMet[planInvalidStrategy]
 }
 
-// plan validates the request, resolves every job's PCC through the
-// generation's curve cache and the model mux, and builds the policy's
-// plan plus the Peak-allocation baseline for the savings columns. All
-// validation failures map to 400 via the typed plan errors; model
-// routing keeps the scoring contract (unknown 400, untrained 409).
-func (s *Server) plan(req *PlanRequest) (*PlanResponse, error) {
-	// Strategy parses first so every later outcome lands on the right
-	// {strategy=...} series; an unknown strategy is itself a 400.
+// PlanLocal plans one request in process, bypassing HTTP — the /v1/plan
+// path after decoding and the job cap, and the entry point for embedders
+// and the planner soak, which pushes ~10⁶ simulated jobs through here
+// without paying for JSON. It validates the request, resolves every job's
+// PCC through the generation's curve cache and the model mux, and builds
+// the policy's plan plus the Peak-allocation baseline for the savings
+// columns. All validation failures map to 400 via the typed plan errors;
+// model routing keeps the scoring contract (unknown 400, untrained 409).
+func (s *Server) PlanLocal(req *PlanRequest) (*PlanResponse, error) {
+	// Every outcome lands on the request's {strategy=...} series; an
+	// unknown strategy is itself a 400.
+	met := s.planMetrics(req.Strategy)
 	strategy, err := plan.ParseStrategy(req.Strategy)
 	if err != nil {
-		s.planMet[planInvalidStrategy].rejected.Inc()
+		met.rejected.Inc()
 		return nil, err
 	}
-	met := s.planMet[strategy.String()]
 	if len(req.Jobs) == 0 {
 		met.rejected.Inc()
 		return nil, plan.ErrNoJobs
-	}
-	if len(req.Jobs) > s.maxPlanJobs {
-		met.rejected.Inc()
-		return nil, reqErrf("serve: plan of %d jobs exceeds the per-request cap %d", len(req.Jobs), s.maxPlanJobs)
 	}
 	if req.Threshold < 0 {
 		met.rejected.Inc()

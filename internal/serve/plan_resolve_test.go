@@ -48,7 +48,7 @@ func TestPlanResolveIndependentOfWorkerCount(t *testing.T) {
 		req := resolvePlanRequest(strategy)
 		var want []byte
 		for _, workers := range []int{1, 8} {
-			srv, err := NewServer(p, WithWorkers(workers))
+			srv, err := NewServer(p, withWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestPlanResolveLowestIndexErrorWins(t *testing.T) {
 	}
 	req.Jobs[900] = nil
 	for _, workers := range []int{1, 2, 8} {
-		srv, err := NewServer(p, WithWorkers(workers))
+		srv, err := NewServer(p, withWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

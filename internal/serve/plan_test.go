@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -163,10 +167,14 @@ func TestPlanArrivals(t *testing.T) {
 
 // TestPlanErrorStatusContract pins the typed 400-vs-500 split on
 // /v1/plan: every malformed request is a 400, model/pipeline failures
-// are 500, and the capped batch size is enforced.
+// are 500, and the capped batch size is enforced on the wire only.
 func TestPlanErrorStatusContract(t *testing.T) {
 	ok := &fakeScorer{curve: planCurve}
 	one := []*scopesim.Job{planJob("x")}
+	overCap := make([]*scopesim.Job, DefaultMaxPlanJobs+1)
+	for i := range overCap {
+		overCap[i] = one[0]
+	}
 	cases := []struct {
 		name   string
 		scorer *fakeScorer
@@ -199,8 +207,7 @@ func TestPlanErrorStatusContract(t *testing.T) {
 			CapacityTokens: 100}, 400},
 		{"model on non-routing scorer", ok, nil,
 			PlanRequest{Jobs: one, CapacityTokens: 100, Model: "NN"}, 400},
-		{"over job cap", ok, []Option{WithMaxPlanJobs(1)},
-			PlanRequest{Jobs: []*scopesim.Job{planJob("a"), planJob("b")}, CapacityTokens: 100}, 400},
+		{"over job cap", ok, nil, PlanRequest{Jobs: overCap, CapacityTokens: 100}, 400},
 		{"pipeline failure", &fakeScorer{err: errors.New("ensemble corrupt")}, nil,
 			PlanRequest{Jobs: one, CapacityTokens: 100}, 500},
 		{"invalid model curve", &fakeScorer{curve: pcc.Curve{A: math.NaN(), B: -1}}, nil,
@@ -220,8 +227,13 @@ func TestPlanErrorStatusContract(t *testing.T) {
 		})
 	}
 
+	// In process, the same batch is planned: only the wire is capped.
+	srv, ts := fakeServer(t, ok)
+	if _, err := srv.PlanLocal(&PlanRequest{Jobs: overCap, CapacityTokens: 100}); err != nil {
+		t.Fatalf("PlanLocal over the wire cap: %v", err)
+	}
+
 	// Wire-level malformed traffic.
-	_, ts := fakeServer(t, ok)
 	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
@@ -445,6 +457,76 @@ func TestHTTPStatusPlanCostRange(t *testing.T) {
 	err := fmt.Errorf("serve: plan: %w", plan.ErrCostRange)
 	if got := httpStatus(err); got != http.StatusBadRequest {
 		t.Fatalf("httpStatus(ErrCostRange) = %d, want 400", got)
+	}
+}
+
+// TestHTTPStatusPlanErrors: every plan.Err* sentinel but ErrStarved is
+// the caller's fault and maps to 400 through httpStatus, wrapped or not,
+// with the text it had before the sentinels wrapped plan.ErrInvalid;
+// ErrStarved is an internal failure (500). The sentinel list is read from
+// the plan package's source, so a new sentinel without a row fails here.
+func TestHTTPStatusPlanErrors(t *testing.T) {
+	rows := map[string]struct {
+		err  error
+		text string
+		want int
+	}{
+		"ErrInvalid":       {plan.ErrInvalid, "plan: invalid input", http.StatusBadRequest},
+		"ErrBadCapacity":   {plan.ErrBadCapacity, "plan: pool capacity must be positive", http.StatusBadRequest},
+		"ErrNoJobs":        {plan.ErrNoJobs, "plan: no jobs to plan", http.StatusBadRequest},
+		"ErrBadAllocation": {plan.ErrBadAllocation, "plan: bad token allocation", http.StatusBadRequest},
+		"ErrBadPolicy":     {plan.ErrBadPolicy, "plan: unknown allocation policy", http.StatusBadRequest},
+		"ErrBadCurve":      {plan.ErrBadCurve, "plan: invalid performance curve", http.StatusBadRequest},
+		"ErrBadArrival":    {plan.ErrBadArrival, "plan: bad arrival time", http.StatusBadRequest},
+		"ErrBadDeadline":   {plan.ErrBadDeadline, "plan: bad deadline", http.StatusBadRequest},
+		"ErrBadQuota":      {plan.ErrBadQuota, "plan: bad tenant quota", http.StatusBadRequest},
+		"ErrBadStrategy":   {plan.ErrBadStrategy, "plan: unknown scheduling strategy", http.StatusBadRequest},
+		"ErrCostRange":     {plan.ErrCostRange, "plan: provisioned cost out of range", http.StatusBadRequest},
+		"ErrStarved":       {plan.ErrStarved, "plan: job starved", http.StatusInternalServerError},
+	}
+	files, err := filepath.Glob("../plan/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok || gen.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					if !strings.HasPrefix(name.Name, "Err") {
+						continue
+					}
+					declared++
+					if _, ok := rows[name.Name]; !ok {
+						t.Errorf("plan.%s has no row", name.Name)
+					}
+				}
+			}
+		}
+	}
+	if declared != len(rows) {
+		t.Errorf("plan declares %d Err* sentinels, the table has %d rows", declared, len(rows))
+	}
+	for name, row := range rows {
+		if got := row.err.Error(); got != row.text {
+			t.Errorf("plan.%s text %q, want %q", name, got, row.text)
+		}
+		for _, err := range []error{row.err, fmt.Errorf("serve: plan: %w: detail", row.err)} {
+			if got := httpStatus(err); got != row.want {
+				t.Errorf("httpStatus(%v) = %d, want %d", err, got, row.want)
+			}
+		}
 	}
 }
 

@@ -6,18 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"syscall"
 	"time"
 
 	"tasq/internal/faults"
-)
-
-// Client retry defaults: four attempts with 50ms → 2s capped exponential
-// backoff under a 10s total-sleep budget.
-const (
-	DefaultRetryAttempts  = 4
-	DefaultRetryBaseDelay = 50 * time.Millisecond
-	DefaultRetryMaxDelay  = 2 * time.Second
-	DefaultRetryBudget    = 10 * time.Second
 )
 
 // Circuit-breaker defaults: open after five consecutive failures, probe
@@ -49,17 +41,6 @@ type RetryPolicy struct {
 	// computed delay would exceed it, the loop stops and returns the last
 	// error. A server Retry-After hint is honored only within the budget.
 	Budget time.Duration
-}
-
-// DefaultRetryPolicy returns the stock policy under the given jitter seed.
-func DefaultRetryPolicy(seed int64) *RetryPolicy {
-	return &RetryPolicy{
-		MaxAttempts: DefaultRetryAttempts,
-		BaseDelay:   DefaultRetryBaseDelay,
-		MaxDelay:    DefaultRetryMaxDelay,
-		Seed:        seed,
-		Budget:      DefaultRetryBudget,
-	}
 }
 
 // backoffSite names the jitter stream in the shared decision-stream space.
@@ -222,32 +203,55 @@ const (
 	// registry sync). Safe to retry on any transient failure, including
 	// transport errors and 500s.
 	retryIdempotent
-	// retryAtomic: batch scoring. Retried only when the service provably
-	// refused the whole request before executing any of it (429, 503,
-	// 504 from the admission gate); never blind-retried on transport
-	// errors or 500s, where items may already have been scored.
+	// retryAtomic: batch scoring and telemetry. Retried only when the
+	// call was refused: it provably ran none of its items. Never
+	// blind-retried on other transport errors or 500s, where items may
+	// already have run.
 	retryAtomic
 )
 
-// retryable reports whether this failure is worth another attempt under
-// the endpoint's retry kind. Context cancellation is always terminal —
-// the caller gave up, not the server.
-func retryable(kind retryKind, se *StatusError, err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
+// refused reports whether a failed call provably ran no work, so it is
+// safe to send again, here or to another member: the breaker
+// short-circuited it, the connection was refused, or the service answered
+// 429, 503 or 504 — the only statuses tasqd's admission, drain and
+// partition gates send, before any handler runs. A proxy's 502 proves
+// nothing about its upstream. The client's atomic retry and the
+// balancer's batch failover both ask this one predicate.
+func refused(err error) bool {
+	if errors.Is(err, ErrCircuitOpen) || errors.Is(err, syscall.ECONNREFUSED) {
+		return true
 	}
-	if se == nil { // transport-level failure, response never arrived
-		return kind == retryIdempotent
+	var se *StatusError
+	if !errors.As(err, &se) {
+		return false
 	}
 	switch se.Code {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		// The admission gate refused the request before any work ran.
 		return true
-	case http.StatusInternalServerError, http.StatusBadGateway:
-		return kind == retryIdempotent
 	}
-	// 400/404/409/…: retrying the same request cannot succeed.
 	return false
+}
+
+// retryable reports whether this failure is worth another attempt under
+// the endpoint's retry kind: a refused call always is; an idempotent one
+// also on any transport error, 500 or 502. Context cancellation is always
+// terminal — the caller gave up, not the server — and 400/404/409/…
+// cannot succeed on a retry of the same request.
+func retryable(kind retryKind, err error) bool {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return false
+	}
+	if refused(err) {
+		return true
+	}
+	if kind != retryIdempotent {
+		return false
+	}
+	var se *StatusError
+	if !errors.As(err, &se) { // transport-level failure, response never arrived
+		return true
+	}
+	return se.Code == http.StatusInternalServerError || se.Code == http.StatusBadGateway
 }
 
 // breakerOutcome classifies an attempt for the circuit breaker: transport
@@ -298,7 +302,7 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, ki
 			return body, nil
 		}
 		if c.Retry == nil || kind == retryNone ||
-			attempt+1 >= c.Retry.MaxAttempts || !retryable(kind, se, err) {
+			attempt+1 >= c.Retry.MaxAttempts || !retryable(kind, err) {
 			return nil, err
 		}
 		var retryAfter time.Duration

@@ -3,12 +3,35 @@ package serve
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
+
+// The policy the retry tests run under: four attempts with 50ms → 2s
+// capped exponential backoff under a 10s total-sleep budget.
+const (
+	testRetryAttempts  = 4
+	testRetryBaseDelay = 50 * time.Millisecond
+	testRetryMaxDelay  = 2 * time.Second
+)
+
+func testRetryPolicy(seed int64) *RetryPolicy {
+	return &RetryPolicy{
+		MaxAttempts: testRetryAttempts,
+		BaseDelay:   testRetryBaseDelay,
+		MaxDelay:    testRetryMaxDelay,
+		Seed:        seed,
+		Budget:      10 * time.Second,
+	}
+}
 
 // TestRetryPolicyDelaySchedule pins the exact deterministic backoff
 // schedule: no clocks, no randomness at run time — each (seed, attempt)
@@ -36,18 +59,18 @@ func TestRetryPolicyDelaySchedule(t *testing.T) {
 		{8, 6, 1163837665},
 	}
 	for _, tc := range cases {
-		p := DefaultRetryPolicy(tc.seed)
+		p := testRetryPolicy(tc.seed)
 		if got := p.Delay(tc.attempt, 0); got != tc.want {
 			t.Errorf("seed %d attempt %d: delay %d, want %d", tc.seed, tc.attempt, got, tc.want)
 		}
 		// Envelope: jitter keeps the delay in [d/2, d) of the capped
 		// exponential.
-		d := DefaultRetryBaseDelay
-		for i := 0; i < tc.attempt && d < DefaultRetryMaxDelay; i++ {
+		d := testRetryBaseDelay
+		for i := 0; i < tc.attempt && d < testRetryMaxDelay; i++ {
 			d *= 2
 		}
-		if d > DefaultRetryMaxDelay {
-			d = DefaultRetryMaxDelay
+		if d > testRetryMaxDelay {
+			d = testRetryMaxDelay
 		}
 		if got := p.Delay(tc.attempt, 0); got < d/2 || got >= d {
 			t.Errorf("seed %d attempt %d: delay %v outside [%v, %v)", tc.seed, tc.attempt, got, d/2, d)
@@ -58,7 +81,7 @@ func TestRetryPolicyDelaySchedule(t *testing.T) {
 // TestRetryPolicyHonorsRetryAfter: a server hint larger than the jittered
 // backoff wins; a smaller one is ignored.
 func TestRetryPolicyHonorsRetryAfter(t *testing.T) {
-	p := DefaultRetryPolicy(7)
+	p := testRetryPolicy(7)
 	if got := p.Delay(0, 3*time.Second); got != 3*time.Second {
 		t.Fatalf("Delay(0, 3s) = %v, want the Retry-After hint", got)
 	}
@@ -107,7 +130,7 @@ func resilientClient(url string, seed int64) (*Client, *[]time.Duration, *[]int)
 	var sleeps []time.Duration
 	var attempts []int
 	c := NewClient(url)
-	c.Retry = DefaultRetryPolicy(seed)
+	c.Retry = testRetryPolicy(seed)
 	c.sleep = func(d time.Duration) { sleeps = append(sleeps, d) }
 	c.OnAttempt = func(method, path string, status int, err error) { attempts = append(attempts, status) }
 	return c, &sleeps, &attempts
@@ -168,8 +191,8 @@ func TestClientNoRetryOnClientErrors(t *testing.T) {
 		if !errors.As(err, &se) || se.Code != status {
 			t.Fatalf("status %d: got %v", status, err)
 		}
-		if se.Temporary() {
-			t.Fatalf("status %d reported Temporary", status)
+		if refused(err) {
+			t.Fatalf("status %d reported refused", status)
 		}
 		if len(*attempts) != 1 || len(*sleeps) != 0 {
 			t.Fatalf("status %d: %d attempts, %d sleeps — must not retry", status, len(*attempts), len(*sleeps))
@@ -194,9 +217,10 @@ func TestClientRetryBudget(t *testing.T) {
 	}
 }
 
-// TestBatchRetrySafety: a shed batch (429/503/504 — refused before any
-// item ran) is retried; a 500 or transport failure is not, because items
-// may already have been scored.
+// TestBatchRetrySafety: a refused batch (429/503/504, or a connection
+// refused before anything was sent) is retried; a 500 or a transport
+// failure after the body went out is not, because items may already have
+// been scored.
 func TestBatchRetrySafety(t *testing.T) {
 	req := &BatchScoreRequest{Items: []ScoreRequest{{Job: validJob("b")}}}
 
@@ -223,16 +247,56 @@ func TestBatchRetrySafety(t *testing.T) {
 		t.Fatalf("batch 500: %d attempts, want 1", len(*attempts))
 	}
 
-	// Transport failure → never blind-retried either.
+	// The connection drops after the server read the body → never
+	// blind-retried either.
+	dropper := newDroppingServer(t)
+	c, _, attempts = resilientClient(dropper.ts.URL, 7)
+	if _, err := c.ScoreBatch(context.Background(), req); err == nil {
+		t.Fatal("batch against a dropping server succeeded")
+	}
+	if len(*attempts) != 1 || (*attempts)[0] != 0 || dropper.requests.Load() != 1 {
+		t.Fatalf("dropped batch attempts %v, %d requests read; want one status-0 attempt, one request",
+			*attempts, dropper.requests.Load())
+	}
+
+	// A refused connection sent nothing → retried up to MaxAttempts.
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	c, _, attempts = resilientClient(dead.URL, 7)
 	if _, err := c.ScoreBatch(context.Background(), req); err == nil {
 		t.Fatal("batch against dead server succeeded")
 	}
-	if len(*attempts) != 1 || (*attempts)[0] != 0 {
-		t.Fatalf("dead batch attempts %v, want one status-0 attempt", *attempts)
+	if len(*attempts) != testRetryAttempts {
+		t.Fatalf("refused batch attempts %v, want %d", *attempts, testRetryAttempts)
 	}
+	// Telemetry posts follow the same rule.
+	c, _, attempts = resilientClient(dead.URL, 7)
+	if _, err := c.Telemetry(context.Background(), &TelemetryRequest{}); err == nil {
+		t.Fatal("telemetry against dead server succeeded")
+	}
+	if len(*attempts) != testRetryAttempts {
+		t.Fatalf("refused telemetry attempts %v, want %d", *attempts, testRetryAttempts)
+	}
+}
+
+// newDroppingServer answers every request by reading its whole body and
+// then closing the connection without a response: the request went out,
+// so whatever it asked for may have run.
+func newDroppingServer(t *testing.T) *retryHarness {
+	t.Helper()
+	h := &retryHarness{}
+	h.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		h.requests.Add(1)
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Errorf("hijack: %v", err)
+			return
+		}
+		conn.Close()
+	}))
+	t.Cleanup(h.ts.Close)
+	return h
 }
 
 // TestSingleScoreRetriesTransportErrors: scoring is idempotent, so a
@@ -244,9 +308,9 @@ func TestSingleScoreRetriesTransportErrors(t *testing.T) {
 	if _, err := c.Score(context.Background(), &ScoreRequest{Job: validJob("r")}); err == nil {
 		t.Fatal("score against dead server succeeded")
 	}
-	if len(*attempts) != DefaultRetryAttempts || len(*sleeps) != DefaultRetryAttempts-1 {
+	if len(*attempts) != testRetryAttempts || len(*sleeps) != testRetryAttempts-1 {
 		t.Fatalf("%d attempts / %d sleeps, want %d/%d", len(*attempts), len(*sleeps),
-			DefaultRetryAttempts, DefaultRetryAttempts-1)
+			testRetryAttempts, testRetryAttempts-1)
 	}
 	for i, status := range *attempts {
 		if status != 0 {
@@ -399,4 +463,129 @@ func TestParseRetryAfter(t *testing.T) {
 	if got := parseRetryAfter(past); got != 0 {
 		t.Fatalf("past http-date: %v", got)
 	}
+}
+
+// TestRefusalDecision holds the client's batch retry and the balancer's
+// batch failover to the one rule of which failed call provably ran no
+// work: breaker open, connection refused, 429, 503 or 504. The balancer
+// moves a refused batch to the next member only when its owner is also
+// down (breaker open, refused, 503); overload (429, 504) surfaces. Each
+// row scripts the first round trip of a one-item batch.
+func TestRefusalDecision(t *testing.T) {
+	refusedDial := func(*http.Request) (*http.Response, error) {
+		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: os.NewSyscallError("connect", syscall.ECONNREFUSED)}
+	}
+	resetAfterBody := func(r *http.Request) (*http.Response, error) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		return nil, &net.OpError{Op: "read", Net: "tcp", Err: os.NewSyscallError("read", syscall.ECONNRESET)}
+	}
+	status := func(code int) func(*http.Request) (*http.Response, error) {
+		return func(r *http.Request) (*http.Response, error) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			return &http.Response{StatusCode: code, Header: http.Header{}, Body: io.NopCloser(strings.NewReader("scripted")), Request: r}, nil
+		}
+	}
+	rows := []struct {
+		name            string
+		breakerOpen     bool
+		fail            func(*http.Request) (*http.Response, error)
+		retry, failover bool
+	}{
+		{"breaker open", true, nil, true, true},
+		{"connection refused", false, refusedDial, true, true},
+		{"reset after the body was sent", false, resetAfterBody, false, false},
+		{"429", false, status(http.StatusTooManyRequests), true, false},
+		{"500", false, status(http.StatusInternalServerError), false, false},
+		{"502", false, status(http.StatusBadGateway), false, false},
+		{"503", false, status(http.StatusServiceUnavailable), true, true},
+		{"504", false, status(http.StatusGatewayTimeout), true, false},
+	}
+	batch := &BatchScoreRequest{Items: []ScoreRequest{{Job: validJob("r")}}}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			member := func(fail func(*http.Request) (*http.Response, error)) (*Client, *scriptedTransport) {
+				tr := &scriptedTransport{fail: fail}
+				c := NewClient("http://member.invalid")
+				c.HTTP = &http.Client{Transport: tr}
+				if row.breakerOpen {
+					c.Breaker = newBreaker(1, time.Hour)
+					c.Breaker.record(false)
+				}
+				return c, tr
+			}
+
+			// The client's batch retry, two attempts allowed.
+			c, tr := member(row.fail)
+			c.Retry = testRetryPolicy(7)
+			c.Retry.MaxAttempts = 2
+			c.sleep = func(time.Duration) {}
+			_, err := c.ScoreBatch(context.Background(), batch)
+			if row.breakerOpen {
+				// Nothing is sent while the breaker is open; the
+				// refusal itself is what the decision reads.
+				if !errors.Is(err, ErrCircuitOpen) || tr.trips.Load() != 0 {
+					t.Fatalf("client: %v after %d round trips, want ErrCircuitOpen after none", err, tr.trips.Load())
+				}
+				if !retryable(retryAtomic, err) {
+					t.Fatal("client: an open breaker is not retryable")
+				}
+			} else {
+				want := int64(1)
+				if row.retry {
+					want = 2
+				}
+				if got := tr.trips.Load(); got != want {
+					t.Fatalf("client: %d round trips (last error %v), want %d", got, err, want)
+				}
+			}
+
+			// The balancer's batch failover: the owner fails as scripted,
+			// the next member answers.
+			cc := NewClusterClient(&fakePicker{})
+			for _, id := range []string{"a", "b"} {
+				if err := cc.AddMember(id, NewClient("http://placeholder.invalid")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			order := cc.sequenceFor("", batch.Items[0].Job)
+			owner, _ := member(row.fail)
+			nextTr := &scriptedTransport{}
+			next := NewClient("http://next.invalid")
+			next.HTTP = &http.Client{Transport: nextTr}
+			if err := cc.SetMemberClient(order[0], owner); err != nil {
+				t.Fatal(err)
+			}
+			if err := cc.SetMemberClient(order[1], next); err != nil {
+				t.Fatal(err)
+			}
+			_, err = cc.ScoreBatch(context.Background(), batch)
+			failedOver := err == nil && cc.Stats().Failovers == 1
+			if failedOver != row.failover {
+				t.Fatalf("balancer: error %v, %d failovers, %d round trips on the next member; want failover %v",
+					err, cc.Stats().Failovers, nextTr.trips.Load(), row.failover)
+			}
+			if !row.failover && nextTr.trips.Load() != 0 {
+				t.Fatalf("balancer: the next member saw %d round trips, want none", nextTr.trips.Load())
+			}
+		})
+	}
+}
+
+// scriptedTransport fails its first round trip with fail (when set) and
+// answers every other one with a one-item batch success.
+type scriptedTransport struct {
+	fail  func(*http.Request) (*http.Response, error)
+	trips atomic.Int64
+}
+
+func (s *scriptedTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		defer r.Body.Close()
+	}
+	if s.trips.Add(1) == 1 && s.fail != nil {
+		return s.fail(r)
+	}
+	_, _ = io.Copy(io.Discard, r.Body)
+	body := `{"results":[{"index":0,"status":200,"response":{"model":"fake","curve":{"a":-0.5,"b":100},"optimal_tokens":1}}],"succeeded":1}`
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(body)), Request: r}, nil
 }

@@ -139,14 +139,8 @@ func httpStatus(err error) int {
 		return http.StatusBadRequest
 	}
 	// The shared allocation core's validation failures are the planner
-	// request's to fix: infeasible capacities, empty batches, allocations
-	// outside the pool, unknown policies, degenerate curves, batches whose
-	// cost would leave the planner's integer range.
-	if errors.Is(err, plan.ErrBadCapacity) || errors.Is(err, plan.ErrNoJobs) ||
-		errors.Is(err, plan.ErrBadAllocation) || errors.Is(err, plan.ErrBadPolicy) ||
-		errors.Is(err, plan.ErrBadCurve) || errors.Is(err, plan.ErrBadArrival) ||
-		errors.Is(err, plan.ErrBadDeadline) || errors.Is(err, plan.ErrBadQuota) ||
-		errors.Is(err, plan.ErrBadStrategy) || errors.Is(err, plan.ErrCostRange) {
+	// request's to fix.
+	if errors.Is(err, plan.ErrInvalid) {
 		return http.StatusBadRequest
 	}
 	if errors.Is(err, model.ErrUntrained) || errors.Is(err, model.ErrUncovered) {
@@ -172,18 +166,6 @@ type StatusError struct {
 
 func (e *StatusError) Error() string {
 	return fmt.Sprintf("serve: status %d: %s", e.Code, e.Message)
-}
-
-// Temporary reports whether the status signals a transient condition a
-// retry may outlive: overload shedding (429), a bad gateway (502), a
-// draining or unloaded service (503), or a queue-deadline timeout (504).
-func (e *StatusError) Temporary() bool {
-	switch e.Code {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
 }
 
 // parseRetryAfter reads a Retry-After header: delta-seconds or an
@@ -301,8 +283,6 @@ type Server struct {
 	clusterID    string
 	clusterPeers []string
 
-	// maxPlanJobs caps the jobs accepted per /v1/plan request.
-	maxPlanJobs  int
 	planMet      map[string]*planStrategyMetrics
 	planMakespan *obs.Histogram
 	planWait     *obs.Histogram
@@ -321,12 +301,6 @@ type Option func(*Server)
 // WithLogger enables structured request logging.
 func WithLogger(l *obs.Logger) Option {
 	return func(s *Server) { s.logger = l }
-}
-
-// WithWorkers bounds the batch-scoring and plan-resolution worker pool
-// (default runtime.NumCPU(); at least 1).
-func WithWorkers(n int) Option {
-	return func(s *Server) { s.workers = n }
 }
 
 // DefaultMaxBatch is the per-request batch item cap.
@@ -370,8 +344,6 @@ func (s *Server) validate() error {
 		return fmt.Errorf("serve: %s %v: must be %s", name, v, want)
 	}
 	switch {
-	case s.workers < 1:
-		return bad("workers", s.workers, "at least 1")
 	case s.maxInFlight < 1:
 		return bad("max-inflight", s.maxInFlight, "at least 1")
 	case s.maxQueue < 0:
@@ -380,8 +352,6 @@ func (s *Server) validate() error {
 		return bad("queue-wait", s.queueWait, "positive")
 	case !(s.shadowRate >= 0 && s.shadowRate <= 1):
 		return bad("shadow-sample", s.shadowRate, "in [0, 1]")
-	case s.maxPlanJobs < 1:
-		return bad("max-plan-jobs", s.maxPlanJobs, "at least 1")
 	}
 	return nil
 }
@@ -415,7 +385,6 @@ func newServer(p scorer, opts ...Option) (*Server, error) {
 		maxQueue:    DefaultMaxQueue,
 		queueWait:   DefaultQueueWait,
 		cacheCap:    DefaultCurveCacheCap,
-		maxPlanJobs: DefaultMaxPlanJobs,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -733,8 +702,7 @@ func (s *Server) score(req *ScoreRequest) (*ScoreResponse, error) {
 	if len(req.CandidateTokens) == 0 {
 		// The default ten-point sweep over [1, maxTokens], appended
 		// directly into the pooled response; tok is non-decreasing in i,
-		// so comparing against the previous point dedupes exactly like
-		// defaultCandidates.
+		// so comparing against the previous point drops every repeat.
 		last := 0
 		for i := 1; i <= 10; i++ {
 			tok := maxTokens * i / 10

@@ -188,7 +188,7 @@ func TestClientHonoursCancelledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := NewClient(ts.URL)
-	client.Retry = DefaultRetryPolicy(1)
+	client.Retry = testRetryPolicy(1)
 	client.Breaker = breaker
 	cc := NewClusterClient(&fakePicker{})
 	if err := cc.AddMember("a", client); err != nil {
@@ -372,7 +372,7 @@ func TestServerDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := []any{srv.maxInFlight, srv.maxQueue, srv.queueWait, srv.workers, srv.cacheCap, srv.maxPlanJobs, srv.shadowRate}
+	got := []any{srv.maxInFlight, srv.maxQueue, srv.queueWait, srv.workers, srv.cacheCap, DefaultMaxPlanJobs, srv.shadowRate}
 	want := []any{256, 512, 2 * time.Second, runtime.NumCPU(), 4096, 4096, 1.0}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("defaults %v, want %v", got, want)

@@ -45,7 +45,7 @@ var wireBoundRoutes = []struct {
 // truncated value, and an in-range but invalid kind or partitioning keeps
 // Job.Validate's message.
 func TestWireBounds(t *testing.T) {
-	srv, err := NewServer(fuzzPipeline(), WithTelemetry(acceptSink{}), WithWorkers(1))
+	srv, err := NewServer(fuzzPipeline(), WithTelemetry(acceptSink{}), withWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
